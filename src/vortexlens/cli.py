@@ -394,19 +394,24 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
         elements = list(scenario.elements)
         packet = scenario.packet
         n_prime = scenario.lens_n_primes[lens_number]
-        if param == "H0_gauss":
-            elements[lens_index] = dc_replace(scenario.elements[lens_index], h0_gauss=value)
-        elif param == "sigma_r_um":
-            packet = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s)
-        elif param == "t1_ns":
-            if not isinstance(elements[0], Drift):
-                raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
-            elements[0] = Drift(duration_s=value * 1e-9)
-        elif param == "n_prime":
-            if value != int(value):
-                raise ScenarioError("--range: n_prime sweep needs integer grid points")
-            n_prime = int(value)
-        beamline = Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev)
+        try:
+            if param == "H0_gauss":
+                elements[lens_index] = dc_replace(scenario.elements[lens_index], h0_gauss=value)
+            elif param == "sigma_r_um":
+                packet = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s)
+            elif param == "t1_ns":
+                if not isinstance(elements[0], Drift):
+                    raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
+                elements[0] = Drift(duration_s=value * 1e-9)
+            elif param == "n_prime":
+                if value != int(value):
+                    raise ScenarioError("--range: n_prime sweep needs integer grid points")
+                n_prime = int(value)
+            beamline = Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev)
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(f"sweep point {param}={_fmt(value)}: {exc}") from exc
         entry = dict(entry_states(beamline))[lens_index]
         report = transport_check(
             entry,

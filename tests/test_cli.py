@@ -235,6 +235,21 @@ def test_sweep_sigma_and_n_prime(tmp_path, capsys):
     assert len(out.splitlines()) == 5
 
 
+@pytest.mark.parametrize(
+    "param, spec_range, value",
+    [("sigma_r_um", "0:1", "0"), ("t1_ns", "0:2", "0"), ("H0_gauss", "nan:nan", "nan")],
+)
+def test_sweep_invalid_point_is_schema_error(tmp_path, capsys, param, spec_range, value):
+    path = write_scenario(tmp_path, scenario_dict())
+    code = main(["sweep", path, "--param", param, "--range", spec_range, "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: sweep point {param}={value}: ")
+
+
 def test_scenario_serialize_round_trip():
     scenario = load_scenario(SCENARIOS / "capture_transport.json")
     once = serialize_scenario(scenario.raw)

@@ -11,6 +11,7 @@ from vortexlens.oracle import (
     generating_product_coefficient,
     generating_product_quadrature,
     integrate_rk4,
+    integrate_rk4_linear,
     laguerre,
     laguerre_derivative,
     lg_quadrature,
@@ -69,6 +70,50 @@ def test_rk4_reports_nonfinite_state():
 
     with pytest.raises(IntegrationError):
         integrate_rk4(ODESpec(rhs, (1.0,), 0.0, 10.0, 0.05))
+
+
+def _linear_system(rate):
+    matrix = rate * np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+
+    def forcing(t):
+        return np.array([np.cos(t), np.zeros_like(t), np.ones_like(t)])
+
+    def rhs(t, y):
+        return matrix @ y + np.array([math.cos(t), 0.0, 1.0])
+
+    return matrix, forcing, rhs
+
+
+def test_rk4_linear_blow_up_reported_at_same_time():
+    # the generic route overflows in its stages and the step map in the
+    # state, so the growth per step (about 1e13) dwarfs the stage factors
+    # and both overflow in the same step
+    matrix, forcing, rhs = _linear_system(1e4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as generic:
+            integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5))
+        with pytest.raises(IntegrationError) as linear:
+            integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
+    assert linear.value.t == generic.value.t
+
+
+@pytest.mark.parametrize(
+    "t0, t_end, step, y0",
+    [
+        (0.0, 1.0, 0.0, (1.0, 0.0, 0.0)),
+        (1.0, 0.0, 0.1, (1.0, 0.0, 0.0)),
+        (0.0, math.nan, 0.1, (1.0, 0.0, 0.0)),
+        (0.0, math.inf, 0.1, (1.0, 0.0, 0.0)),
+        (0.0, 1.0, 0.1, (1.0, 0.0)),
+    ],
+)
+def test_rk4_rejects_bad_plan(t0, t_end, step, y0):
+    matrix, forcing, rhs = _linear_system(1.0)
+    with pytest.raises(ValueError):
+        integrate_rk4_linear(matrix, forcing, y0, t0, t_end, step)
+    if len(y0) == 3:
+        with pytest.raises(ValueError):
+            integrate_rk4(ODESpec(rhs, y0, t0, t_end, step))
 
 
 def test_laguerre_recurrence_against_explicit_polynomial():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vortexlens import units
+from vortexlens import perturbation, units
 from vortexlens.elements import LensConfig
 from vortexlens.moments import MomentState, propagate_drift
+from vortexlens.oracle import ODESpec, integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
     APPROXIMATIONS,
@@ -103,6 +104,43 @@ def test_closed_form_consistent_with_integrated_system(e0, kappa):
     assert check.consistent, check.report()
     assert check.max_mismatch_over_peak < 1e-6
     assert check.max_ode_residual_over_drive < 1e-6
+
+
+@pytest.mark.parametrize("e0", [0.0, 25e6])
+@pytest.mark.parametrize("kappa", [0.081, -0.081])
+def test_linear_step_map_matches_generic_rk4(e0, kappa):
+    # verify_closed_form integrates with the exact RK4 step map; the generic
+    # integrator on the same right-hand side is its reference
+    inputs = entry_inputs(e0=e0)
+    period = period_of(inputs)
+    t_end, step = 4.0 * period, period / 2048.0
+    ts, states = perturbation._integrate_linear(inputs, kappa, t_end, step)
+    ts_ref, ref = integrate_rk4(
+        ODESpec(perturbation._system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
+    )
+    assert np.array_equal(ts, ts_ref)
+    peak = np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, math.nan])
+def test_closed_form_check_flags_a_wrong_group(monkeypatch, factor):
+    inputs = entry_inputs(e0=25e6)
+    groups = perturbation.closed_form_groups
+
+    def third_group_off(inputs, kappa, dt):
+        g = list(groups(inputs, kappa, dt))
+        g[2] = g[2] * factor
+        return tuple(g)
+
+    monkeypatch.setattr(perturbation, "closed_form_groups", third_group_off)
+    check = verify_closed_form(inputs, 0.081, n_periods=4.0)
+    assert not check.consistent
+    assert not check.max_mismatch_over_peak <= check.tolerance
+    report = check.report()
+    assert "consistent: False" in report
+    for i in range(1, 6):
+        assert f"closed-form group {i} at worst time" in report
 
 
 def test_quadrature_rejects_coarse_step():
