@@ -44,13 +44,12 @@ from .perturbation import (
     correction_closed_form,
     verify_closed_form,
 )
-from .units import Constants, Particle
+from .units import Particle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Beamline",
-    "Constants",
     "CorrectionState",
     "Drift",
     "FieldSample",

@@ -25,7 +25,6 @@ from .elements import Drift, LensConfig
 from .lattice import (
     Beamline,
     BeamlineConfigError,
-    EVENT_FOCAL,
     EVENT_OVERFOCUS,
     EVENT_RELATIVISTIC,
     NoCaptureFieldError,
@@ -35,6 +34,7 @@ from .lattice import (
     run,
     solve_matching,
     state_at,
+    walk,
 )
 from .moments import transport_check
 from .packet import LGPacket
@@ -147,6 +147,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"packet: {exc}") from exc
 
     p0_ev = _need(raw, "p0_eV", float, "scenario")
+    if not abs(p0_ev) < particle.mass_ev:
+        raise ScenarioError(
+            f"scenario.p0_eV: need a finite |p0_eV| < mass_eV = {particle.mass_ev}, got {p0_ev}"
+        )
 
     beamline_block = _need(raw, "beamline", list, "scenario")
     if not isinstance(beamline_block, list) or len(beamline_block) == 0:
@@ -316,15 +320,13 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
 
     # capture mode: find the first focal point in a drift, solve the field
     beamline = scenario.beamline()
-    trajectory = run(beamline, scenario.sample_dt_ns * 1e-9)
-    focal = trajectory.events_of(EVENT_FOCAL)
-    # the launch instant can itself be a waist; prefer a downstream one
-    downstream = tuple(e for e in focal if e.t > 0.0)
-    focal = downstream if downstream else focal
+    focal = [leg for leg in walk(beamline) if leg.focal is not None]
     if not focal:
         sys.stderr.write("design: no focal point found in any drift\n")
         return EXIT_DESIGN
-    t_focal = focal[0].t
+    # the launch instant can itself be a waist; prefer a downstream one
+    leg = next((g for g in focal if g.entry.t + g.focal > 0.0), focal[0])
+    t_focal = leg.entry.t + leg.focal
     state = state_at(beamline, t_focal)
     try:
         lens = design_direct_capture(state, scenario.particle)
@@ -339,10 +341,9 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
     if emit_path is not None:
         # trim the beamline at the focal point so the designed lens starts
         # exactly at the waist, then append it
-        focal_index = focal[0].element_index
         raw = json.loads(json.dumps(scenario.raw))
-        entry_ns = sum(e["duration_ns"] for e in raw["beamline"][:focal_index])
-        trimmed = raw["beamline"][:focal_index]
+        entry_ns = sum(e["duration_ns"] for e in raw["beamline"][:leg.index])
+        trimmed = raw["beamline"][:leg.index]
         trimmed.append({"type": "drift", "duration_ns": t_focal_ns - entry_ns})
         trimmed.append(
             {
@@ -471,16 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.sample_dt_ns is not None:
             if args.sample_dt_ns <= 0:
                 raise ScenarioError("--sample-dt-ns: must be positive")
-            scenario = Scenario(
-                scenario.particle,
-                scenario.packet,
-                scenario.p0_ev,
-                scenario.elements,
-                scenario.lens_n_primes,
-                args.sample_dt_ns,
-                scenario.csv_path,
-                scenario.raw,
-            )
+            scenario = dc_replace(scenario, sample_dt_ns=args.sample_dt_ns)
         if args.command == "propagate":
             return cmd_propagate(scenario, args.output or scenario.csv_path, args.strict)
         if args.command == "check":

@@ -1,10 +1,9 @@
-"""Beamline composition, trajectory running and inverse design.
+"""Beamline composition, the element walk, trajectory sampling and inverse design.
 
-A beamline is an ordered list of drifts and lenses traversed by a single
-packet.  The runner propagates the moment state piecewise with the closed
-forms, so boundary continuity is exact by construction; samples are taken on
-a per-element grid plus exact event instants.  Over-focusing truncates the
-trajectory with an event rather than raising.
+A beamline is an ordered list of drifts and lenses traversed by one packet.
+walk() moves the moment state piecewise with the closed forms, so boundary
+continuity is exact by construction; run, state_at and entry_states consume
+it.  Over-focusing ends the walk with an event rather than raising.
 
 Public state (MomentState, event times) stays in natural units; element
 durations and the sampling step are laboratory seconds, converted on entry.
@@ -13,7 +12,9 @@ durations and the sampling step are laboratory seconds, converted on entry.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import units
 from .elements import Drift, LensConfig
@@ -22,6 +23,7 @@ from .moments import (
     MomentState,
     RELATIVISTIC_VELOCITY_BOUND,
     compton_floor,
+    free_waist_rho_sq,
     lens_state_at,
     matching_ratio,
     propagate_drift,
@@ -39,6 +41,8 @@ EVENT_BOUNDARY = "boundary"
 EVENT_FOCAL = "focal_point"
 EVENT_OVERFOCUS = "overfocus"
 EVENT_RELATIVISTIC = "relativistic_warning"
+
+MAX_SAMPLES = 1_000_000
 
 
 class BeamlineConfigError(ValueError):
@@ -69,6 +73,11 @@ class Beamline:
             if not isinstance(element, (Drift, LensConfig)):
                 raise BeamlineConfigError(f"unsupported element type: {element!r}")
 
+    @property
+    def duration_s(self) -> float:
+        """Laboratory time from launch to the end of the last element."""
+        return math.fsum(element.duration_s for element in self.elements)
+
 
 @dataclass(frozen=True)
 class TrajectoryEvent:
@@ -97,121 +106,114 @@ class Trajectory:
         return tuple(e for e in self.events if e.kind == kind)
 
 
-def _homogeneous_twin(lens: LensConfig) -> LensConfig:
-    if lens.is_homogeneous:
-        return lens
-    return replace(lens, kappa_m=0.0, kappa_e=0.0)
+@dataclass(frozen=True)
+class Leg:
+    """One reachable element of a walk; times are natural offsets from entry."""
+
+    index: int
+    element: Drift | LensConfig
+    entry: MomentState
+    duration: float
+    evaluate: Callable[[float], MomentState]
+    focal: float | None
+    crossing: float | None
+
+
+def walk(beamline: Beamline) -> Iterator[Leg]:
+    """Yield one Leg per reachable element; each exit state is the next entry.
+
+    focal is a drift's waist when it lies inside the drift.  crossing is a
+    lens's first over-focus crossing, which ends the walk; lenses evaluate
+    their homogeneous twin.  A drift whose <rho^2> would fall to zero (a
+    lens left <rho^2><u^2> < <rho.u>^2) raises BeamlineConfigError.
+    """
+    particle = beamline.particle
+    floor = compton_floor(particle)
+    entry = MomentState.from_packet(beamline.packet, particle, beamline.p0_ev, t_s=0.0)
+    leg = None
+    for index, element in enumerate(beamline.elements):
+        if leg is not None:
+            entry = leg.evaluate(leg.duration)
+        duration = units.time_to_natural(element.duration_s)
+        focal = crossing = None
+        if isinstance(element, Drift):
+            evaluate = partial(propagate_drift, entry, particle=particle)
+            if entry.drho_sq_dt <= 0.0:
+                waist = waist_dt(entry)
+                focal = waist if 0.0 <= waist < duration else None
+                rho_sq = free_waist_rho_sq(entry)
+                if rho_sq <= 0.0 and waist - math.sqrt(-rho_sq / entry.u_perp_sq) <= duration:
+                    raise BeamlineConfigError(
+                        f"beamline[{index}]: <rho^2> falls to zero in this drift "
+                        "(the lens before it left <rho^2><u^2> < <rho.u>^2)"
+                    )
+        else:
+            lens = element
+            if not element.is_homogeneous:
+                lens = replace(element, kappa_m=0.0, kappa_e=0.0)
+            evaluate = partial(lens_state_at, entry, lens, particle=particle)
+            orbit = LensOrbit.from_entry(entry, lens, particle)
+            crossing = orbit.first_crossing_dt(floor, duration)
+        leg = Leg(index, element, entry, duration, evaluate, focal, crossing)
+        yield leg
+        if crossing is not None:
+            return
 
 
 def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
-    """Propagate the packet through every element, sampling every sample_dt_s.
+    """Sample every leg of the walk on a grid of step sample_dt_s from its entry.
 
-    Each element is sampled on its own grid anchored at its entry, with
-    extra samples inserted exactly at focal points and at an over-focus
-    crossing.  Focal points (waists of free segments) are located from the
-    closed form, well inside the located-root tolerance; an over-focus
-    crossing ends the trajectory with an OVERFOCUS event.  Gradient lenses
-    propagate their homogeneous part and carry the first-order radius
-    correction alongside each sample.
+    Focal points and an over-focus crossing get exact extra samples; the
+    crossing ends the trajectory.  Gradient lenses carry the first-order
+    radius correction.  Over MAX_SAMPLES raises before any sample is built.
     """
     if not sample_dt_s > 0:
         raise ValueError("sample_dt_s must be positive")
-    particle = beamline.particle
+    count = beamline.duration_s / sample_dt_s + 3 * len(beamline.elements)  # grid, focal, end
+    if not count <= MAX_SAMPLES:
+        raise BeamlineConfigError(f"up to {count:.3g} samples, over MAX_SAMPLES = {MAX_SAMPLES}")
+    mass = beamline.particle.mass_ev
     dt_sample = units.time_to_natural(sample_dt_s)
-    floor = compton_floor(particle)
     bound = RELATIVISTIC_VELOCITY_BOUND
-
-    state = MomentState.from_packet(beamline.packet, particle, beamline.p0_ev, t_s=0.0)
     samples: list[TrajectorySample] = []
     events: list[TrajectoryEvent] = []
     relativistic_seen = False
-    completed = True
-
-    if state.p_z / particle.mass_ev > bound:
-        events.append(TrajectoryEvent(state.t, EVENT_RELATIVISTIC, 0))
-        relativistic_seen = True
-
-    for index, element in enumerate(beamline.elements):
-        entry = state
-        duration = units.time_to_natural(element.duration_s)
+    for leg in walk(beamline):
+        index, element, entry, crossing = leg.index, leg.element, leg.entry, leg.crossing
         if index > 0:
             events.append(TrajectoryEvent(entry.t, EVENT_BOUNDARY, index))
-
-        special: dict[float, set[str]] = {}
-        truncate_at: float | None = None
-
-        if isinstance(element, Drift):
-            if entry.drho_sq_dt <= 0.0:
-                focal_dt = waist_dt(entry)
-                if 0.0 <= focal_dt < duration:
-                    events.append(
-                        TrajectoryEvent(entry.t + focal_dt, EVENT_FOCAL, index)
-                    )
-                    special.setdefault(focal_dt, set()).add(FLAG_FOCAL)
-            evaluate = lambda off: propagate_drift(entry, off, particle)
-            corr_of = None
-        else:
-            lens0 = _homogeneous_twin(element)
-            orbit = LensOrbit.from_entry(entry, lens0, particle)
-            crossing = orbit.first_crossing_dt(floor, duration)
-            if crossing is not None:
-                truncate_at = crossing
-                events.append(
-                    TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index)
-                )
-                special.setdefault(crossing, set()).add(FLAG_OVERFOCUS)
+        elif entry.p_z / mass > bound:
+            events.append(TrajectoryEvent(entry.t, EVENT_RELATIVISTIC, 0))
+            relativistic_seen = True
+        horizon = crossing if crossing is not None else leg.duration
+        grid = range(math.ceil(horizon / dt_sample) + 1)
+        offsets = {k * dt_sample: set() for k in grid if k * dt_sample < horizon}
+        if crossing is not None or index == len(beamline.elements) - 1:
+            offsets.setdefault(horizon, set())
+        if leg.focal is not None:
+            events.append(TrajectoryEvent(entry.t + leg.focal, EVENT_FOCAL, index))
+            offsets.setdefault(leg.focal, set()).add(FLAG_FOCAL)
+        if crossing is not None:
+            events.append(TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index))
+            offsets[crossing].add(FLAG_OVERFOCUS)
+        corr_of = None
+        if isinstance(element, LensConfig):
             force = units.accelerating_force_natural(element.e0_v_per_m)
             if not relativistic_seen and force > 0.0:
-                horizon = truncate_at if truncate_at is not None else duration
-                cross_rel = (bound * particle.mass_ev - entry.p_z) / force
+                cross_rel = (bound * mass - entry.p_z) / force
                 if 0.0 <= cross_rel <= horizon:
-                    events.append(
-                        TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index)
-                    )
+                    events.append(TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index))
                     relativistic_seen = True
-            evaluate = lambda off: lens_state_at(entry, lens0, off, particle)
-            if element.is_homogeneous:
-                corr_of = None
-            else:
-                inputs = ZerothOrderInputs.from_entry_state(entry, element, particle)
-                kappa = element.kappa
-                corr_of = lambda off: correction_closed_form(inputs, kappa, off)
-
-        horizon = truncate_at if truncate_at is not None else duration
-        offsets: dict[float, set[str]] = {}
-        k = 0
-        while True:
-            off = k * dt_sample
-            if off >= horizon:
-                break
-            offsets.setdefault(off, set())
-            k += 1
-        is_last = index == len(beamline.elements) - 1
-        if truncate_at is not None or is_last:
-            offsets.setdefault(horizon, set())
-        for off, fl in special.items():
-            offsets.setdefault(off, set()).update(fl)
-
+            if not element.is_homogeneous:
+                inputs = ZerothOrderInputs.from_entry_state(entry, element, beamline.particle)
+                corr_of = partial(correction_closed_form, inputs, element.kappa)
         for off in sorted(offsets):
-            st = evaluate(off)
-            flags = set(offsets[off])
-            if st.p_z / particle.mass_ev > bound:
-                flags.add(FLAG_RELATIVISTIC)
-            samples.append(
-                TrajectorySample(
-                    state=st,
-                    element_index=index,
-                    rho_sq_corr1=corr_of(off) if corr_of is not None else None,
-                    flags=frozenset(flags),
-                )
-            )
-
-        if truncate_at is not None:
-            completed = False
-            break
-        state = evaluate(duration)
-
-    return Trajectory(tuple(samples), tuple(events), completed)
+            st = leg.evaluate(off)
+            if st.p_z / mass > bound:
+                offsets[off].add(FLAG_RELATIVISTIC)
+            corr = corr_of(off) if corr_of is not None else None
+            samples.append(TrajectorySample(st, index, corr, frozenset(offsets[off])))
+    return Trajectory(tuple(samples), tuple(events), completed=crossing is None)
 
 
 def state_at(beamline: Beamline, t: float) -> MomentState:
@@ -220,30 +222,15 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
     Raises if t precedes the start, lies beyond the end, or falls past an
     over-focus crossing (the model stops being meaningful there).
     """
-    particle = beamline.particle
-    floor = compton_floor(particle)
-    state = MomentState.from_packet(beamline.packet, particle, beamline.p0_ev, t_s=0.0)
-    if t < state.t:
-        raise ValueError(f"t = {t} precedes the beamline start")
-    for element in beamline.elements:
-        duration = units.time_to_natural(element.duration_s)
-        offset = t - state.t
-        if isinstance(element, Drift):
-            if offset <= duration:
-                return propagate_drift(state, offset, particle)
-            state = propagate_drift(state, duration, particle)
-            continue
-        lens0 = _homogeneous_twin(element)
-        crossing = LensOrbit.from_entry(state, lens0, particle).first_crossing_dt(
-            floor, min(offset, duration)
-        )
-        if crossing is not None:
-            raise ValueError(
-                f"t = {t} lies beyond the over-focus crossing at {state.t + crossing}"
-            )
-        if offset <= duration:
-            return lens_state_at(state, lens0, offset, particle)
-        state = lens_state_at(state, lens0, duration, particle)
+    for leg in walk(beamline):
+        offset = t - leg.entry.t
+        if offset < 0.0:
+            raise ValueError(f"t = {t} precedes the beamline start")
+        if leg.crossing is not None and leg.crossing <= offset:
+            at = leg.entry.t + leg.crossing
+            raise ValueError(f"t = {t} lies beyond the over-focus crossing at {at}")
+        if offset <= leg.duration:
+            return leg.evaluate(offset)
     raise ValueError(f"t = {t} lies beyond the end of the beamline")
 
 
@@ -266,12 +253,8 @@ FOCAL_SLOPE_TOLERANCE = 1e-9
 
 
 def design_direct_capture(
-    state: MomentState,
-    particle: Particle,
-    n_prime: int = 0,
-    length_m: float = 0.1,
-    duration_s: float | None = None,
-    e0_v_per_m: float = 0.0,
+    state: MomentState, particle: Particle, n_prime: int = 0, length_m: float = 0.1,
+    duration_s: float | None = None, e0_v_per_m: float = 0.0,
 ) -> LensConfig:
     """Solenoid field that captures a focal-point state with no oscillation.
 
@@ -283,16 +266,13 @@ def design_direct_capture(
     slope_scale = 2.0 * math.sqrt(state.rho_sq * state.u_perp_sq)
     if abs(state.drho_sq_dt) > FOCAL_SLOPE_TOLERANCE * slope_scale:
         raise ValueError(
-            "state is not at a focal point: d<rho^2>/dt = "
-            f"{state.drho_sq_dt} exceeds tolerance"
+            f"state is not at a focal point: d<rho^2>/dt = {state.drho_sq_dt} exceeds tolerance"
         )
     if n_prime < 0:
         raise ValueError("n_prime must be non-negative")
     m = particle.mass_ev
     b = 2.0 * state.l / m
     disc = b * b + 8.0 * state.rho_sq * state.u_perp_sq
-    if disc < 0.0:
-        raise NoCaptureFieldError("no real cyclotron frequency fits this state")
     omega = (-b + math.sqrt(disc)) / (2.0 * state.rho_sq)
     if not omega > 0.0:
         raise NoCaptureFieldError("no positive cyclotron frequency fits this state")
@@ -300,10 +280,7 @@ def design_direct_capture(
     if duration_s is None:
         duration_s = 3.0 * 2.0 * math.pi / units.cyclotron_frequency(h0_gauss, particle)
     return LensConfig(
-        h0_gauss=h0_gauss,
-        duration_s=duration_s,
-        length_m=length_m,
-        e0_v_per_m=e0_v_per_m,
+        h0_gauss=h0_gauss, duration_s=duration_s, length_m=length_m, e0_v_per_m=e0_v_per_m
     )
 
 
@@ -320,23 +297,6 @@ def solve_matching(packet: LGPacket, n_prime: int, particle: Particle) -> float:
 
 
 def entry_states(beamline: Beamline) -> tuple[tuple[int, MomentState], ...]:
-    """Element index and exact entry state for every reachable lens.
-
-    The walk stops at the first over-focusing lens: its own entry is still
-    reported, but everything downstream is unreachable.
-    """
-    particle = beamline.particle
-    floor = compton_floor(particle)
-    state = MomentState.from_packet(beamline.packet, particle, beamline.p0_ev, t_s=0.0)
-    out: list[tuple[int, MomentState]] = []
-    for index, element in enumerate(beamline.elements):
-        duration = units.time_to_natural(element.duration_s)
-        if isinstance(element, Drift):
-            state = propagate_drift(state, duration, particle)
-            continue
-        out.append((index, state))
-        lens0 = _homogeneous_twin(element)
-        if LensOrbit.from_entry(state, lens0, particle).first_crossing_dt(floor, duration) is not None:
-            break
-        state = lens_state_at(state, lens0, duration, particle)
-    return tuple(out)
+    """Index and exact entry state of every reachable lens; an over-focusing
+    lens still reports its own entry, but everything downstream is unreachable."""
+    return tuple((g.index, g.entry) for g in walk(beamline) if isinstance(g.element, LensConfig))

@@ -18,7 +18,7 @@ numbers are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # CODATA-2018.  Speed of light and elementary charge are exact in the SI;
 # the reduced Planck constant is the 10-figure rounding of h/(2 pi).
@@ -65,21 +65,6 @@ class Particle:
     @property
     def compton_time_s(self) -> float:
         return HBAR_EV_S / self.mass_ev
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Per-particle constant block: Compton scales plus the SI scalars."""
-
-    compton_length_m: float
-    compton_time_s: float
-    elementary_charge_c: float = field(default=ELEMENTARY_CHARGE_C)
-    reduced_planck_js: float = field(default=REDUCED_PLANCK_JS)
-    light_speed_m_per_s: float = field(default=LIGHT_SPEED_M_PER_S)
-
-    @classmethod
-    def for_particle(cls, particle: Particle) -> "Constants":
-        return cls(particle.compton_length_m, particle.compton_time_s)
 
 
 def length_to_natural(x_m: float) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from vortexlens import lattice
 from vortexlens.cli import (
     CSV_COLUMNS,
     EXIT_CHECK_FAILED,
@@ -13,6 +14,7 @@ from vortexlens.cli import (
     EXIT_OVERFOCUS,
     EXIT_RELATIVISTIC,
     EXIT_SCHEMA,
+    ScenarioError,
     load_scenario,
     main,
     serialize_scenario,
@@ -135,6 +137,79 @@ def test_schema_errors(tmp_path, capsys):
 
     path = write_scenario(tmp_path, scenario_dict(schema_version=2))
     assert main(["propagate", path]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("p0_ev", [float("nan"), float("inf"), 1e30, -510998.95])
+def test_p0_must_be_finite_and_below_the_rest_energy(tmp_path, capsys, p0_ev):
+    path = write_scenario(tmp_path, scenario_dict(p0_eV=p0_ev))
+    with pytest.raises(ScenarioError, match=r"^scenario\.p0_eV: "):
+        load_scenario(path)
+    assert main(["propagate", path, "-o", str(tmp_path / "t.csv")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.p0_eV: ") and err.count("\n") == 1
+
+
+def drift_after_lens(last_drift_ns):
+    """A lens leaves <rho^2><u^2> < <rho.u>^2; <rho^2> of the drift after it
+    reaches zero 1.755 ns past its entry, and its waist lies 2.895 ns in."""
+    return scenario_dict(
+        beamline=[
+            {"type": "drift", "duration_ns": 0.2368703763536476},
+            {
+                "type": "lens",
+                "H0_gauss": 38.34808058714767,
+                "duration_ns": 7.695783497242621,
+                "length_m": 0.1,
+            },
+            {"type": "drift", "duration_ns": last_drift_ns},
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["propagate"],
+        ["check"],
+        ["design", "--mode", "capture"],
+        ["sweep", "--param", "H0_gauss", "--range", "38:39", "--steps", "3"],
+    ],
+)
+@pytest.mark.parametrize("last_drift_ns", [16.91191255983274, 2.5])
+def test_drift_to_zero_radius_is_config_error(tmp_path, capsys, command, last_drift_ns):
+    path = write_scenario(tmp_path, drift_after_lens(last_drift_ns))
+    argv = [command[0], path, *command[1:]]
+    if command[0] == "propagate":
+        argv += ["-o", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: beamline[2]: <rho^2> falls to zero")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_drift_ending_before_zero_radius_runs(tmp_path):
+    path = write_scenario(tmp_path, drift_after_lens(1.0))
+    assert main(["propagate", path, "-o", str(tmp_path / "t.csv")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "options, drift_ns", [(["--sample-dt-ns", "1e-300"], 1.0), ([], 1e300)]
+)
+def test_sample_count_over_cap_is_config_error(
+    tmp_path, capsys, monkeypatch, options, drift_ns
+):
+    def walk_must_not_start(beamline):
+        raise AssertionError("the element walk started")
+
+    monkeypatch.setattr(lattice, "walk", walk_must_not_start)
+    path = write_scenario(
+        tmp_path, scenario_dict(beamline=[{"type": "drift", "duration_ns": drift_ns}])
+    )
+    assert main([*options, "propagate", path, "-o", str(tmp_path / "t.csv")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAX_SAMPLES = {lattice.MAX_SAMPLES}" in err
 
 
 def test_check_matched_line(capsys):

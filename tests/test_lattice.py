@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from vortexlens import units
 from vortexlens.elements import Drift, LensConfig
@@ -15,10 +17,12 @@ from vortexlens.lattice import (
     run,
     solve_matching,
     state_at,
+    walk,
 )
 from vortexlens.moments import (
     MomentState,
     emittance,
+    lens_state_at,
     propagate_drift,
     stationary_rho_sq,
     transport_check,
@@ -337,3 +341,63 @@ def test_relativistic_event_in_accelerating_lens():
     assert all(s.state.t >= rel[0].t for s in flagged)
     bound_p = 0.1 * ELECTRON.mass_ev
     assert all(s.state.p_z > bound_p for s in flagged)
+
+
+@st.composite
+def valid_lines(draw):
+    """A line of 1-5 drifts and lenses, with a sampling step, that the walk accepts."""
+    l = draw(st.integers(-6, 6))
+    packet = LGPacket(draw(st.integers(0, 2)), l, draw(st.floats(0.45, 0.75)) * 1e-6)
+    matched = solve_matching(packet, 0, ELECTRON)
+    elements = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            elements.append(Drift(draw(st.floats(0.05, 3.0)) * 1e-9))
+            continue
+        field = matched * draw(st.floats(0.5, 1.5))
+        period_s = 2 * math.pi / units.cyclotron_frequency(field, ELECTRON)
+        kappa = draw(st.sampled_from([0.0, 0.0, -0.08, 0.05]))
+        elements.append(
+            LensConfig(
+                h0_gauss=field,
+                duration_s=draw(st.floats(0.2, 3.0)) * period_s,
+                length_m=0.1,
+                e0_v_per_m=draw(st.sampled_from([0.0, 1e5])),
+                kappa_m=kappa,
+                kappa_e=kappa,
+            )
+        )
+    line = Beamline(tuple(elements), ELECTRON, packet, draw(st.floats(0.2, 1.0)))
+    try:
+        legs = list(walk(line))
+    except BeamlineConfigError:
+        assume(False)
+    sample_dt_s = line.duration_s / draw(st.integers(20, 200))
+    return line, legs, sample_dt_s
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_lines())
+def test_walk_run_state_at_and_entry_states_agree(case):
+    line, legs, sample_dt_s = case
+    traj = run(line, sample_dt_s)
+    # each leg's exit state is the next leg's entry, bit for bit
+    for leg, after in zip(legs, legs[1:]):
+        assert leg.evaluate(leg.duration) == after.entry
+    # run anchors each lens at the entry state that entry_states reports
+    first = {}
+    for sample in traj.samples:
+        first.setdefault(sample.element_index, sample.state)
+    lens_entries = entry_states(line)
+    assert [index for index, _ in lens_entries] == [
+        leg.index for leg in legs if isinstance(leg.element, LensConfig)
+    ]
+    for index, entry in lens_entries:
+        twin = replace(line.elements[index], kappa_m=0.0, kappa_e=0.0)
+        assert first[index] == lens_state_at(entry, twin, 0.0, ELECTRON)
+    # the closed forms at a sampled time reproduce the sample
+    inner = [s for s in traj.samples[:-1] if "OVERFOCUS" not in s.flags]
+    for sample in inner[:: max(1, len(inner) // 7)]:
+        direct = state_at(line, sample.state.t)
+        assert direct.rho_sq == pytest.approx(sample.state.rho_sq, rel=1e-13)
+        assert direct.z == pytest.approx(sample.state.z, rel=1e-13)

@@ -24,10 +24,9 @@ def test_particle_validation():
     assert Particle.positron().charge_sign == 1
 
 
-def test_constants_block():
-    c = units.Constants.for_particle(ELECTRON)
-    assert c.compton_length_m == pytest.approx(3.8615926799e-13, rel=1e-9)
-    assert c.compton_time_s == c.compton_length_m / c.light_speed_m_per_s
+def test_compton_scales():
+    assert ELECTRON.compton_length_m == pytest.approx(3.8615926799e-13, rel=1e-9)
+    assert ELECTRON.compton_time_s == ELECTRON.compton_length_m / units.LIGHT_SPEED_M_PER_S
 
 
 def test_cyclotron_frequency_golden():
