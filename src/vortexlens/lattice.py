@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from . import units
@@ -123,9 +123,10 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     """Yield one Leg per reachable element; each exit state is the next entry.
 
     focal is a drift's waist when it lies inside the drift.  crossing is a
-    lens's first over-focus crossing, which ends the walk; lenses evaluate
-    their homogeneous twin.  A drift whose <rho^2> would fall to zero (a
-    lens left <rho^2><u^2> < <rho.u>^2) raises BeamlineConfigError.
+    lens's first over-focus crossing, which ends the walk; a lens evaluates
+    its zeroth-order orbit, built once per leg.  A drift whose <rho^2> would
+    fall to zero (a lens left <rho^2><u^2> < <rho.u>^2) or an exit state
+    that is not a valid state raises BeamlineConfigError.
     """
     particle = beamline.particle
     floor = compton_floor(particle)
@@ -133,7 +134,10 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     leg = None
     for index, element in enumerate(beamline.elements):
         if leg is not None:
-            entry = leg.evaluate(leg.duration)
+            try:
+                entry = leg.evaluate(leg.duration)
+            except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
+                raise BeamlineConfigError(f"beamline[{leg.index}]: exit state: {exc}") from None
         duration = units.time_to_natural(element.duration_s)
         focal = crossing = None
         if isinstance(element, Drift):
@@ -148,11 +152,8 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
                         "(the lens before it left <rho^2><u^2> < <rho.u>^2)"
                     )
         else:
-            lens = element
-            if not element.is_homogeneous:
-                lens = replace(element, kappa_m=0.0, kappa_e=0.0)
-            evaluate = partial(lens_state_at, entry, lens, particle=particle)
-            orbit = LensOrbit.from_entry(entry, lens, particle)
+            orbit = LensOrbit.from_entry(entry, element, particle)
+            evaluate = partial(lens_state_at, orbit)
             crossing = orbit.first_crossing_dt(floor, duration)
         leg = Leg(index, element, entry, duration, evaluate, focal, crossing)
         yield leg

@@ -20,6 +20,8 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import units
 from .elements import LensConfig
 from .units import Particle
@@ -108,6 +110,15 @@ def propagate_drift(state: MomentState, dt: float, particle: Particle) -> Moment
     )
 
 
+def _trig(dt):
+    """math for a scalar time, numpy for an array of times.
+
+    The per-sample scalar path keeps math.sin/math.cos: the CSV output is
+    pinned to their bits, and numpy trig on a scalar costs far more.
+    """
+    return np if isinstance(dt, np.ndarray) else math
+
+
 def stationary_rho_sq(u_perp_sq: float, l: int, omega0: float, particle: Particle) -> float:
     """Oscillation center (2 <u^2> - 2 w l / m) / w^2 in natural units.
 
@@ -122,25 +133,33 @@ def stationary_rho_sq(u_perp_sq: float, l: int, omega0: float, particle: Particl
 
 @dataclass(frozen=True)
 class LensOrbit:
-    """Closed-form orbit of <rho^2> inside a homogeneous lens.
+    """Zeroth-order solution inside a lens, dt from the entry state.
 
-    <rho^2>(dt) = center + a_cos cos(w dt) + a_sin sin(w dt), dt from entry.
+    <rho^2>(dt) = center + a_cos cos(w dt) + a_sin sin(w dt) and
+    p_z(dt) = p_z + e|E0| dt.  Only the homogeneous field (H0, E0) enters;
+    gradients are first-order corrections about this orbit.
     """
 
+    entry: MomentState
     omega0: float
     center: float
     a_cos: float
     a_sin: float
+    force: float
+    mass: float
 
     @classmethod
     def from_entry(cls, state: MomentState, lens: LensConfig, particle: Particle) -> "LensOrbit":
         omega0 = units.cyclotron_frequency_natural(lens.h0_gauss, particle)
         center = stationary_rho_sq(state.u_perp_sq, state.l, omega0, particle)
         return cls(
+            entry=state,
             omega0=omega0,
             center=center,
             a_cos=state.rho_sq - center,
             a_sin=state.drho_sq_dt / omega0,
+            force=units.accelerating_force_natural(lens.e0_v_per_m),
+            mass=particle.mass_ev,
         )
 
     @property
@@ -152,13 +171,20 @@ class LensOrbit:
         """Phase of the oscillation maximum, in [0, 2 pi)."""
         return math.atan2(self.a_sin, self.a_cos) % (2.0 * math.pi)
 
-    def rho_sq(self, dt: float) -> float:
+    def rho_sq(self, dt):
+        """<rho^2> at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
-        return self.center + self.a_cos * math.cos(w) + self.a_sin * math.sin(w)
+        trig = _trig(dt)
+        return self.center + self.a_cos * trig.cos(w) + self.a_sin * trig.sin(w)
 
-    def drho_sq(self, dt: float) -> float:
+    def drho_sq(self, dt):
+        """d<rho^2>/dt at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
-        return self.omega0 * (-self.a_cos * math.sin(w) + self.a_sin * math.cos(w))
+        trig = _trig(dt)
+        return self.omega0 * (-self.a_cos * trig.sin(w) + self.a_sin * trig.cos(w))
+
+    def p_z(self, dt):
+        return self.entry.p_z + self.force * dt
 
     def d3rho_sq(self, dt: float) -> float:
         w = self.omega0 * dt
@@ -202,24 +228,21 @@ def compton_floor(particle: Particle) -> float:
     return (1.0 / particle.mass_ev) ** 2
 
 
-def lens_state_at(
-    state: MomentState, lens: LensConfig, dt: float, particle: Particle
-) -> MomentState:
-    """Homogeneous-lens state a time dt past entry, without the floor guard.
+def lens_state_at(orbit: LensOrbit, dt: float) -> MomentState:
+    """State on a built lens orbit a time dt past entry, without the floor guard.
 
     The trajectory runner uses this to evaluate states up to and including
     an over-focus crossing; everyone else should call
     propagate_lens_homogeneous, which enforces the floor.
     """
-    orbit = LensOrbit.from_entry(state, lens, particle)
-    m = particle.mass_ev
-    force = units.accelerating_force_natural(lens.e0_v_per_m)
+    state = orbit.entry
+    m = orbit.mass
     return replace(
         state,
         rho_sq=orbit.rho_sq(dt),
         drho_sq_dt=orbit.drho_sq(dt),
-        p_z=state.p_z + force * dt,
-        z=state.z + (state.p_z / m) * dt + 0.5 * (force / m) * dt * dt,
+        p_z=orbit.p_z(dt),
+        z=state.z + (state.p_z / m) * dt + 0.5 * (orbit.force / m) * dt * dt,
         t=state.t + dt,
     )
 
@@ -246,7 +269,7 @@ def propagate_lens_homogeneous(
     crossing = orbit.first_crossing_dt(compton_floor(particle), dt)
     if crossing is not None:
         raise OverFocusError(state.t + crossing)
-    out = lens_state_at(state, lens, dt, particle)
+    out = lens_state_at(orbit, dt)
     if out.p_z / particle.mass_ev > RELATIVISTIC_VELOCITY_BOUND:
         warnings.warn(
             f"longitudinal velocity {out.p_z / particle.mass_ev:.3f} c exceeds "

@@ -15,7 +15,6 @@ from .units import (
     area_from_natural,
     diffraction_time,
     length_to_natural,
-    time_to_natural,
 )
 
 
@@ -92,9 +91,8 @@ def transverse_velocity_sq(packet: LGPacket, particle: Particle) -> float:
 
 def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:
     """Mean square radius sigma_r^2 + <u_perp^2> (t - t0)^2 in m^2."""
+    from .moments import MomentState
+
     if not math.isfinite(t_s):
         raise ValueError("t must be finite")
-    u_sq = transverse_velocity_sq(packet, particle)
-    dt = time_to_natural(t_s - packet.focus_time_s)
-    sigma_nat_sq = length_to_natural(packet.sigma_r_m) ** 2
-    return area_from_natural(sigma_nat_sq + u_sq * dt * dt)
+    return area_from_natural(MomentState.from_packet(packet, particle, t_s=t_s).rho_sq)

@@ -10,12 +10,13 @@ parameter kappa, the correction <rho^2>^(1) obeys a driven oscillator
 
     du1/dt = (kappa w / (m^2 L)) (l + (m w / 2) r0(t)) pz0(t)
 
-with zeroth-order inputs r0, z0, pz0 taken from the homogeneous closed forms
-and vanishing initial value, slope and u1 at the lens entry.  Two evaluation
-routes are provided: the algebraic closed form of the solution, and direct
-numerical integration of the system.  The numerical route is authoritative;
-verify_closed_form cross-checks the two and reports any mismatch instead of
-trusting either silently.  The system is linear in (u1, r1, dr1), so
+with the zeroth-order inputs r0, z0 and pz0 taken from the lens orbit
+(moments.LensOrbit) built at the entry, and vanishing initial value, slope
+and u1 at the lens entry.  Two evaluation routes are provided: the
+algebraic closed form of the solution, and direct numerical integration of
+the system.  The numerical route is authoritative; verify_closed_form
+cross-checks the two and reports any mismatch instead of trusting either
+silently.  The system is linear in (u1, r1, dr1), so
 verify_closed_form integrates it with the exact one-step map of classical
 RK4 (oracle.integrate_rk4_linear) and evaluates the closed form on arrays;
 a test pins that map to the generic RK4 integrator.
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import units
 from .elements import KAPPA_HARD_LIMIT, LensConfig
-from .moments import LensOrbit, MomentState
+from .moments import LensOrbit, MomentState, _trig
 from .oracle import ODESpec, integrate_rk4, integrate_rk4_linear
 from .units import Particle
 
@@ -103,17 +104,10 @@ class CorrectionState:
 
 @dataclass(frozen=True)
 class ZerothOrderInputs:
-    """Homogeneous-lens data feeding the first-order system (natural units)."""
+    """The homogeneous lens orbit and the lens length (natural units)."""
 
-    rho_sq_in: float
-    rho_sq_st: float
-    drho_sq_dt_in: float
-    p0: float
-    force: float
-    omega0: float
+    orbit: LensOrbit
     length: float
-    mass: float
-    l: int
 
     @classmethod
     def from_entry_state(
@@ -125,42 +119,18 @@ class ZerothOrderInputs:
         kappa_m != kappa_e are rejected rather than guessed at.
         """
         lens.kappa  # raises on mixed gradients
-        homogeneous = LensOrbit.from_entry(state, lens, particle)
-        return cls(
-            rho_sq_in=state.rho_sq,
-            rho_sq_st=homogeneous.center,
-            drho_sq_dt_in=state.drho_sq_dt,
-            p0=state.p_z,
-            force=units.accelerating_force_natural(lens.e0_v_per_m),
-            omega0=homogeneous.omega0,
-            length=units.length_to_natural(lens.length_m),
-            mass=particle.mass_ev,
-            l=state.l,
-        )
+        return cls(LensOrbit.from_entry(state, lens, particle), units.length_to_natural(lens.length_m))
+
+    @property
+    def omega0(self) -> float:
+        return self.orbit.omega0
 
     def rho0(self, dt):
-        w = self.omega0 * dt
-        trig = _trig(dt)
-        return (
-            self.rho_sq_st
-            + (self.rho_sq_in - self.rho_sq_st) * trig.cos(w)
-            + (self.drho_sq_dt_in / self.omega0) * trig.sin(w)
-        )
+        return self.orbit.rho_sq(dt)
 
     def z0(self, dt):
-        return (self.p0 * dt + 0.5 * self.force * dt * dt) / self.mass
-
-    def pz0(self, dt):
-        return self.p0 + self.force * dt
-
-
-def _trig(dt):
-    """math for a scalar time, numpy for an array of times.
-
-    The per-sample scalar path keeps math.sin/math.cos: the CSV output is
-    pinned to their bits, and numpy trig on a scalar costs far more.
-    """
-    return np if isinstance(dt, np.ndarray) else math
+        orbit = self.orbit
+        return (orbit.entry.p_z * dt + 0.5 * orbit.force * dt * dt) / orbit.mass
 
 
 def closed_form_groups(inputs: ZerothOrderInputs, kappa: float, dt) -> tuple:
@@ -171,14 +141,15 @@ def closed_form_groups(inputs: ZerothOrderInputs, kappa: float, dt) -> tuple:
     cross-check can report which group disagrees.  dt is a scalar or an
     array of times.
     """
-    a_in = inputs.rho_sq_in
-    a_st = inputs.rho_sq_st
-    rate = inputs.drho_sq_dt_in
-    p0 = inputs.p0
-    f = inputs.force
-    w = inputs.omega0
+    orbit = inputs.orbit
+    a_in = orbit.entry.rho_sq
+    a_st = orbit.center
+    rate = orbit.entry.drho_sq_dt
+    p0 = orbit.entry.p_z
+    f = orbit.force
+    w = orbit.omega0
     ll = inputs.length
-    m = inputs.mass
+    m = orbit.mass
     trig = _trig(dt)
     sin_w = trig.sin(w * dt)
     cos_w = trig.cos(w * dt)
@@ -226,16 +197,18 @@ def _gradient_forcing(inputs: ZerothOrderInputs, kappa: float, t):
     r1'' + w^2 r1 = 2 u1 + drive without its 2 u1 term.  t is a scalar or
     an array of times.
     """
-    w = inputs.omega0
-    m = inputs.mass
+    orbit = inputs.orbit
+    w = orbit.omega0
+    m = orbit.mass
+    l = orbit.entry.l
     ll = inputs.length
-    rho0 = inputs.rho0(t)
+    rho0 = orbit.rho_sq(t)
     z0 = inputs.z0(t)
-    du1 = (kappa * w / (m * m * ll)) * (inputs.l + 0.5 * m * w * rho0) * inputs.pz0(t)
+    du1 = (kappa * w / (m * m * ll)) * (l + 0.5 * m * w * rho0) * orbit.p_z(t)
     drive = (
-        -kappa * (2.0 * w * inputs.l / (m * ll)) * z0
+        -kappa * (2.0 * w * l / (m * ll)) * z0
         - kappa * (2.0 * w * w / ll) * z0 * rho0
-        + kappa * (2.0 * inputs.force / (m * ll)) * rho0
+        + kappa * (2.0 * orbit.force / (m * ll)) * rho0
     )
     return du1, drive
 

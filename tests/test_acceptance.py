@@ -253,7 +253,7 @@ def test_criterion_08_direct_capture_closure():
     period = units.time_to_natural(2 * math.pi / units.cyclotron_frequency(lens.h0_gauss, ELECTRON))
     worst = 0.0
     for frac in np.linspace(0.0, 3.0, 601):
-        out = lens_state_at(state, lens, float(frac) * period, ELECTRON)
+        out = lens_state_at(LensOrbit.from_entry(state, lens, ELECTRON), float(frac) * period)
         worst = max(worst, abs(out.rho_sq / state.rho_sq - 1.0))
     assert worst <= 1e-12
     t_focal_ns = units.time_from_natural(focal[0].t) * 1e9

@@ -194,6 +194,29 @@ def test_drift_ending_before_zero_radius_runs(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        (["propagate"], "error: up to "),
+        (["check"], "error: beamline[0]: exit state: rho_sq must be positive, got inf"),
+        (["design", "--mode", "capture"], "error: beamline[0]: exit state: rho_sq"),
+        (["sweep", "--param", "H0_gauss", "--range", "85:86", "--steps", "3"], "error: beamline[0]: exit state: rho_sq"),
+    ],
+)
+def test_overflowing_drift_is_config_error(tmp_path, capsys, command, message):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["beamline"][0]["duration_ns"] = 1e300  # <rho^2> at the lens entry overflows to inf
+    path = write_scenario(tmp_path, data)
+    argv = [command[0], path, *command[1:]]
+    if command[0] == "propagate":
+        argv += ["-o", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "options, drift_ns", [(["--sample-dt-ns", "1e-300"], 1.0), ([], 1e300)]
 )
 def test_sample_count_over_cap_is_config_error(

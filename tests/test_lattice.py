@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from vortexlens.lattice import (
     walk,
 )
 from vortexlens.moments import (
+    LensOrbit,
     MomentState,
     emittance,
     lens_state_at,
@@ -215,7 +215,7 @@ def test_direct_capture_closure():
     from vortexlens.moments import lens_state_at
 
     for frac in np.linspace(0.0, 3.0, 301):
-        out = lens_state_at(state, lens, float(frac) * period, ELECTRON)
+        out = lens_state_at(LensOrbit.from_entry(state, lens, ELECTRON), float(frac) * period)
         assert abs(out.rho_sq / state.rho_sq - 1.0) < 1e-12
 
 
@@ -393,8 +393,8 @@ def test_walk_run_state_at_and_entry_states_agree(case):
         leg.index for leg in legs if isinstance(leg.element, LensConfig)
     ]
     for index, entry in lens_entries:
-        twin = replace(line.elements[index], kappa_m=0.0, kappa_e=0.0)
-        assert first[index] == lens_state_at(entry, twin, 0.0, ELECTRON)
+        lens = line.elements[index]
+        assert first[index] == lens_state_at(LensOrbit.from_entry(entry, lens, ELECTRON), 0.0)
     # the closed forms at a sampled time reproduce the sample
     inner = [s for s in traj.samples[:-1] if "OVERFOCUS" not in s.flags]
     for sample in inner[:: max(1, len(inner) // 7)]:

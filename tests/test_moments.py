@@ -1,8 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexlens import units
 from vortexlens.elements import LensConfig
@@ -11,6 +13,8 @@ from vortexlens.moments import (
     LensOrbit,
     MomentState,
     OverFocusError,
+    RelativisticWarning,
+    compton_floor,
     emittance,
     free_waist_rho_sq,
     lens_state_at,
@@ -313,7 +317,7 @@ def test_lens_state_at_matches_guarded_propagation():
     lens = lens_for(0.622e-6)
     entry = propagate_drift(focal_state(0.622e-6), units.time_to_natural(0.5e-9), ELECTRON)
     dt = units.time_to_natural(2.2e-9)
-    assert lens_state_at(entry, lens, dt, ELECTRON) == propagate_lens_homogeneous(
+    assert lens_state_at(LensOrbit.from_entry(entry, lens, ELECTRON), dt) == propagate_lens_homogeneous(
         entry, lens, dt, ELECTRON
     )
 
@@ -332,3 +336,69 @@ def test_relativistic_bound_warning():
     with pytest.warns(RelativisticWarning):
         out = propagate_lens_homogeneous(state, lens, units.time_to_natural(0.1e-9), ELECTRON)
     assert out.p_z / ELECTRON.mass_ev > 0.1
+
+
+@st.composite
+def lens_entries(draw):
+    """A packet drifted a random time to a lens whose field is within 3x of matched."""
+    packet = LGPacket(draw(st.integers(0, 2)), draw(st.integers(-6, 6)), draw(st.floats(0.3, 1.0)) * 1e-6)
+    entry = MomentState.from_packet(
+        packet, ELECTRON, draw(st.floats(0.0, 1.0)), t_s=draw(st.floats(-3e-9, 3e-9))
+    )
+    lens = LensConfig(
+        h0_gauss=solve_matching(packet, 0, ELECTRON) * draw(st.floats(0.3, 3.0)),
+        duration_s=1e-9,
+        length_m=0.1,
+        e0_v_per_m=draw(st.sampled_from([0.0, 1e5, 25e6])),
+    )
+    return entry, lens
+
+
+@settings(max_examples=100, deadline=None)
+@given(lens_entries(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=16))
+def test_orbit_on_an_array_matches_the_scalar_path(case, periods):
+    orbit = LensOrbit.from_entry(*case, ELECTRON)
+    dts = np.array(periods) * (2.0 * math.pi / orbit.omega0)
+    scale = abs(orbit.center) + orbit.amplitude
+    rho_sq, drho_sq = orbit.rho_sq(dts), orbit.drho_sq(dts)
+    for dt, r, d in zip(dts.tolist(), rho_sq, drho_sq):
+        assert abs(r - orbit.rho_sq(dt)) <= 1e-13 * scale
+        assert abs(d - orbit.drho_sq(dt)) <= 1e-13 * orbit.omega0 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(lens_entries(), st.floats(-1.2, 1.2), st.floats(0.0, 3.0))
+def test_first_crossing_against_dense_sampling(case, level, periods):
+    orbit = LensOrbit.from_entry(*case, ELECTRON)
+    threshold = orbit.center + level * orbit.amplitude
+    dt_max = periods * 2.0 * math.pi / orbit.omega0
+    crossing = orbit.first_crossing_dt(threshold, dt_max)
+    dts = np.linspace(0.0, dt_max, 4001)
+    values = orbit.rho_sq(dts)
+    tol = 1e-9 * (abs(orbit.center) + orbit.amplitude)
+    below = dts[values < threshold - tol]
+    if crossing is None:
+        assert below.size == 0
+        return
+    assert 0.0 <= crossing <= dt_max
+    assert np.all(values[dts < crossing] >= threshold - tol)
+    assert below.size == 0 or crossing <= below[0]
+    if crossing > 0.0:
+        assert abs(orbit.rho_sq(crossing) - threshold) <= tol
+    else:
+        assert orbit.rho_sq(0.0) <= threshold
+
+
+@settings(max_examples=100, deadline=None)
+@given(lens_entries(), st.floats(0.0, 3.0))
+def test_lens_state_at_is_guarded_propagation_short_of_a_crossing(case, periods):
+    entry, lens = case
+    orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
+    dt = periods * 2.0 * math.pi / orbit.omega0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelativisticWarning)
+        if orbit.first_crossing_dt(compton_floor(ELECTRON), dt) is not None:
+            with pytest.raises(OverFocusError):
+                propagate_lens_homogeneous(entry, lens, dt, ELECTRON)
+            return
+        assert lens_state_at(orbit, dt) == propagate_lens_homogeneous(entry, lens, dt, ELECTRON)
