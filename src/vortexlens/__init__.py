@@ -14,10 +14,8 @@ from .elements import Drift, FieldSample, InhomogeneityWarning, LensConfig
 from .lattice import (
     Beamline,
     NoCaptureFieldError,
-    NoFocusError,
     Trajectory,
     design_direct_capture,
-    find_focal_time,
     run,
     solve_matching,
     state_at,
@@ -31,7 +29,6 @@ from .moments import (
     matching_ratio,
     propagate_drift,
     propagate_lens_homogeneous,
-    quadrupole_drive,
     stationary_rho_sq,
     transport_check,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "LensConfig",
     "MomentState",
     "NoCaptureFieldError",
-    "NoFocusError",
     "OpticalFunctions",
     "OverFocusError",
     "Particle",
@@ -71,12 +67,10 @@ __all__ = [
     "correction_closed_form",
     "design_direct_capture",
     "emittance",
-    "find_focal_time",
     "matching_ratio",
     "optical_functions",
     "propagate_drift",
     "propagate_lens_homogeneous",
-    "quadrupole_drive",
     "rho_sq_free",
     "run",
     "solve_matching",

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
+
+import numpy as np
 
 from . import units
 from .elements import Drift, LensConfig
@@ -27,6 +28,8 @@ from .lattice import (
     BeamlineConfigError,
     EVENT_OVERFOCUS,
     EVENT_RELATIVISTIC,
+    FLAG_NAMES,
+    MAX_SAMPLES,
     NoCaptureFieldError,
     Trajectory,
     design_direct_capture,
@@ -61,7 +64,13 @@ CSV_COLUMNS = (
     "rho2_corr1_um2",
     "flags",
 )
-FLAG_ORDER = ("FOCAL", "OVERFOCUS", "RELATIVISTIC")
+# one row format per kind = flag_bits + 8 * (correction absent, i.e. NaN),
+# with the flags text built in; "%.0s" prints the absent correction as ""
+ROW_FORMATS = tuple(
+    "%.12g,%d" + ",%.12g" * 6 + (",%.0s," if absent else ",%.12g,")
+    + ";".join(name for i, name in enumerate(FLAG_NAMES) if bits >> i & 1)
+    for absent in (0, 1) for bits in range(8)
+)
 
 SWEEP_PARAMS = ("H0_gauss", "sigma_r_um", "t1_ns", "n_prime")
 
@@ -176,7 +185,10 @@ def load_scenario(path: str | Path) -> Scenario:
                         kappa_e=_optional(item, "kappa_E", float, path_i, 0.0),
                     )
                 )
-                n_primes.append(_optional(item, "n_prime", int, path_i, 0))
+                n_prime = _optional(item, "n_prime", int, path_i, 0)
+                if n_prime < 0:
+                    raise ScenarioError(f"{path_i}.n_prime: must be non-negative, got {n_prime}")
+                n_primes.append(n_prime)
             else:
                 raise ScenarioError(f"{path_i}.type: unknown element type {kind!r}")
         except ScenarioError:
@@ -216,28 +228,23 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_rows(trajectory: Trajectory) -> list[str]:
-    rows = [",".join(CSV_COLUMNS)]
-    for sample in trajectory.samples:
-        st = sample.state
-        rho2_m2 = units.area_from_natural(st.rho_sq)
-        corr = sample.rho_sq_corr1
-        rows.append(
-            ",".join(
-                (
-                    _fmt(units.time_from_natural(st.t) * 1e9),
-                    str(sample.element_index),
-                    _fmt(units.length_from_natural(st.z) * 1e6),
-                    _fmt(st.p_z),
-                    _fmt(rho2_m2 * 1e12),
-                    _fmt(math.sqrt(rho2_m2) * 1e6),
-                    _fmt(units.area_from_natural(st.drho_sq_dt) / units.HBAR_EV_S * 1e12 * 1e-9),
-                    _fmt(st.u_perp_sq),
-                    _fmt(units.area_from_natural(corr) * 1e12) if corr is not None else "",
-                    ";".join(f for f in FLAG_ORDER if f in sample.flags),
-                )
-            )
-        )
-    return rows
+    samples = trajectory.samples
+    rho2_m2 = units.area_from_natural(samples.rho_sq)
+    corr = samples.rho_sq_corr1
+    columns = (
+        units.time_from_natural(samples.t) * 1e9,
+        samples.element_index,
+        units.length_from_natural(samples.z) * 1e6,
+        samples.p_z,
+        rho2_m2 * 1e12,
+        np.sqrt(rho2_m2) * 1e6,
+        units.area_from_natural(samples.drho_sq_dt) / units.HBAR_EV_S * 1e12 * 1e-9,
+        samples.u_perp_sq,
+        units.area_from_natural(corr) * 1e12,
+    )
+    kinds = (samples.flag_bits + 8 * np.isnan(corr)).tolist()
+    rows = zip(*(column.tolist() for column in columns))
+    return [",".join(CSV_COLUMNS)] + [ROW_FORMATS[k] % row for k, row in zip(kinds, rows)]
 
 
 def _write_csv(trajectory: Trajectory, out_path: str | None) -> None:
@@ -249,8 +256,7 @@ def _write_csv(trajectory: Trajectory, out_path: str | None) -> None:
 
 
 def _truncate_at_event(trajectory: Trajectory, t_event: float) -> Trajectory:
-    kept = tuple(s for s in trajectory.samples if s.state.t <= t_event)
-    return Trajectory(kept, trajectory.events, False)
+    return Trajectory(trajectory.samples[trajectory.samples.t <= t_event], trajectory.events, False)
 
 
 def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool) -> int:
@@ -369,6 +375,8 @@ def _sweep_values(spec_range: str, steps: int) -> list[float]:
         raise ScenarioError(f"--range: expected a:b, got {spec_range!r}") from exc
     if steps < 1:
         raise ScenarioError("--steps: must be >= 1")
+    if steps > MAX_SAMPLES:
+        raise ScenarioError(f"--steps: at most MAX_SAMPLES = {MAX_SAMPLES} grid points, got {steps}")
     if steps == 1 or lo == hi:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -408,6 +416,8 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
                 if value != int(value):
                     raise ScenarioError("--range: n_prime sweep needs integer grid points")
                 n_prime = int(value)
+                if n_prime < 0:
+                    raise ValueError("n_prime must be non-negative")
             beamline = Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev)
         except ScenarioError:
             raise

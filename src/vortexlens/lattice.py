@@ -16,6 +16,8 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from . import units
 from .elements import Drift, LensConfig
 from .moments import (
@@ -33,9 +35,15 @@ from .packet import LGPacket
 from .perturbation import ZerothOrderInputs, correction_closed_form
 from .units import Particle
 
-FLAG_FOCAL = "FOCAL"
-FLAG_OVERFOCUS = "OVERFOCUS"
-FLAG_RELATIVISTIC = "RELATIVISTIC"
+# sample flags: bit i of flag_bits is FLAG_NAMES[i]
+FLAG_NAMES = ("FOCAL", "OVERFOCUS", "RELATIVISTIC")
+FLAG_FOCAL, FLAG_OVERFOCUS, FLAG_RELATIVISTIC = 1, 2, 4
+
+STATE_FIELDS = ("rho_sq", "drho_sq_dt", "u_perp_sq", "p_z", "z", "t", "l")
+SAMPLE_DTYPE = np.dtype(
+    [(name, np.int64 if name == "l" else np.float64) for name in STATE_FIELDS]
+    + [("element_index", np.int64), ("rho_sq_corr1", np.float64), ("flag_bits", np.uint8)]
+)
 
 EVENT_BOUNDARY = "boundary"
 EVENT_FOCAL = "focal_point"
@@ -47,10 +55,6 @@ MAX_SAMPLES = 1_000_000
 
 class BeamlineConfigError(ValueError):
     """Beamline or element configuration that cannot be run."""
-
-
-class NoFocusError(RuntimeError):
-    """No focal point (waist) inside the examined drift segment."""
 
 
 class NoCaptureFieldError(RuntimeError):
@@ -87,18 +91,11 @@ class TrajectoryEvent:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    state: MomentState
-    element_index: int
-    rho_sq_corr1: float | None
-    flags: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples plus events; completed is False after truncation."""
+    """Time-ordered samples, a record array of SAMPLE_DTYPE (rho_sq_corr1 is NaN
+    outside gradient lenses), plus events; completed is False after truncation."""
 
-    samples: tuple[TrajectorySample, ...]
+    samples: np.recarray
     events: tuple[TrajectoryEvent, ...]
     completed: bool
 
@@ -108,15 +105,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Leg:
-    """One reachable element of a walk; times are natural offsets from entry."""
+    """One reachable element of a walk; times are natural offsets from entry,
+    a scalar or an array for evaluate.  orbit is a lens's orbit, else None."""
 
     index: int
     element: Drift | LensConfig
     entry: MomentState
     duration: float
-    evaluate: Callable[[float], MomentState]
+    evaluate: Callable[..., MomentState]
     focal: float | None
     crossing: float | None
+    orbit: LensOrbit | None
 
 
 def walk(beamline: Beamline) -> Iterator[Leg]:
@@ -135,11 +134,11 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     for index, element in enumerate(beamline.elements):
         if leg is not None:
             try:
-                entry = leg.evaluate(leg.duration)
+                entry = leg.evaluate(leg.duration).validated()
             except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
                 raise BeamlineConfigError(f"beamline[{leg.index}]: exit state: {exc}") from None
         duration = units.time_to_natural(element.duration_s)
-        focal = crossing = None
+        focal = crossing = orbit = None
         if isinstance(element, Drift):
             evaluate = partial(propagate_drift, entry, particle=particle)
             if entry.drho_sq_dt <= 0.0:
@@ -155,7 +154,7 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
             orbit = LensOrbit.from_entry(entry, element, particle)
             evaluate = partial(lens_state_at, orbit)
             crossing = orbit.first_crossing_dt(floor, duration)
-        leg = Leg(index, element, entry, duration, evaluate, focal, crossing)
+        leg = Leg(index, element, entry, duration, evaluate, focal, crossing, orbit)
         yield leg
         if crossing is not None:
             return
@@ -164,9 +163,10 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
 def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     """Sample every leg of the walk on a grid of step sample_dt_s from its entry.
 
-    Focal points and an over-focus crossing get exact extra samples; the
-    crossing ends the trajectory.  Gradient lenses carry the first-order
-    radius correction.  Over MAX_SAMPLES raises before any sample is built.
+    Each leg is evaluated once, on the array of its offsets.  Focal points
+    and an over-focus crossing get exact extra samples; the crossing ends
+    the trajectory.  Gradient lenses carry the first-order radius
+    correction.  Over MAX_SAMPLES raises before any sample is built.
     """
     if not sample_dt_s > 0:
         raise ValueError("sample_dt_s must be positive")
@@ -176,7 +176,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     mass = beamline.particle.mass_ev
     dt_sample = units.time_to_natural(sample_dt_s)
     bound = RELATIVISTIC_VELOCITY_BOUND
-    samples: list[TrajectorySample] = []
+    blocks: list[np.ndarray] = []
     events: list[TrajectoryEvent] = []
     relativistic_seen = False
     for leg in walk(beamline):
@@ -187,17 +187,17 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             events.append(TrajectoryEvent(entry.t, EVENT_RELATIVISTIC, 0))
             relativistic_seen = True
         horizon = crossing if crossing is not None else leg.duration
-        grid = range(math.ceil(horizon / dt_sample) + 1)
-        offsets = {k * dt_sample: set() for k in grid if k * dt_sample < horizon}
-        if crossing is not None or index == len(beamline.elements) - 1:
-            offsets.setdefault(horizon, set())
+        grid = np.arange(math.ceil(horizon / dt_sample) + 1) * dt_sample
+        extra = [leg.focal, crossing, horizon if index == len(beamline.elements) - 1 else None]
+        offsets = np.unique(np.append(grid[grid < horizon], [x for x in extra if x is not None]))
+        block = np.zeros(offsets.size, SAMPLE_DTYPE)
+        block["rho_sq_corr1"] = np.nan
         if leg.focal is not None:
             events.append(TrajectoryEvent(entry.t + leg.focal, EVENT_FOCAL, index))
-            offsets.setdefault(leg.focal, set()).add(FLAG_FOCAL)
+            block["flag_bits"][offsets == leg.focal] |= FLAG_FOCAL
         if crossing is not None:
             events.append(TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index))
-            offsets[crossing].add(FLAG_OVERFOCUS)
-        corr_of = None
+            block["flag_bits"][offsets == crossing] |= FLAG_OVERFOCUS
         if isinstance(element, LensConfig):
             force = units.accelerating_force_natural(element.e0_v_per_m)
             if not relativistic_seen and force > 0.0:
@@ -206,15 +206,20 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
                     events.append(TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index))
                     relativistic_seen = True
             if not element.is_homogeneous:
-                inputs = ZerothOrderInputs.from_entry_state(entry, element, beamline.particle)
-                corr_of = partial(correction_closed_form, inputs, element.kappa)
-        for off in sorted(offsets):
-            st = leg.evaluate(off)
-            if st.p_z / mass > bound:
-                offsets[off].add(FLAG_RELATIVISTIC)
-            corr = corr_of(off) if corr_of is not None else None
-            samples.append(TrajectorySample(st, index, corr, frozenset(offsets[off])))
-    return Trajectory(tuple(samples), tuple(events), completed=crossing is None)
+                inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
+                block["rho_sq_corr1"] = correction_closed_form(inputs, element.kappa, offsets)
+        state = leg.evaluate(offsets)
+        try:
+            state.validated()
+        except ValueError as exc:  # e.g. <rho^2> overflowing a long last drift
+            raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None
+        for name in STATE_FIELDS:
+            block[name] = getattr(state, name)
+        block["element_index"] = index
+        block["flag_bits"][block["p_z"] / mass > bound] |= FLAG_RELATIVISTIC
+        blocks.append(block)
+    samples = np.concatenate(blocks).view(np.recarray)
+    return Trajectory(samples, tuple(events), completed=crossing is None)
 
 
 def state_at(beamline: Beamline, t: float) -> MomentState:
@@ -233,21 +238,6 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
         if offset <= leg.duration:
             return leg.evaluate(offset)
     raise ValueError(f"t = {t} lies beyond the end of the beamline")
-
-
-def find_focal_time(state: MomentState, max_dt: float | None = None) -> float:
-    """Absolute time of the waist of the free segment starting at state.
-
-    The free derivative is linear in time, so the root is exact.  Raises
-    NoFocusError when the segment only expands (waist in the past) or when
-    the waist falls beyond max_dt.
-    """
-    if state.drho_sq_dt > 0.0:
-        raise NoFocusError("segment is expanding; the waist lies in the past")
-    dt = waist_dt(state)
-    if max_dt is not None and dt > max_dt:
-        raise NoFocusError(f"waist at offset {dt} is beyond the segment end {max_dt}")
-    return state.t + dt
 
 
 FOCAL_SLOPE_TOLERANCE = 1e-9

@@ -64,11 +64,15 @@ class MomentState:
     t: float
     l: int
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho_sq) and self.rho_sq > 0):
-            raise ValueError(f"rho_sq must be positive, got {self.rho_sq}")
-        if not (math.isfinite(self.u_perp_sq) and self.u_perp_sq > 0):
-            raise ValueError(f"u_perp_sq must be positive, got {self.u_perp_sq}")
+    def validated(self) -> "MomentState":
+        """This state, once rho_sq and u_perp_sq (scalars or arrays) are finite
+        and positive.  The formulas do not check the states they build."""
+        for name, value in (("rho_sq", self.rho_sq), ("u_perp_sq", self.u_perp_sq)):
+            if isinstance(value, np.ndarray):  # its first bad entry, else its first
+                value = value[np.argmin(np.isfinite(value) & (value > 0))]
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
+        return self
 
     @classmethod
     def from_packet(
@@ -93,12 +97,17 @@ class MomentState:
             z=units.length_to_natural(z_m),
             t=units.time_to_natural(t_s),
             l=packet.l,
-        )
+        ).validated()
 
 
-def propagate_drift(state: MomentState, dt: float, particle: Particle) -> MomentState:
-    """Free expansion over dt (natural units); exact for any dt >= 0."""
-    if dt < 0:
+def _negative(dt) -> bool:
+    """Whether the offset dt, or any offset in an array dt, is negative."""
+    return (dt < 0).any() if isinstance(dt, np.ndarray) else dt < 0
+
+
+def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:
+    """Free expansion over dt, a scalar or an array of offsets; exact for dt >= 0."""
+    if _negative(dt):
         raise ValueError(f"dt must be non-negative, got {dt}")
     u_sq = state.u_perp_sq
     return replace(
@@ -166,11 +175,6 @@ class LensOrbit:
     def amplitude(self) -> float:
         return math.hypot(self.a_cos, self.a_sin)
 
-    @property
-    def phase(self) -> float:
-        """Phase of the oscillation maximum, in [0, 2 pi)."""
-        return math.atan2(self.a_sin, self.a_cos) % (2.0 * math.pi)
-
     def rho_sq(self, dt):
         """<rho^2> at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
@@ -186,22 +190,6 @@ class LensOrbit:
     def p_z(self, dt):
         return self.entry.p_z + self.force * dt
 
-    def d3rho_sq(self, dt: float) -> float:
-        w = self.omega0 * dt
-        return self.omega0**3 * (self.a_cos * math.sin(w) - self.a_sin * math.cos(w))
-
-    def min_over(self, dt: float) -> float:
-        """Exact minimum of <rho^2> on [0, dt]."""
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        span = self.omega0 * dt
-        if span >= 2.0 * math.pi:
-            return self.center - self.amplitude
-        minimum_angle = (self.phase + math.pi) % (2.0 * math.pi)
-        if minimum_angle <= span:
-            return self.center - self.amplitude
-        return min(self.rho_sq(0.0), self.rho_sq(dt))
-
     def first_crossing_dt(self, threshold: float, dt_max: float) -> float | None:
         """First dt in [0, dt_max] with <rho^2>(dt) <= threshold, else None.
 
@@ -216,7 +204,8 @@ class LensOrbit:
             return None
         cos_arg = (threshold - self.center) / amp
         theta = math.acos(max(-1.0, min(1.0, cos_arg)))
-        entry_angle = (self.phase + theta) % (2.0 * math.pi)
+        phase = math.atan2(self.a_sin, self.a_cos) % (2.0 * math.pi)  # of the maximum
+        entry_angle = (phase + theta) % (2.0 * math.pi)
         dt_cross = entry_angle / self.omega0
         if dt_cross <= dt_max:
             return dt_cross
@@ -228,12 +217,12 @@ def compton_floor(particle: Particle) -> float:
     return (1.0 / particle.mass_ev) ** 2
 
 
-def lens_state_at(orbit: LensOrbit, dt: float) -> MomentState:
+def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
     """State on a built lens orbit a time dt past entry, without the floor guard.
 
-    The trajectory runner uses this to evaluate states up to and including
-    an over-focus crossing; everyone else should call
-    propagate_lens_homogeneous, which enforces the floor.
+    dt is a scalar or an array of offsets.  The trajectory runner uses this
+    to evaluate states up to and including an over-focus crossing; everyone
+    else should call propagate_lens_homogeneous, which enforces the floor.
     """
     state = orbit.entry
     m = orbit.mass
@@ -392,22 +381,3 @@ def emittance(state: MomentState) -> float:
             f"inconsistent moments: emittance radicand {radicand} < 0"
         )
     return math.sqrt(max(0.0, radicand))
-
-
-def quadrupole_drive(
-    state: MomentState,
-    lens: LensConfig | None,
-    dt: float,
-    particle: Particle,
-) -> float:
-    """Third time derivative of <rho^2> a time dt past the lens entry.
-
-    This rate sets the scale of quadrupole-moment oscillation (and hence
-    radiative relaxation toward the stationary orbit, not modeled here).
-    It vanishes identically in free space, so lens=None returns 0.
-    """
-    if lens is None:
-        return 0.0
-    if not lens.is_homogeneous:
-        raise ValueError("quadrupole drive is defined for the homogeneous orbit")
-    return LensOrbit.from_entry(state, lens, particle).d3rho_sq(dt)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import units
 from .elements import KAPPA_HARD_LIMIT, LensConfig
-from .moments import LensOrbit, MomentState, _trig
+from .moments import LensOrbit, MomentState, _negative, _trig
 from .oracle import ODESpec, integrate_rk4, integrate_rk4_linear
 from .units import Particle
 
@@ -177,15 +177,15 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"|kappa| must not exceed {KAPPA_HARD_LIMIT}, got {kappa}")
 
 
-def correction_closed_form(inputs: ZerothOrderInputs, kappa: float, dt: float) -> float:
+def correction_closed_form(inputs: ZerothOrderInputs, kappa: float, dt):
     """Closed-form <rho^2>^(1) a time dt past the lens entry.
 
-    Exactly linear in kappa; value and slope vanish at dt = 0.  The
-    integrated system is the authority; verify_closed_form cross-checks the
-    two routes.
+    dt is a scalar or an array of offsets.  Exactly linear in kappa; value
+    and slope vanish at dt = 0.  The integrated system is the authority;
+    verify_closed_form cross-checks the two routes.
     """
     _check_kappa(kappa)
-    if dt < 0:
+    if _negative(dt):
         raise ValueError(f"dt must be non-negative, got {dt}")
     return _closed_form(inputs, kappa, dt)
 
@@ -271,24 +271,6 @@ def correction_by_quadrature(
     )
     u1, r1, _ = states[-1]
     return _attach(inputs, kappa, dt, float(r1), float(u1))
-
-
-def closed_form_correction_state(
-    inputs: ZerothOrderInputs, kappa: float, dt: float, step: float | None = None
-) -> CorrectionState:
-    """Closed-form rho_sq_1 packaged with the quadrature u_perp_sq_1.
-
-    The closed form covers the radius correction only; the velocity
-    correction always comes from the integral route.
-    """
-    r1 = correction_closed_form(inputs, kappa, dt)
-    if dt == 0.0:
-        return _attach(inputs, kappa, 0.0, r1, 0.0)
-    period = 2.0 * math.pi / inputs.omega0
-    numeric = correction_by_quadrature(
-        inputs, kappa, dt, step if step is not None else period / 512.0
-    )
-    return _attach(inputs, kappa, dt, r1, numeric.u_perp_sq_1)
 
 
 @dataclass(frozen=True)

@@ -328,11 +328,11 @@ def test_criterion_10_conservation_suite():
     assert traj.completed
 
     # OAM and mean square velocity are bitwise constant along the line
-    assert {s.state.l for s in traj.samples} == {-4}
-    assert {s.state.u_perp_sq for s in traj.samples} == {traj.samples[0].state.u_perp_sq}
+    assert {s.l for s in traj.samples} == {-4}
+    assert {s.u_perp_sq for s in traj.samples} == {traj.samples[0].u_perp_sq}
 
     # emittance across the three-element line (drift samples bracket the lens)
-    eps = [emittance(s.state) for s in traj.samples if s.element_index in (0, 2)]
+    eps = [emittance(s) for s in traj.samples if s.element_index in (0, 2)]
     eps_drift = max(eps) / min(eps) - 1.0
     assert eps_drift <= 1e-10
 

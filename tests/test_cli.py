@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from vortexlens import lattice
+from vortexlens import cli, lattice
 from vortexlens.cli import (
     CSV_COLUMNS,
     EXIT_CHECK_FAILED,
@@ -216,6 +216,21 @@ def test_overflowing_drift_is_config_error(tmp_path, capsys, command, message):
     assert captured.out == ""
 
 
+def test_overflowing_last_drift_is_config_error(tmp_path, capsys):
+    # few enough samples for MAX_SAMPLES, but <rho^2> overflows to inf on the
+    # array of offsets, which numpy reports with a RuntimeWarning
+    data = scenario_dict(
+        beamline=[{"type": "drift", "duration_ns": 1e160}], output={"sample_dt_ns": 1e156}
+    )
+    path = write_scenario(tmp_path, data)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["propagate", path, "-o", str(tmp_path / "t.csv")])
+    assert code == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == "error: beamline[0]: rho_sq must be positive, got inf\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "options, drift_ns", [(["--sample-dt-ns", "1e-300"], 1.0), ([], 1e300)]
 )
@@ -335,17 +350,56 @@ def test_sweep_sigma_and_n_prime(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "param, spec_range, value",
-    [("sigma_r_um", "0:1", "0"), ("t1_ns", "0:2", "0"), ("H0_gauss", "nan:nan", "nan")],
+    [
+        ("sigma_r_um", "0:1", "0"),
+        ("t1_ns", "0:2", "0"),
+        ("H0_gauss", "nan:nan", "nan"),
+        ("n_prime", "-2:0", "-2"),
+    ],
 )
 def test_sweep_invalid_point_is_schema_error(tmp_path, capsys, param, spec_range, value):
     path = write_scenario(tmp_path, scenario_dict())
-    code = main(["sweep", path, "--param", param, "--range", spec_range, "--steps", "3"])
+    code = main(["sweep", path, "--param", param, f"--range={spec_range}", "--steps", "3"])
     captured = capsys.readouterr()
     assert code == EXIT_SCHEMA
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: sweep point {param}={value}: ")
+
+
+def test_sweep_steps_over_cap_is_schema_error(capsys, monkeypatch):
+    def no_point_may_be_evaluated(beamline):
+        raise AssertionError("a sweep point was evaluated")
+
+    monkeypatch.setattr(cli, "entry_states", no_point_may_be_evaluated)
+    path = str(SCENARIOS / "capture_transport.json")
+    steps = str(lattice.MAX_SAMPLES + 1)
+    code = main(["sweep", path, "--param", "H0_gauss", "--range", "80:90", "--steps", steps])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --steps: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["design", "--mode", "matching-field"],
+        ["sweep", "--param", "H0_gauss", "--range", "85:86", "--steps", "3"],
+    ],
+)
+def test_negative_n_prime_is_schema_error(tmp_path, capsys, command):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["beamline"][1]["n_prime"] = -1
+    path = write_scenario(tmp_path, data)
+    assert main([command[0], path, *command[1:]]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: beamline[1].n_prime: must be non-negative, got -1\n"
 
 
 def test_scenario_serialize_round_trip():

@@ -1,18 +1,25 @@
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from vortexlens import units
+from vortexlens.cli import CSV_COLUMNS, load_scenario, trajectory_rows
 from vortexlens.elements import Drift, LensConfig
 from vortexlens.lattice import (
+    FLAG_FOCAL,
+    FLAG_OVERFOCUS,
+    FLAG_RELATIVISTIC,
+    SAMPLE_DTYPE,
+    STATE_FIELDS,
     Beamline,
     BeamlineConfigError,
-    NoFocusError,
+    Trajectory,
     design_direct_capture,
     entry_states,
-    find_focal_time,
     run,
     solve_matching,
     state_at,
@@ -28,9 +35,11 @@ from vortexlens.moments import (
     transport_check,
 )
 from vortexlens.packet import LGPacket, rho_sq_free, transverse_velocity_sq
+from vortexlens.perturbation import ZerothOrderInputs, correction_closed_form
 from vortexlens.units import Particle
 
 ELECTRON = Particle.electron()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # frozen forward-model constants for the two-lens scenarios (0.574 um packet)
 MATCHED_FIELD_0574 = 99.88769387567038
@@ -64,11 +73,11 @@ def test_drift_only_trajectory_matches_free_law():
     traj = run(line, 0.1e-9)
     assert traj.completed
     for sample in traj.samples:
-        t_s = units.time_from_natural(sample.state.t)
+        t_s = units.time_from_natural(sample.t)
         expected = rho_sq_free(packet, t_s, ELECTRON)
-        assert units.area_from_natural(sample.state.rho_sq) == pytest.approx(expected, rel=1e-12)
+        assert units.area_from_natural(sample.rho_sq) == pytest.approx(expected, rel=1e-12)
     # strictly increasing sample times
-    ts = [s.state.t for s in traj.samples]
+    ts = [s.t for s in traj.samples]
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
@@ -83,7 +92,7 @@ def test_boundary_continuity_is_exact():
     traj = run(line, 0.25e-9)
     by_element = {}
     for sample in traj.samples:
-        by_element.setdefault(sample.element_index, []).append(sample.state)
+        by_element.setdefault(sample.element_index, []).append(sample)
     # the first state of each element continues the previous element exactly
     for index in (1, 2):
         prev_exit_t = by_element[index][0].t
@@ -95,8 +104,8 @@ def test_boundary_continuity_is_exact():
         assert first.p_z == resumed.p_z
         assert first.z == resumed.z
     # OAM never changes, mean square velocity never changes
-    assert {s.state.l for s in traj.samples} == {-4}
-    assert {s.state.u_perp_sq for s in traj.samples} == {traj.samples[0].state.u_perp_sq}
+    assert {s.l for s in traj.samples} == {-4}
+    assert {s.u_perp_sq for s in traj.samples} == {traj.samples[0].u_perp_sq}
 
 
 def test_overfocus_truncates_with_event():
@@ -111,10 +120,10 @@ def test_overfocus_truncates_with_event():
     over = traj.events_of("overfocus")
     assert len(over) == 1
     last = traj.samples[-1]
-    assert "OVERFOCUS" in last.flags
-    assert last.state.t == over[0].t
+    assert last.flag_bits & FLAG_OVERFOCUS
+    assert last.t == over[0].t
     floor = (1.0 / ELECTRON.mass_ev) ** 2
-    assert last.state.rho_sq == pytest.approx(floor, rel=1e-6)
+    assert last.rho_sq == pytest.approx(floor, rel=1e-6)
 
 
 def test_sample_dt_halving_keeps_events_identical():
@@ -183,10 +192,10 @@ def test_focal_event_located_between_lenses():
         RECAPTURE_FOCAL_NS, rel=1e-12
     )
     # the flagged sample sits at the event and at the waist
-    flagged = [s for s in traj.samples if "FOCAL" in s.flags and s.element_index == 2]
+    flagged = [s for s in traj.samples if s.flag_bits & FLAG_FOCAL and s.element_index == 2]
     assert len(flagged) == 1
-    assert flagged[0].state.t == focal[0].t
-    assert abs(flagged[0].state.drho_sq_dt) < 1e-20
+    assert flagged[0].t == focal[0].t
+    assert abs(flagged[0].drho_sq_dt) < 1e-20
 
 
 def test_direct_capture_closure():
@@ -241,26 +250,24 @@ def test_design_direct_capture_requires_waist():
         design_direct_capture(state, ELECTRON)
 
 
-def test_find_focal_time():
+def test_drift_leg_focal_is_the_in_range_waist():
     start = MomentState.from_packet(packet_0574(), ELECTRON, 0.43)
     expanding = propagate_drift(start, units.time_to_natural(1e-9), ELECTRON)
-    with pytest.raises(NoFocusError):
-        find_focal_time(expanding)
-    # symmetric segment around the waist returns the waist time
-    before = MomentState(
-        expanding.rho_sq,
-        -expanding.drho_sq_dt,
-        expanding.u_perp_sq,
-        0.43,
-        0.0,
-        0.0,
-        -4,
-    )
-    t_waist = find_focal_time(before)
-    assert t_waist == pytest.approx(units.time_to_natural(1e-9), rel=1e-12)
-    with pytest.raises(NoFocusError):
-        find_focal_time(before, max_dt=units.time_to_natural(0.5e-9))
-    assert find_focal_time(start) == start.t
+    # a packet launched past its focus only expands: no focal point
+    past = LGPacket(0, -4, 0.574e-6, focus_time_s=-1e-9)
+    (leg,) = walk(Beamline((Drift(3e-9),), ELECTRON, past, 0.43))
+    assert leg.entry.drho_sq_dt == expanding.drho_sq_dt
+    assert leg.focal is None
+    # launched 1 ns before its focus, the waist is 1 ns into the drift
+    before = LGPacket(0, -4, 0.574e-6, focus_time_s=1e-9)
+    (leg,) = walk(Beamline((Drift(3e-9),), ELECTRON, before, 0.43))
+    assert leg.focal == pytest.approx(units.time_to_natural(1e-9), rel=1e-12)
+    # a drift that ends before the waist has none
+    (leg,) = walk(Beamline((Drift(0.5e-9),), ELECTRON, before, 0.43))
+    assert leg.focal is None
+    # a packet launched at its focus has its waist at the entry
+    (leg,) = walk(Beamline((Drift(3e-9),), ELECTRON, packet_0574(), 0.43))
+    assert leg.focal == 0.0
 
 
 def test_solve_matching_golden_pairings():
@@ -292,7 +299,7 @@ def test_emittance_constant_across_full_period_lens_line():
     )
     traj = run(line, 0.05e-9)
     drift_eps = [
-        emittance(s.state) for s in traj.samples if s.element_index in (0, 2)
+        emittance(s) for s in traj.samples if s.element_index in (0, 2)
     ]
     spread = max(drift_eps) / min(drift_eps) - 1.0
     assert spread < 1e-10
@@ -308,9 +315,9 @@ def test_state_at_matches_run_samples():
     )
     traj = run(line, 0.3e-9)
     for sample in traj.samples[:: max(1, len(traj.samples) // 7)]:
-        direct = state_at(line, sample.state.t)
-        assert direct.rho_sq == pytest.approx(sample.state.rho_sq, rel=1e-13)
-        assert direct.z == pytest.approx(sample.state.z, rel=1e-13)
+        direct = state_at(line, sample.t)
+        assert direct.rho_sq == pytest.approx(sample.rho_sq, rel=1e-13)
+        assert direct.z == pytest.approx(sample.z, rel=1e-13)
     with pytest.raises(ValueError):
         state_at(line, units.time_to_natural(10e-9))
 
@@ -322,11 +329,11 @@ def test_gradient_lens_carries_corrections():
     line = Beamline((Drift(1e-9), lens), ELECTRON, LGPacket(0, -4, 0.622e-6), 0.43)
     traj = run(line, 0.2e-9)
     lens_samples = [s for s in traj.samples if s.element_index == 1]
-    assert all(s.rho_sq_corr1 is not None for s in lens_samples)
+    assert all(not math.isnan(s.rho_sq_corr1) for s in lens_samples)
     assert lens_samples[0].rho_sq_corr1 == pytest.approx(0.0, abs=1e-25)
     assert any(s.rho_sq_corr1 != 0.0 for s in lens_samples[1:])
     drift_samples = [s for s in traj.samples if s.element_index == 0]
-    assert all(s.rho_sq_corr1 is None for s in drift_samples)
+    assert all(math.isnan(s.rho_sq_corr1) for s in drift_samples)
 
 
 def test_relativistic_event_in_accelerating_lens():
@@ -336,11 +343,11 @@ def test_relativistic_event_in_accelerating_lens():
     rel = traj.events_of("relativistic_warning")
     assert len(rel) == 1
     # flags switch on at the crossing
-    flagged = [s for s in traj.samples if "RELATIVISTIC" in s.flags]
+    flagged = [s for s in traj.samples if s.flag_bits & FLAG_RELATIVISTIC]
     assert flagged
-    assert all(s.state.t >= rel[0].t for s in flagged)
+    assert all(s.t >= rel[0].t for s in flagged)
     bound_p = 0.1 * ELECTRON.mass_ev
-    assert all(s.state.p_z > bound_p for s in flagged)
+    assert all(s.p_z > bound_p for s in flagged)
 
 
 @st.composite
@@ -387,17 +394,128 @@ def test_walk_run_state_at_and_entry_states_agree(case):
     # run anchors each lens at the entry state that entry_states reports
     first = {}
     for sample in traj.samples:
-        first.setdefault(sample.element_index, sample.state)
+        first.setdefault(sample.element_index, sample)
     lens_entries = entry_states(line)
     assert [index for index, _ in lens_entries] == [
         leg.index for leg in legs if isinstance(leg.element, LensConfig)
     ]
     for index, entry in lens_entries:
         lens = line.elements[index]
-        assert first[index] == lens_state_at(LensOrbit.from_entry(entry, lens, ELECTRON), 0.0)
+        anchor = lens_state_at(LensOrbit.from_entry(entry, lens, ELECTRON), 0.0)
+        assert tuple(getattr(first[index], name) for name in STATE_FIELDS) == astuple(anchor)
     # the closed forms at a sampled time reproduce the sample
-    inner = [s for s in traj.samples[:-1] if "OVERFOCUS" not in s.flags]
+    inner = [s for s in traj.samples[:-1] if not s.flag_bits & FLAG_OVERFOCUS]
     for sample in inner[:: max(1, len(inner) // 7)]:
-        direct = state_at(line, sample.state.t)
-        assert direct.rho_sq == pytest.approx(sample.state.rho_sq, rel=1e-13)
-        assert direct.z == pytest.approx(sample.state.z, rel=1e-13)
+        direct = state_at(line, sample.t)
+        assert direct.rho_sq == pytest.approx(sample.rho_sq, rel=1e-13)
+        assert direct.z == pytest.approx(sample.z, rel=1e-13)
+
+
+PINNED_COLUMNS = ("t", "z", "p_z", "rho_sq", "drho_sq_dt")
+NUMPY_VS_MATH = "numpy and math disagree on this host; the CSV golden digests will move"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_lines(), st.data())
+def test_leg_on_an_offset_array_matches_the_scalar_route(case, data):
+    line, legs, _ = case
+    for leg in legs:
+        horizon = leg.crossing if leg.crossing is not None else leg.duration
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+        offsets = np.sort(np.array(fractions) * horizon)
+        state = leg.evaluate(offsets)
+        for i, offset in enumerate(offsets.tolist()):
+            scalar = leg.evaluate(offset)
+            for name in PINNED_COLUMNS:
+                column = np.broadcast_to(getattr(state, name), offsets.shape)
+                assert column[i] == getattr(scalar, name), (
+                    f"{name} at offset {offset!r}: array {column[i]!r}, "
+                    f"scalar {getattr(scalar, name)!r}: {NUMPY_VS_MATH}"
+                )
+        element = leg.element
+        if isinstance(element, LensConfig) and not element.is_homogeneous:
+            inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
+            corr = correction_closed_form(inputs, element.kappa, offsets)
+            scale = 1e-15 * np.max(np.abs(corr))
+            for i, offset in enumerate(offsets.tolist()):
+                scalar = correction_closed_form(inputs, element.kappa, offset)
+                assert abs(corr[i] - scalar) <= scale, (
+                    f"rho_sq_corr1 at offset {offset!r}: array {corr[i]!r}, "
+                    f"scalar {scalar!r}: {NUMPY_VS_MATH}"
+                )
+
+
+def test_negative_offset_in_an_array_is_rejected():
+    entry = MomentState.from_packet(packet_0574(), ELECTRON, 0.43)
+    with pytest.raises(ValueError):
+        propagate_drift(entry, np.array([0.0, 1.0, -1.0]), ELECTRON)
+    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.05)
+    inputs = ZerothOrderInputs.from_entry_state(entry, lens, ELECTRON)
+    with pytest.raises(ValueError):
+        correction_closed_form(inputs, 0.05, np.array([0.0, -1.0]))
+
+
+def reference_rows(trajectory):
+    """The CSV rows built one field at a time with format(x, ".12g"), as the
+    format was first defined; trajectory_rows must give the same bytes."""
+    def fmt(x):
+        return format(x, ".12g")
+
+    rows = [",".join(CSV_COLUMNS)]
+    for s in trajectory.samples:
+        rho2_m2 = units.area_from_natural(float(s.rho_sq))
+        corr = float(s.rho_sq_corr1)
+        flags = (
+            (FLAG_FOCAL, "FOCAL"), (FLAG_OVERFOCUS, "OVERFOCUS"), (FLAG_RELATIVISTIC, "RELATIVISTIC")
+        )
+        rows.append(
+            ",".join(
+                (
+                    fmt(units.time_from_natural(float(s.t)) * 1e9),
+                    str(int(s.element_index)),
+                    fmt(units.length_from_natural(float(s.z)) * 1e6),
+                    fmt(float(s.p_z)),
+                    fmt(rho2_m2 * 1e12),
+                    fmt(math.sqrt(rho2_m2) * 1e6),
+                    fmt(units.area_from_natural(float(s.drho_sq_dt)) / units.HBAR_EV_S * 1e12 * 1e-9),
+                    fmt(float(s.u_perp_sq)),
+                    "" if math.isnan(corr) else fmt(units.area_from_natural(corr) * 1e12),
+                    ";".join(name for bit, name in flags if s.flag_bits & bit),
+                )
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize("refine", [1, 10])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_trajectory_rows_match_the_reference_on_shipped_scenarios(name, refine):
+    scenario = load_scenario(SCENARIOS / name)
+    traj = run(scenario.beamline(), scenario.sample_dt_ns * 1e-9 / refine)
+    assert trajectory_rows(traj) == reference_rows(traj)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_lines())
+def test_trajectory_rows_match_the_reference(case):
+    line, _, sample_dt_s = case
+    traj = run(line, sample_dt_s)
+    assert trajectory_rows(traj) == reference_rows(traj)
+
+
+def test_trajectory_rows_match_the_reference_on_signed_zeros_and_subnormals():
+    tiny = 5e-324
+    samples = np.zeros(4, SAMPLE_DTYPE).view(np.recarray)
+    samples.rho_sq = [-0.0, tiny, 2.5e-308, 1e300]
+    samples.drho_sq_dt = [-0.0, -tiny, 0.0, -1e-310]
+    samples.u_perp_sq = [-0.0, tiny, 1e-320, 1.0]
+    samples.p_z = [-0.0, -tiny, 3e-310, 0.43]
+    samples.z = [-0.0, tiny, -1e-315, 0.0]
+    samples.t = [-0.0, tiny, 1e-300, 7e-310]
+    samples.element_index = [0, 1, 2, 3]
+    samples.rho_sq_corr1 = [-0.0, -tiny, np.nan, 1e-310]
+    samples.flag_bits = [0, 7, 5, 2]
+    traj = Trajectory(samples, (), True)
+    rows = trajectory_rows(traj)
+    assert rows == reference_rows(traj)
+    assert rows[1].startswith("-0,0,-0,-0,-0,-0,-0,-0,-0,")

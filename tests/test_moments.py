@@ -22,7 +22,6 @@ from vortexlens.moments import (
     matching_ratio_large_l,
     propagate_drift,
     propagate_lens_homogeneous,
-    quadrupole_drive,
     radial_number_for_ratio,
     stationary_rho_sq,
     transport_check,
@@ -157,20 +156,6 @@ def test_overfocus_raises_with_crossing_time():
     assert all(orbit.rho_sq(d) > floor for d in dense[::37])
 
 
-def test_orbit_min_against_dense_sampling():
-    lens = lens_for(0.622e-6)
-    entry = propagate_drift(focal_state(0.622e-6), units.time_to_natural(1.7e-9), ELECTRON)
-    orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
-    period = 2.0 * math.pi / orbit.omega0
-    dts = np.linspace(0.0, period, 1_000_001)
-    sampled_min = min(orbit.rho_sq(d) for d in dts)
-    assert orbit.min_over(period) == pytest.approx(sampled_min, rel=1e-9)
-    # partial window: minimum at an endpoint
-    assert orbit.min_over(period / 64) == pytest.approx(
-        min(orbit.rho_sq(0.0), orbit.rho_sq(period / 64)), rel=1e-12
-    )
-
-
 def test_matching_ratio_exact_fractions():
     assert matching_ratio(0, -4, 0) == Fraction(4, 5)
     assert matching_ratio(50, -4, 0) == Fraction(4, 105)
@@ -265,52 +250,6 @@ def test_waist_helpers():
     moved = propagate_drift(state, units.time_to_natural(1e-9), ELECTRON)
     assert waist_dt(moved) == pytest.approx(-units.time_to_natural(1e-9), rel=1e-12)
     assert free_waist_rho_sq(moved) == pytest.approx(state.rho_sq, rel=1e-12)
-
-
-def test_quadrupole_drive():
-    state = focal_state(0.622e-6)
-    assert quadrupole_drive(state, None, 1.0, ELECTRON) == 0.0
-    lens = lens_for(0.622e-6)
-    omega0 = units.cyclotron_frequency_natural(lens.h0_gauss, ELECTRON)
-    captured = MomentState(
-        stationary_rho_sq(state.u_perp_sq, state.l, omega0, ELECTRON),
-        0.0,
-        state.u_perp_sq,
-        0.0,
-        0.0,
-        0.0,
-        state.l,
-    )
-    assert quadrupole_drive(captured, lens, 0.3 / omega0, ELECTRON) == pytest.approx(0.0, abs=1e-30)
-    # peak drive is omega^3 times the orbit amplitude
-    entry = propagate_drift(state, units.time_to_natural(1e-9), ELECTRON)
-    orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
-    period = 2.0 * math.pi / omega0
-    peak = max(
-        abs(quadrupole_drive(entry, lens, d, ELECTRON)) for d in np.linspace(0, period, 4001)
-    )
-    assert peak == pytest.approx(omega0**3 * orbit.amplitude, rel=1e-6)
-
-
-def test_quadrupole_drive_scales_with_field_cubed():
-    # same entry mismatch ratio, doubled field: amplitude-normalized drive
-    # scales as omega^3
-    state = focal_state(0.622e-6)
-    entry = propagate_drift(state, units.time_to_natural(1e-9), ELECTRON)
-    peaks = {}
-    for scale in (1.0, 2.0):
-        lens = LensConfig(
-            h0_gauss=scale * 85.0, duration_s=20e-9, length_m=0.1
-        )
-        orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
-        omega0 = orbit.omega0
-        period = 2.0 * math.pi / omega0
-        peak = max(
-            abs(quadrupole_drive(entry, lens, d, ELECTRON))
-            for d in np.linspace(0, period, 4001)
-        )
-        peaks[scale] = peak / orbit.amplitude
-    assert peaks[2.0] / peaks[1.0] == pytest.approx(8.0, rel=1e-6)
 
 
 def test_lens_state_at_matches_guarded_propagation():

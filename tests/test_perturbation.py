@@ -12,7 +12,6 @@ from vortexlens.perturbation import (
     APPROXIMATIONS,
     ZerothOrderInputs,
     approximation_ledger,
-    closed_form_correction_state,
     correction_by_quadrature,
     correction_closed_form,
     verify_closed_form,
@@ -162,8 +161,8 @@ def test_correction_state_carries_assumptions():
         "radius-momentum-sq-factorization",
         "radius-momentum-symmetrized-factorization",
     }
-    closed = closed_form_correction_state(inputs, 0.081, 0.5 * period)
-    assert closed.assumptions == APPROXIMATIONS
+    at_entry = correction_by_quadrature(inputs, 0.081, 0.0, period / 512)
+    assert at_entry.assumptions == APPROXIMATIONS
 
 
 def test_validity_horizon_flag():
@@ -171,8 +170,8 @@ def test_validity_horizon_flag():
     # swamps the zeroth-order radius
     inputs = entry_inputs(e0=25e6)
     period = period_of(inputs)
-    early = closed_form_correction_state(inputs, 0.081, 0.05 * period)
-    late = closed_form_correction_state(inputs, 0.081, 6.0 * period)
+    early = correction_by_quadrature(inputs, 0.081, 0.05 * period, period / 512)
+    late = correction_by_quadrature(inputs, 0.081, 6.0 * period, period / 512)
     assert not early.validity_exceeded
     assert late.validity_exceeded
     assert abs(late.rho_sq_1) > 0.3 * abs(inputs.rho0(6.0 * period))
