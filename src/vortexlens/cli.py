@@ -33,7 +33,7 @@ from .lattice import (
     NoCaptureFieldError,
     Trajectory,
     design_direct_capture,
-    entry_states,
+    entry_states,  # unused here; bench/spans.py wraps cli.entry_states and cli.state_at
     run,
     solve_matching,
     state_at,
@@ -275,16 +275,12 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool) -> int
 
 
 def _check_report(scenario: Scenario) -> tuple[list[str], bool]:
-    beamline = scenario.beamline()
     lines: list[str] = []
     all_ok = True
-    lens_entries = entry_states(beamline)
-    for lens_number, (index, state) in enumerate(lens_entries):
-        lens = beamline.elements[index]
-        n_prime = scenario.lens_n_primes[lens_number]
-        report = transport_check(
-            state, lens, scenario.particle, n=scenario.packet.n, n_prime=n_prime
-        )
+    lens_legs = [leg for leg in walk(scenario.beamline()) if leg.orbit is not None]
+    for leg, n_prime in zip(lens_legs, scenario.lens_n_primes):
+        index, lens = leg.index, leg.element
+        report = transport_check(leg.orbit, n=scenario.packet.n, n_prime=n_prime)
         ok = report.matched and report.transportable
         all_ok = all_ok and ok
         lines.append(f"lens[{index}].H0_gauss: {_fmt(lens.h0_gauss)}")
@@ -301,7 +297,7 @@ def _check_report(scenario: Scenario) -> tuple[list[str], bool]:
         lines.append(
             f"lens[{index}].rho2_min_um2: {_fmt(units.area_from_natural(report.rho_sq_min) * 1e12)}"
         )
-    if not lens_entries:
+    if not lens_legs:
         lines.append("lenses: none")
     lines.append(f"all_pass: {str(all_ok).lower()}")
     return lines, all_ok
@@ -325,15 +321,14 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
         return EXIT_OK
 
     # capture mode: find the first focal point in a drift, solve the field
-    beamline = scenario.beamline()
-    focal = [leg for leg in walk(beamline) if leg.focal is not None]
+    focal = [leg for leg in walk(scenario.beamline()) if leg.focal is not None]
     if not focal:
         sys.stderr.write("design: no focal point found in any drift\n")
         return EXIT_DESIGN
     # the launch instant can itself be a waist; prefer a downstream one
     leg = next((g for g in focal if g.entry.t + g.focal > 0.0), focal[0])
     t_focal = leg.entry.t + leg.focal
-    state = state_at(beamline, t_focal)
+    state = leg.evaluate(leg.focal)
     try:
         lens = design_direct_capture(state, scenario.particle)
     except (NoCaptureFieldError, ValueError) as exc:
@@ -382,27 +377,19 @@ def _sweep_values(spec_range: str, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _first_lens_number(scenario: Scenario) -> int:
-    for i, element in enumerate(scenario.elements):
-        if isinstance(element, LensConfig):
-            return i
-    raise ScenarioError("beamline: sweep needs at least one lens")
-
-
 def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> int:
     if param not in SWEEP_PARAMS:
         sys.stderr.write(f"sweep: unknown parameter {param!r}; choose from {SWEEP_PARAMS}\n")
         return EXIT_SCHEMA
     values = _sweep_values(spec_range, steps)
-    lens_index = _first_lens_number(scenario)
-    lens_number = sum(
-        1 for e in scenario.elements[:lens_index] if isinstance(e, LensConfig)
-    )
+    if not scenario.lens_n_primes:
+        raise ScenarioError("beamline: sweep needs at least one lens")
+    lens_index = next(i for i, e in enumerate(scenario.elements) if isinstance(e, LensConfig))
     rows = [f"{param},transportable,rho2_min_um2"]
     for value in values:
         elements = list(scenario.elements)
         packet = scenario.packet
-        n_prime = scenario.lens_n_primes[lens_number]
+        n_prime = scenario.lens_n_primes[0]
         try:
             if param == "H0_gauss":
                 elements[lens_index] = dc_replace(scenario.elements[lens_index], h0_gauss=value)
@@ -423,14 +410,10 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
             raise
         except ValueError as exc:
             raise ScenarioError(f"sweep point {param}={_fmt(value)}: {exc}") from exc
-        entry = dict(entry_states(beamline))[lens_index]
-        report = transport_check(
-            entry,
-            beamline.elements[lens_index],
-            scenario.particle,
-            n=packet.n,
-            n_prime=n_prime,
-        )
+        # walking the whole line makes a defect downstream of the lens exit 1;
+        # only drifts precede the first lens, and no drift ends the walk
+        legs = list(walk(beamline))
+        report = transport_check(legs[lens_index].orbit, n=packet.n, n_prime=n_prime)
         rows.append(
             f"{_fmt(value)},{str(report.transportable).lower()},"
             f"{_fmt(units.area_from_natural(report.rho_sq_min) * 1e12)}"

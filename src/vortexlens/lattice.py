@@ -2,8 +2,11 @@
 
 A beamline is an ordered list of drifts and lenses traversed by one packet.
 walk() moves the moment state piecewise with the closed forms, so boundary
-continuity is exact by construction; run, state_at and entry_states consume
-it.  Over-focusing ends the walk with an event rather than raising.
+continuity is exact by construction.  It is the only source of lens entries:
+run, state_at and entry_states here, and the CLI's check, sweep and design,
+consume it, and each lens leg carries the one LensOrbit that
+moments.transport_check reads.  Over-focusing ends the walk with an event
+rather than raising.
 
 Public state (MomentState, event times) stays in natural units; element
 durations and the sampling step are laboratory seconds, converted on entry.
@@ -51,6 +54,10 @@ EVENT_OVERFOCUS = "overfocus"
 EVENT_RELATIVISTIC = "relativistic_warning"
 
 MAX_SAMPLES = 1_000_000
+# relative distance in time within which a grid point k * dt is a sampled
+# focal point or end, up to the rounding of k * dt, of the conversions to
+# natural units and of the entry time
+GRID_ROUNDING = 8 * np.finfo(float).eps
 
 
 class BeamlineConfigError(ValueError):
@@ -163,9 +170,10 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
 def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     """Sample every leg of the walk on a grid of step sample_dt_s from its entry.
 
-    Each leg is evaluated once, on the array of its offsets.  Focal points
-    and an over-focus crossing get exact extra samples; the crossing ends
-    the trajectory.  Gradient lenses carry the first-order radius
+    Each leg is evaluated once, on the array of its offsets.  Focal points,
+    an over-focus crossing and the end of the line get exact samples, which
+    replace a grid point within rounding of them; the crossing ends the
+    trajectory.  Gradient lenses carry the first-order radius
     correction.  Over MAX_SAMPLES raises before any sample is built.
     """
     if not sample_dt_s > 0:
@@ -187,9 +195,14 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             events.append(TrajectoryEvent(entry.t, EVENT_RELATIVISTIC, 0))
             relativistic_seen = True
         horizon = crossing if crossing is not None else leg.duration
+        end = horizon if crossing is not None or index == len(beamline.elements) - 1 else None
+        extra = [x for x in (leg.focal, end) if x is not None]
         grid = np.arange(math.ceil(horizon / dt_sample) + 1) * dt_sample
-        extra = [leg.focal, crossing, horizon if index == len(beamline.elements) - 1 else None]
-        offsets = np.unique(np.append(grid[grid < horizon], [x for x in extra if x is not None]))
+        keep = grid < horizon
+        for x in extra:  # the nearest grid point repeats x's row if their times agree within rounding
+            k = round(x / dt_sample)
+            keep[k] &= abs(k * dt_sample - x) > GRID_ROUNDING * (entry.t + x)
+        offsets = np.unique(np.append(grid[keep], extra))
         block = np.zeros(offsets.size, SAMPLE_DTYPE)
         block["rho_sq_corr1"] = np.nan
         if leg.focal is not None:
@@ -208,10 +221,12 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             if not element.is_homogeneous:
                 inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
                 block["rho_sq_corr1"] = correction_closed_form(inputs, element.kappa, offsets)
-        state = leg.evaluate(offsets)
         try:
-            state.validated()
-        except ValueError as exc:  # e.g. <rho^2> overflowing a long last drift
+            # the end state first, as a scalar: a long drift whose <rho^2>
+            # overflows then fails before numpy warns on the offset array
+            leg.evaluate(horizon).validated()
+            state = leg.evaluate(offsets).validated()
+        except ValueError as exc:
             raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None
         for name in STATE_FIELDS:
             block[name] = getattr(state, name)

@@ -327,14 +327,9 @@ class TransportReport:
 
 
 def transport_check(
-    state: MomentState,
-    lens: LensConfig,
-    particle: Particle,
-    n: int = 0,
-    n_prime: int = 0,
-    matched_tol: float = 5e-3,
+    orbit: LensOrbit, n: int = 0, n_prime: int = 0, matched_tol: float = 5e-3
 ) -> TransportReport:
-    """Evaluate matching and transport conditions for a lens entry state.
+    """Evaluate matching and transport conditions for a lens orbit's entry.
 
     Transport is judged by the amplitude form
         rho_sq_min = R_st - sqrt((R_in - R_st)^2 + (dR_in / w)^2) > 0
@@ -344,14 +339,14 @@ def transport_check(
     matching ratio compares rho_H^2 against the waist of the free trajectory
     through the entry state.
     """
-    orbit = LensOrbit.from_entry(state, lens, particle)
+    state = orbit.entry
     rho_sq_min = orbit.center - orbit.amplitude
     solved = orbit.center > (
         0.5 * state.rho_sq
         + state.drho_sq_dt**2 / (2.0 * orbit.omega0**2 * state.rho_sq)
     )
     required = matching_ratio(n, state.l, n_prime)
-    rho_h_sq = 4.0 / (particle.mass_ev * orbit.omega0)
+    rho_h_sq = 4.0 / (orbit.mass * orbit.omega0)
     actual = rho_h_sq / free_waist_rho_sq(state)
     matched = abs(actual / float(required) - 1.0) <= matched_tol
     return TransportReport(

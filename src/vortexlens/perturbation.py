@@ -16,10 +16,11 @@ and u1 at the lens entry.  Two evaluation routes are provided: the
 algebraic closed form of the solution, and direct numerical integration of
 the system.  The numerical route is authoritative; verify_closed_form
 cross-checks the two and reports any mismatch instead of trusting either
-silently.  The system is linear in (u1, r1, dr1), so
-verify_closed_form integrates it with the exact one-step map of classical
-RK4 (oracle.integrate_rk4_linear) and evaluates the closed form on arrays;
-a test pins that map to the generic RK4 integrator.
+silently.  The system is linear in (u1, r1, dr1), so both
+correction_by_quadrature and verify_closed_form integrate it with the
+exact one-step map of classical RK4 (oracle.integrate_rk4_linear), and
+verify_closed_form evaluates the closed form on arrays; a test pins that
+map to the generic RK4 integrator.
 
 Everything here is in natural units (see the units module).
 """
@@ -34,7 +35,8 @@ import numpy as np
 from . import units
 from .elements import KAPPA_HARD_LIMIT, LensConfig
 from .moments import LensOrbit, MomentState, _negative, _trig
-from .oracle import ODESpec, integrate_rk4, integrate_rk4_linear
+from .oracle import integrate_rk4  # noqa: F401  bench/spans.py wraps perturbation.integrate_rk4
+from .oracle import integrate_rk4_linear
 from .units import Particle
 
 VALIDITY_FRACTION = 0.3
@@ -213,20 +215,9 @@ def _gradient_forcing(inputs: ZerothOrderInputs, kappa: float, t):
     return du1, drive
 
 
-def _system_rhs(inputs: ZerothOrderInputs, kappa: float):
-    """Right-hand side of the driven first-order system, state (u1, r1, dr1)."""
-    w = inputs.omega0
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        u1, r1, dr1 = y
-        du1, drive = _gradient_forcing(inputs, kappa, t)
-        return np.array([du1, dr1, 2.0 * u1 + drive - w * w * r1])
-
-    return rhs
-
-
 def _integrate_linear(inputs: ZerothOrderInputs, kappa: float, t_end: float, step: float):
-    """The same system as _system_rhs, integrated by the exact RK4 step map."""
+    """The driven first-order system, state (u1, r1, dr1), from rest at the
+    lens entry to t_end by the exact RK4 step map."""
     w = inputs.omega0
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
 
@@ -264,11 +255,7 @@ def correction_by_quadrature(
             f"step {step} too coarse; need <= period/{MIN_STEPS_PER_PERIOD} = "
             f"{period / MIN_STEPS_PER_PERIOD}"
         )
-    if dt == 0.0:
-        return _attach(inputs, kappa, 0.0, 0.0, 0.0)
-    _, states = integrate_rk4(
-        ODESpec(_system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, dt, step)
-    )
+    _, states = _integrate_linear(inputs, kappa, dt, step)
     u1, r1, _ = states[-1]
     return _attach(inputs, kappa, dt, float(r1), float(u1))
 

@@ -175,7 +175,7 @@ def test_criterion_06_transport_predicate_and_thresholds():
             duration_s=1e-9,
             length_m=0.1,
         )
-        report = transport_check(state, lens, ELECTRON)
+        report = transport_check(LensOrbit.from_entry(state, lens, ELECTRON))
         assert report.transportable == report.transportable_solved_form
 
     # matched-packet over-focus threshold: bisection against the analytic
@@ -191,7 +191,7 @@ def test_criterion_06_transport_predicate_and_thresholds():
 
         def transportable(t1_s):
             entry = propagate_drift(start, units.time_to_natural(t1_s), ELECTRON)
-            return transport_check(entry, lens, ELECTRON).transportable
+            return transport_check(LensOrbit.from_entry(entry, lens, ELECTRON)).transportable
 
         lo, hi = 0.0, 5e-9
         assert transportable(lo) and not transportable(hi)

@@ -217,18 +217,18 @@ def test_overflowing_drift_is_config_error(tmp_path, capsys, command, message):
 
 
 def test_overflowing_last_drift_is_config_error(tmp_path, capsys):
-    # few enough samples for MAX_SAMPLES, but <rho^2> overflows to inf on the
-    # array of offsets, which numpy reports with a RuntimeWarning
-    data = scenario_dict(
-        beamline=[{"type": "drift", "duration_ns": 1e160}], output={"sample_dt_ns": 1e156}
-    )
-    path = write_scenario(tmp_path, data)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # few enough samples for MAX_SAMPLES, but <rho^2> overflows to inf at the
+    # drift's end, alone or before a lens; the run stops there, before numpy
+    # can warn on the drift's offset array
+    for beamline in (scenario_dict()["beamline"][:1], scenario_dict()["beamline"]):
+        data = scenario_dict(beamline=beamline, output={"sample_dt_ns": 1e156})
+        data["beamline"][0]["duration_ns"] = 1e160
+        path = write_scenario(tmp_path, data)
         code = main(["propagate", path, "-o", str(tmp_path / "t.csv")])
-    assert code == EXIT_SCHEMA
-    captured = capsys.readouterr()
-    assert captured.err == "error: beamline[0]: rho_sq must be positive, got inf\n"
-    assert captured.out == ""
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.err == "error: beamline[0]: rho_sq must be positive, got inf\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -372,7 +372,7 @@ def test_sweep_steps_over_cap_is_schema_error(capsys, monkeypatch):
     def no_point_may_be_evaluated(beamline):
         raise AssertionError("a sweep point was evaluated")
 
-    monkeypatch.setattr(cli, "entry_states", no_point_may_be_evaluated)
+    monkeypatch.setattr(cli, "walk", no_point_may_be_evaluated)
     path = str(SCENARIOS / "capture_transport.json")
     steps = str(lattice.MAX_SAMPLES + 1)
     code = main(["sweep", path, "--param", "H0_gauss", "--range", "80:90", "--steps", steps])
@@ -472,3 +472,35 @@ def test_gradient_scenario_fills_correction_column(tmp_path):
     assert any(float(r[8]) != 0.0 for r in lens_rows[1:])
     drift_rows = [r for r in rows if int(r[1]) == 0]
     assert all(r[8] == "" for r in drift_rows)
+
+
+def swept_field(data, lens, param):
+    """The scenario object and key that a sweep over param sets."""
+    return {
+        "H0_gauss": (data["beamline"][lens], "H0_gauss"),
+        "sigma_r_um": (data["packet"], "sigma_r_um"),
+        "t1_ns": (data["beamline"][0], "duration_ns"),
+        "n_prime": (data["beamline"][lens], "n_prime"),
+    }[param]
+
+
+@pytest.mark.parametrize("param", cli.SWEEP_PARAMS)
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_sweep_row_is_the_check_report_of_the_substituted_scenario(tmp_path, capsys, name, param):
+    data = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+    lens = next(i for i, e in enumerate(data["beamline"]) if e["type"] == "lens")
+    obj, key = swept_field(data, lens, param)
+    spec_range = "0:3" if param == "n_prime" else f"{0.95 * obj[key]!r}:{1.05 * obj[key]!r}"
+    path = str(SCENARIOS / name)
+    assert main(["sweep", path, "--param", param, "--range", spec_range, "--steps", "4"]) == EXIT_OK
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    values = cli._sweep_values(spec_range, 4)
+    assert len(rows) == len(values) == 4
+    for value, (_, transportable, rho2_min) in zip(values, rows):
+        point = json.loads(json.dumps(data))
+        obj, key = swept_field(point, lens, param)
+        obj[key] = int(value) if param == "n_prime" else value
+        assert main(["check", write_scenario(tmp_path, point, "point.json")]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert report[f"lens[{lens}].transportable"] == transportable
+        assert report[f"lens[{lens}].rho2_min_um2"] == rho2_min

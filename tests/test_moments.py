@@ -177,7 +177,7 @@ def test_transport_check_examples():
     # matched packet entering at its focal point is always transportable
     for sigma in (0.574e-6, 0.622e-6):
         lens = lens_for(sigma)
-        report = transport_check(focal_state(sigma), lens, ELECTRON, n=0, n_prime=0)
+        report = transport_check(LensOrbit.from_entry(focal_state(sigma), lens, ELECTRON), n=0, n_prime=0)
         assert report.matched
         assert report.transportable
         assert report.matching_ratio_required == Fraction(4, 5)
@@ -186,14 +186,14 @@ def test_transport_check_examples():
     # t1 = 2.1 ns: the 0.574/100 G pairing over-focuses, 0.622/85 G survives
     dt = units.time_to_natural(2.1e-9)
     tight = transport_check(
-        propagate_drift(focal_state(0.574e-6), dt, ELECTRON),
-        lens_for(0.574e-6),
-        ELECTRON,
+        LensOrbit.from_entry(
+            propagate_drift(focal_state(0.574e-6), dt, ELECTRON), lens_for(0.574e-6), ELECTRON
+        )
     )
     loose = transport_check(
-        propagate_drift(focal_state(0.622e-6), dt, ELECTRON),
-        lens_for(0.622e-6),
-        ELECTRON,
+        LensOrbit.from_entry(
+            propagate_drift(focal_state(0.622e-6), dt, ELECTRON), lens_for(0.622e-6), ELECTRON
+        )
     )
     assert not tight.transportable
     assert loose.transportable
@@ -211,7 +211,7 @@ def test_transport_amplitude_and_solved_forms_agree():
         field = units.field_from_cyclotron_natural(omega0, ELECTRON)
         state = MomentState(rho, slope, u_sq, 0.0, 0.0, 0.0, l)
         lens = LensConfig(h0_gauss=field, duration_s=1e-9, length_m=0.1)
-        report = transport_check(state, lens, ELECTRON)
+        report = transport_check(LensOrbit.from_entry(state, lens, ELECTRON))
         assert report.transportable == report.transportable_solved_form
         assert report.transportable == (report.rho_sq_min > 0.0)
 

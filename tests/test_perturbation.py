@@ -105,17 +105,29 @@ def test_closed_form_consistent_with_integrated_system(e0, kappa):
     assert check.max_ode_residual_over_drive < 1e-6
 
 
+def system_rhs(inputs, kappa):
+    """Right-hand side of the driven first-order system, state (u1, r1, dr1)."""
+    w = inputs.omega0
+
+    def rhs(t, y):
+        u1, r1, dr1 = y
+        du1, drive = perturbation._gradient_forcing(inputs, kappa, t)
+        return np.array([du1, dr1, 2.0 * u1 + drive - w * w * r1])
+
+    return rhs
+
+
 @pytest.mark.parametrize("e0", [0.0, 25e6])
 @pytest.mark.parametrize("kappa", [0.081, -0.081])
 def test_linear_step_map_matches_generic_rk4(e0, kappa):
-    # verify_closed_form integrates with the exact RK4 step map; the generic
+    # both integral routes use the exact RK4 step map; the generic
     # integrator on the same right-hand side is its reference
     inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
     t_end, step = 4.0 * period, period / 2048.0
     ts, states = perturbation._integrate_linear(inputs, kappa, t_end, step)
     ts_ref, ref = integrate_rk4(
-        ODESpec(perturbation._system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
+        ODESpec(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
     )
     assert np.array_equal(ts, ts_ref)
     peak = np.max(np.abs(ref), axis=0)
