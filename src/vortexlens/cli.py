@@ -14,6 +14,7 @@ solve failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace as dc_replace
@@ -117,8 +118,9 @@ def _optional(mapping: dict, key: str, kind, path: str, default):
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; ScenarioError names the bad field."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
+    try:  # open(), not pathlib: Path interns each part, and freed interned strings churn that table
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     try:
@@ -377,6 +379,20 @@ def _sweep_values(spec_range: str, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:
+    """The scenario's beamline with the swept field set to value, a grid point
+    or the whole grid as an array; n_prime leaves the beamline as it is."""
+    elements, packet = list(scenario.elements), scenario.packet
+    if param == "H0_gauss":
+        lens_index = next(i for i, e in enumerate(elements) if isinstance(e, LensConfig))
+        elements[lens_index] = dc_replace(elements[lens_index], h0_gauss=value)
+    elif param == "sigma_r_um":
+        packet = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s)
+    elif param == "t1_ns":
+        elements[0] = Drift(duration_s=value * 1e-9)
+    return Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev)
+
+
 def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> int:
     if param not in SWEEP_PARAMS:
         sys.stderr.write(f"sweep: unknown parameter {param!r}; choose from {SWEEP_PARAMS}\n")
@@ -384,44 +400,45 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     values = _sweep_values(spec_range, steps)
     if not scenario.lens_n_primes:
         raise ScenarioError("beamline: sweep needs at least one lens")
-    lens_index = next(i for i, e in enumerate(scenario.elements) if isinstance(e, LensConfig))
-    rows = [f"{param},transportable,rho2_min_um2"]
-    for value in values:
-        elements = list(scenario.elements)
-        packet = scenario.packet
-        n_prime = scenario.lens_n_primes[0]
-        try:
-            if param == "H0_gauss":
-                elements[lens_index] = dc_replace(scenario.elements[lens_index], h0_gauss=value)
-            elif param == "sigma_r_um":
-                packet = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s)
-            elif param == "t1_ns":
-                if not isinstance(elements[0], Drift):
-                    raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
-                elements[0] = Drift(duration_s=value * 1e-9)
-            elif param == "n_prime":
-                if value != int(value):
-                    raise ScenarioError("--range: n_prime sweep needs integer grid points")
-                n_prime = int(value)
-                if n_prime < 0:
-                    raise ValueError("n_prime must be non-negative")
-            beamline = Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"sweep point {param}={_fmt(value)}: {exc}") from exc
+    if param == "t1_ns" and not isinstance(scenario.elements[0], Drift):
+        raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
+    if param == "n_prime":  # it labels the target level; the transport verdict does not read it
+        bad = next((v for v in values if not (v.is_integer() and v >= 0)), None)
+        if bad is not None:
+            raise ScenarioError(f"sweep point n_prime={_fmt(bad)}: n_prime must be a non-negative integer")
+
+    def transport(value):
         # walking the whole line makes a defect downstream of the lens exit 1;
         # only drifts precede the first lens, and no drift ends the walk
-        legs = list(walk(beamline))
-        report = transport_check(legs[lens_index].orbit, n=packet.n, n_prime=n_prime)
-        rows.append(
-            f"{_fmt(value)},{str(report.transportable).lower()},"
-            f"{_fmt(units.area_from_natural(report.rho_sq_min) * 1e12)}"
-        )
+        legs = list(walk(_swept_beamline(scenario, param, value)))
+        orbit = next(leg.orbit for leg in legs if leg.orbit is not None)
+        return transport_check(orbit, n=scenario.packet.n, n_prime=scenario.lens_n_primes[0])
+
+    # one walk carries the grid as an array; a point that overflows fails its
+    # validation, so numpy's warnings are noise here
+    with np.errstate(all="ignore"):
+        try:
+            report = transport(np.array(values))
+        except ValueError:
+            for value in values:  # the first grid point that fails names the error
+                try:
+                    transport(np.array([value]))
+                except BeamlineConfigError:
+                    raise
+                except ValueError as exc:
+                    raise ScenarioError(f"sweep point {param}={_fmt(value)}: {exc}") from None
+            raise
+    transportable = np.broadcast_to(report.transportable, len(values)).tolist()
+    rho2_min = np.broadcast_to(units.area_from_natural(report.rho_sq_min) * 1e12, len(values)).tolist()
+    rows = [f"{param},transportable,rho2_min_um2"] + [
+        "%.12g,%s,%.12g" % (value, "true" if ok else "false", r)
+        for value, ok, r in zip(values, transportable, rho2_min)
+    ]
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building one costs ~1 ms and grows the heap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexlens",

@@ -36,8 +36,7 @@ class Drift:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        units.require("duration_s", self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,10 @@ class LensConfig:
     kappa_e: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.h0_gauss) and self.h0_gauss > 0):
-            raise ValueError(f"h0_gauss must be positive, got {self.h0_gauss}")
-        if not (math.isfinite(self.e0_v_per_m) and self.e0_v_per_m >= 0):
-            raise ValueError(
-                f"e0_v_per_m is a magnitude and must be >= 0, got {self.e0_v_per_m}"
-            )
-        if not (math.isfinite(self.length_m) and self.length_m > 0):
-            raise ValueError(f"length_m must be positive, got {self.length_m}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        units.require("h0_gauss", self.h0_gauss)
+        units.require("e0_v_per_m", self.e0_v_per_m, "non-negative")  # a magnitude
+        units.require("length_m", self.length_m)
+        units.require("duration_s", self.duration_s)
         for name, kappa in (("kappa_m", self.kappa_m), ("kappa_e", self.kappa_e)):
             if not math.isfinite(kappa) or abs(kappa) > KAPPA_HARD_LIMIT:
                 raise ValueError(

@@ -27,6 +27,7 @@ from .moments import (
     LensOrbit,
     MomentState,
     RELATIVISTIC_VELOCITY_BOUND,
+    _lib,
     compton_floor,
     free_waist_rho_sq,
     lens_state_at,
@@ -113,7 +114,8 @@ class Trajectory:
 @dataclass(frozen=True)
 class Leg:
     """One reachable element of a walk; times are natural offsets from entry,
-    a scalar or an array for evaluate.  orbit is a lens's orbit, else None."""
+    a scalar or an array for evaluate.  orbit is a lens's orbit, else None.
+    In a walk of arrays, crossing is an array (see walk)."""
 
     index: int
     element: Drift | LensConfig
@@ -133,6 +135,14 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     its zeroth-order orbit, built once per leg.  A drift whose <rho^2> would
     fall to zero (a lens left <rho^2><u^2> < <rho.u>^2) or an exit state
     that is not a valid state raises BeamlineConfigError.
+
+    The packet's sigma_r_m, and a field of an element up to and including
+    the first lens, may be an array with one entry per point.  States,
+    orbits and a lens's crossing (NaN where a point does not cross) then
+    hold arrays, any point that fails raises, drifts have no focal, and
+    only the points that have not crossed go on past a lens.  Overflow
+    there makes numpy warn unless the caller silences it; validation
+    still catches it.
     """
     particle = beamline.particle
     floor = compton_floor(particle)
@@ -140,31 +150,37 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     leg = None
     for index, element in enumerate(beamline.elements):
         if leg is not None:
+            exit_state = leg.evaluate(leg.duration)
+            if isinstance(leg.crossing, np.ndarray):
+                exit_state = exit_state.select(np.isnan(leg.crossing))
             try:
-                entry = leg.evaluate(leg.duration).validated()
+                entry = exit_state.validated()
             except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
                 raise BeamlineConfigError(f"beamline[{leg.index}]: exit state: {exc}") from None
         duration = units.time_to_natural(element.duration_s)
         focal = crossing = orbit = None
         if isinstance(element, Drift):
             evaluate = partial(propagate_drift, entry, particle=particle)
-            if entry.drho_sq_dt <= 0.0:
-                waist = waist_dt(entry)
-                focal = waist if 0.0 <= waist < duration else None
-                rho_sq = free_waist_rho_sq(entry)
-                if rho_sq <= 0.0 and waist - math.sqrt(-rho_sq / entry.u_perp_sq) <= duration:
-                    raise BeamlineConfigError(
-                        f"beamline[{index}]: <rho^2> falls to zero in this drift "
-                        "(the lens before it left <rho^2><u^2> < <rho.u>^2)"
-                    )
+            waist, rho_sq = waist_dt(entry), free_waist_rho_sq(entry)
+            # before the waist, <rho^2> reaches zero at waist - sqrt(-rho_sq / <u^2>) if rho_sq <= 0
+            zero_at = waist - _lib(rho_sq).sqrt(abs(rho_sq) / entry.u_perp_sq)
+            falls = (entry.drho_sq_dt <= 0.0) & (rho_sq <= 0.0) & (zero_at <= duration)
+            points = isinstance(falls, np.ndarray)  # numpy on a scalar costs far more
+            if falls.any() if points else falls:
+                raise BeamlineConfigError(
+                    f"beamline[{index}]: <rho^2> falls to zero in this drift "
+                    "(the lens before it left <rho^2><u^2> < <rho.u>^2)"
+                )
+            if not points and entry.drho_sq_dt <= 0.0 and 0.0 <= waist < duration:
+                focal = waist
         else:
             orbit = LensOrbit.from_entry(entry, element, particle)
             evaluate = partial(lens_state_at, orbit)
             crossing = orbit.first_crossing_dt(floor, duration)
         leg = Leg(index, element, entry, duration, evaluate, focal, crossing, orbit)
         yield leg
-        if crossing is not None:
-            return
+        if crossing is not None and not (isinstance(crossing, np.ndarray) and np.isnan(crossing).any()):
+            return  # every point has crossed
 
 
 def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
@@ -211,6 +227,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         if crossing is not None:
             events.append(TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index))
             block["flag_bits"][offsets == crossing] |= FLAG_OVERFOCUS
+        gradient = None
         if isinstance(element, LensConfig):
             force = units.accelerating_force_natural(element.e0_v_per_m)
             if not relativistic_seen and force > 0.0:
@@ -220,11 +237,18 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
                     relativistic_seen = True
             if not element.is_homogeneous:
                 inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
-                block["rho_sq_corr1"] = correction_closed_form(inputs, element.kappa, offsets)
+                gradient = inputs, element.kappa
         try:
-            # the end state first, as a scalar: a long drift whose <rho^2>
+            # the end state and correction first, as scalars: a long leg that
             # overflows then fails before numpy warns on the offset array
             leg.evaluate(horizon).validated()
+            if gradient is not None:
+                try:
+                    end = correction_closed_form(*gradient, horizon)
+                except OverflowError:  # a power of the offset past the float range
+                    end = math.inf
+                units.require("rho_sq_corr1", end, "finite")
+                block["rho_sq_corr1"] = correction_closed_form(*gradient, offsets)
             state = leg.evaluate(offsets).validated()
         except ValueError as exc:
             raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None

@@ -65,14 +65,17 @@ class MomentState:
     l: int
 
     def validated(self) -> "MomentState":
-        """This state, once rho_sq and u_perp_sq (scalars or arrays) are finite
-        and positive.  The formulas do not check the states they build."""
-        for name, value in (("rho_sq", self.rho_sq), ("u_perp_sq", self.u_perp_sq)):
-            if isinstance(value, np.ndarray):  # its first bad entry, else its first
-                value = value[np.argmin(np.isfinite(value) & (value > 0))]
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        """This state, once every field is finite and rho_sq and u_perp_sq are
+        positive; a field is a scalar or an array with one entry per point.
+        The formulas do not check the states they build."""
+        for name in ("rho_sq", "u_perp_sq", "drho_sq_dt", "p_z", "z", "t"):
+            must = "positive" if name in ("rho_sq", "u_perp_sq") else "finite"
+            units.require(name, getattr(self, name), must)
         return self
+
+    def select(self, keep) -> "MomentState":
+        """The points where the boolean array keep holds; scalar fields are shared."""
+        return replace(self, **{k: v[keep] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
     @classmethod
     def from_packet(
@@ -88,7 +91,8 @@ class MomentState:
 
         u_sq = transverse_velocity_sq(packet, particle)
         dt = units.time_to_natural(t_s - packet.focus_time_s)
-        sigma_sq = units.length_to_natural(packet.sigma_r_m) ** 2
+        sigma = units.length_to_natural(packet.sigma_r_m)
+        sigma_sq = sigma * sigma
         return cls(
             rho_sq=sigma_sq + u_sq * dt * dt,
             drho_sq_dt=2.0 * u_sq * dt,
@@ -119,13 +123,15 @@ def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:
     )
 
 
-def _trig(dt):
-    """math for a scalar time, numpy for an array of times.
+def _lib(x):
+    """math for a scalar x, numpy for an array x (a phase, or a radius).
 
-    The per-sample scalar path keeps math.sin/math.cos: the CSV output is
-    pinned to their bits, and numpy trig on a scalar costs far more.
+    The scalar path keeps math.sin/math.cos: the CSV output is pinned to
+    their bits, and numpy on a scalar costs far more.  Write x * x, not
+    x ** 2, in a formula that may see both: Python's pow differs from
+    numpy's square in the last bit.
     """
-    return np if isinstance(dt, np.ndarray) else math
+    return np if isinstance(x, np.ndarray) else math
 
 
 def stationary_rho_sq(u_perp_sq: float, l: int, omega0: float, particle: Particle) -> float:
@@ -134,8 +140,7 @@ def stationary_rho_sq(u_perp_sq: float, l: int, omega0: float, particle: Particl
     A non-positive result means no stable orbit exists for this OAM and
     field (possible for l > 0 with small transverse velocity).
     """
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    units.require("omega0", omega0)
     m = particle.mass_ev
     return (2.0 * u_perp_sq - 2.0 * omega0 * l / m) / (omega0 * omega0)
 
@@ -146,7 +151,8 @@ class LensOrbit:
 
     <rho^2>(dt) = center + a_cos cos(w dt) + a_sin sin(w dt) and
     p_z(dt) = p_z + e|E0| dt.  Only the homogeneous field (H0, E0) enters;
-    gradients are first-order corrections about this orbit.
+    gradients are first-order corrections about this orbit.  An entry state
+    or a field H0 with arrays gives an orbit with one entry per point.
     """
 
     entry: MomentState
@@ -154,6 +160,7 @@ class LensOrbit:
     center: float
     a_cos: float
     a_sin: float
+    amplitude: float
     force: float
     mass: float
 
@@ -161,48 +168,60 @@ class LensOrbit:
     def from_entry(cls, state: MomentState, lens: LensConfig, particle: Particle) -> "LensOrbit":
         omega0 = units.cyclotron_frequency_natural(lens.h0_gauss, particle)
         center = stationary_rho_sq(state.u_perp_sq, state.l, omega0, particle)
+        a_cos, a_sin = state.rho_sq - center, state.drho_sq_dt / omega0
+        if isinstance(a_cos, np.ndarray) or isinstance(a_sin, np.ndarray):
+            # math.hypot per point: np.hypot differs in the last bit, and center - amplitude cancels
+            pairs = (x.tolist() for x in np.broadcast_arrays(a_cos, a_sin))
+            amplitude = np.fromiter(map(math.hypot, *pairs), float)
+        else:
+            amplitude = math.hypot(a_cos, a_sin)
         return cls(
             entry=state,
             omega0=omega0,
-            center=center,
-            a_cos=state.rho_sq - center,
-            a_sin=state.drho_sq_dt / omega0,
+            center=units.require("rho_sq_st", center, "finite"),
+            a_cos=a_cos,
+            a_sin=a_sin,
+            amplitude=units.require("amplitude", amplitude, "finite"),
             force=units.accelerating_force_natural(lens.e0_v_per_m),
             mass=particle.mass_ev,
         )
 
-    @property
-    def amplitude(self) -> float:
-        return math.hypot(self.a_cos, self.a_sin)
-
     def rho_sq(self, dt):
         """<rho^2> at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
-        trig = _trig(dt)
-        return self.center + self.a_cos * trig.cos(w) + self.a_sin * trig.sin(w)
+        lib = _lib(w)
+        return self.center + self.a_cos * lib.cos(w) + self.a_sin * lib.sin(w)
 
     def drho_sq(self, dt):
         """d<rho^2>/dt at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
-        trig = _trig(dt)
-        return self.omega0 * (-self.a_cos * trig.sin(w) + self.a_sin * trig.cos(w))
+        lib = _lib(w)
+        return self.omega0 * (-self.a_cos * lib.sin(w) + self.a_sin * lib.cos(w))
 
     def p_z(self, dt):
         return self.entry.p_z + self.force * dt
 
-    def first_crossing_dt(self, threshold: float, dt_max: float) -> float | None:
-        """First dt in [0, dt_max] with <rho^2>(dt) <= threshold, else None.
+    def first_crossing_dt(self, threshold: float, dt_max: float):
+        """First dt in [0, dt_max] with <rho^2>(dt) <= threshold, else None; on
+        an orbit of arrays, an array with NaN where a point never crosses.
 
         The orbit dips below the threshold on the arc
         (phase + theta, phase + 2 pi - theta) with
         theta = arccos((threshold - center) / amplitude).
         """
+        center, amp = self.center, self.amplitude
+        if isinstance(amp, np.ndarray):
+            theta = np.arccos(np.clip((threshold - center) / amp, -1.0, 1.0))
+            phase = np.arctan2(self.a_sin, self.a_cos) % (2.0 * np.pi)
+            dt_cross = (phase + theta) % (2.0 * np.pi) / self.omega0
+            dt_cross[(amp == 0.0) | (center - amp > threshold) | (dt_cross > dt_max)] = np.nan
+            dt_cross[self.rho_sq(0.0) <= threshold] = 0.0
+            return dt_cross
         if self.rho_sq(0.0) <= threshold:
             return 0.0
-        amp = self.amplitude
-        if amp == 0.0 or self.center - amp > threshold:
+        if amp == 0.0 or center - amp > threshold:
             return None
-        cos_arg = (threshold - self.center) / amp
+        cos_arg = (threshold - center) / amp
         theta = math.acos(max(-1.0, min(1.0, cos_arg)))
         phase = math.atan2(self.a_sin, self.a_cos) % (2.0 * math.pi)  # of the maximum
         entry_angle = (phase + theta) % (2.0 * math.pi)
@@ -310,7 +329,7 @@ def waist_dt(state: MomentState) -> float:
 
 def free_waist_rho_sq(state: MomentState) -> float:
     """Mean square radius at the free-trajectory waist through this state."""
-    return state.rho_sq - state.drho_sq_dt**2 / (4.0 * state.u_perp_sq)
+    return state.rho_sq - state.drho_sq_dt * state.drho_sq_dt / (4.0 * state.u_perp_sq)
 
 
 @dataclass(frozen=True)
@@ -337,13 +356,14 @@ def transport_check(
         R_st > R_in / 2 + dR_in^2 / (2 w^2 R_in);
     the two are algebraically equivalent and both are reported.  The actual
     matching ratio compares rho_H^2 against the waist of the free trajectory
-    through the entry state.
+    through the entry state.  On an orbit of arrays, every field but the
+    required ratio holds one entry per point.
     """
     state = orbit.entry
     rho_sq_min = orbit.center - orbit.amplitude
     solved = orbit.center > (
         0.5 * state.rho_sq
-        + state.drho_sq_dt**2 / (2.0 * orbit.omega0**2 * state.rho_sq)
+        + state.drho_sq_dt * state.drho_sq_dt / (2.0 * (orbit.omega0 * orbit.omega0) * state.rho_sq)
     )
     required = matching_ratio(n, state.l, n_prime)
     rho_h_sq = 4.0 / (orbit.mass * orbit.omega0)

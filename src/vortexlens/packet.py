@@ -15,6 +15,7 @@ from .units import (
     area_from_natural,
     diffraction_time,
     length_to_natural,
+    require,
 )
 
 
@@ -39,10 +40,8 @@ class LGPacket:
             raise ValueError(f"n must be a non-negative integer, got {self.n}")
         if not isinstance(self.l, int):
             raise ValueError(f"l must be an integer, got {self.l}")
-        if not (math.isfinite(self.sigma_r_m) and self.sigma_r_m > 0):
-            raise ValueError(f"sigma_r_m must be positive and finite, got {self.sigma_r_m}")
-        if not math.isfinite(self.focus_time_s):
-            raise ValueError("focus_time_s must be finite")
+        require("sigma_r_m", self.sigma_r_m)
+        require("focus_time_s", self.focus_time_s, "finite")
 
     @property
     def mode_order(self) -> int:
@@ -85,8 +84,8 @@ def transverse_velocity_sq(packet: LGPacket, particle: Particle) -> float:
     weighting of the radial index is the correct one; see the quadrature
     oracle for the independent check.
     """
-    sigma_nat = length_to_natural(packet.sigma_r_m)
-    return packet.mode_order / (particle.mass_ev * sigma_nat) ** 2
+    m_sigma = particle.mass_ev * length_to_natural(packet.sigma_r_m)
+    return packet.mode_order / (m_sigma * m_sigma)
 
 
 def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import units
 from .elements import KAPPA_HARD_LIMIT, LensConfig
-from .moments import LensOrbit, MomentState, _negative, _trig
+from .moments import LensOrbit, MomentState, _lib, _negative
 from .oracle import integrate_rk4  # noqa: F401  bench/spans.py wraps perturbation.integrate_rk4
 from .oracle import integrate_rk4_linear
 from .units import Particle
@@ -152,9 +152,10 @@ def closed_form_groups(inputs: ZerothOrderInputs, kappa: float, dt) -> tuple:
     w = orbit.omega0
     ll = inputs.length
     m = orbit.mass
-    trig = _trig(dt)
-    sin_w = trig.sin(w * dt)
-    cos_w = trig.cos(w * dt)
+    phase = w * dt
+    lib = _lib(phase)
+    sin_w = lib.sin(phase)
+    cos_w = lib.cos(phase)
     return (
         -(kappa * sin_w / (2.0 * ll * m * w))
         * (f * dt * (rate * dt - 4.0 * (a_in - a_st)) + 2.0 * p0 * (rate * dt - a_in)),

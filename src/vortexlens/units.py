@@ -18,7 +18,10 @@ numbers are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 # CODATA-2018.  Speed of light and elementary charge are exact in the SI;
 # the reduced Planck constant is the 10-figure rounding of h/(2 pi).
@@ -30,6 +33,25 @@ ELECTRON_MASS_EV = 510998.9500
 HBAR_EV_S = REDUCED_PLANCK_JS / ELEMENTARY_CHARGE_C   # 6.582119565e-16 eV s
 HBARC_EV_M = HBAR_EV_S * LIGHT_SPEED_M_PER_S          # 1.973269803e-7 eV m
 GAUSS_PER_TESLA = 1.0e4
+
+_BOUNDS = {"positive": operator.gt, "non-negative": operator.ge, "finite": None}
+
+
+def require(name: str, value, must: str = "positive"):
+    """value, once it is finite and `must` holds: "positive", "non-negative" or
+    only "finite".  value is a scalar or an array with one entry per point; the
+    ValueError names the first entry that fails."""
+    bound = _BOUNDS[must]
+    if isinstance(value, np.ndarray):
+        ok = np.isfinite(value)
+        if bound is not None:
+            ok &= bound(value, 0.0)
+        if ok.all():
+            return value
+        value = value.flat[np.argmin(ok)]
+    elif math.isfinite(value) and (bound is None or bound(value, 0.0)):
+        return value
+    raise ValueError(f"{name} must be {must}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +67,7 @@ class Particle:
     charge_sign: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass_ev) and self.mass_ev > 0):
-            raise ValueError(f"mass_ev must be positive and finite, got {self.mass_ev}")
+        require("mass_ev", self.mass_ev)
         if self.charge_sign not in (-1, 1):
             raise ValueError(f"charge_sign must be -1 or +1, got {self.charge_sign}")
 
@@ -102,8 +123,7 @@ def cyclotron_frequency(h0_gauss: float, particle: Particle) -> float:
     Only H0 >= 0 is accepted.  A reversed solenoid is encoded by flipping
     the sign of the packet OAM, not by a negative field.
     """
-    if not math.isfinite(h0_gauss) or h0_gauss < 0:
-        raise ValueError(f"H0 must be finite and non-negative, got {h0_gauss}")
+    require("H0", h0_gauss, "non-negative")
     return (h0_gauss / GAUSS_PER_TESLA) * LIGHT_SPEED_M_PER_S**2 / particle.mass_ev
 
 
@@ -114,24 +134,21 @@ def cyclotron_frequency_natural(h0_gauss: float, particle: Particle) -> float:
 
 def field_from_cyclotron_natural(omega0_ev: float, particle: Particle) -> float:
     """Solenoid field in gauss whose cyclotron frequency equals omega0_ev."""
-    if not (math.isfinite(omega0_ev) and omega0_ev > 0):
-        raise ValueError(f"omega0 must be positive, got {omega0_ev}")
+    require("omega0", omega0_ev)
     omega_si = omega0_ev / HBAR_EV_S
     return omega_si * particle.mass_ev / LIGHT_SPEED_M_PER_S**2 * GAUSS_PER_TESLA
 
 
 def magnetic_radius(h0_gauss: float, particle: Particle) -> float:
     """Characteristic orbit radius rho_H = sqrt(4 hbar / (|q| H0)) in meters."""
-    if not (math.isfinite(h0_gauss) and h0_gauss > 0):
-        raise ValueError(f"H0 must be positive and finite, got {h0_gauss}")
+    require("H0", h0_gauss)
     h_tesla = h0_gauss / GAUSS_PER_TESLA
     return math.sqrt(4.0 * REDUCED_PLANCK_JS / (ELEMENTARY_CHARGE_C * h_tesla))
 
 
 def diffraction_time(sigma_r_m: float, particle: Particle) -> float:
     """Spreading timescale t_d = m sigma_r^2 / hbar in seconds."""
-    if not (math.isfinite(sigma_r_m) and sigma_r_m > 0):
-        raise ValueError(f"sigma_r must be positive and finite, got {sigma_r_m}")
+    require("sigma_r", sigma_r_m)
     return particle.mass_ev * length_to_natural(sigma_r_m) ** 2 * HBAR_EV_S
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vortexlens import cli, lattice
+from vortexlens import cli, lattice, units
 from vortexlens.cli import (
     CSV_COLUMNS,
     EXIT_CHECK_FAILED,
@@ -19,6 +25,9 @@ from vortexlens.cli import (
     main,
     serialize_scenario,
 )
+from vortexlens.lattice import solve_matching, walk
+from vortexlens.moments import transport_check
+from vortexlens.packet import LGPacket
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -229,6 +238,27 @@ def test_overflowing_last_drift_is_config_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: beamline[0]: rho_sq must be positive, got inf\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "lens_fields, message",
+    [
+        ({"E0_V_per_m": 1e5}, "error: beamline[1]: z must be finite, got inf\n"),
+        ({"kappa_M": 0.05, "kappa_E": 0.05}, "error: beamline[1]: rho_sq_corr1 must be finite, got inf\n"),
+    ],
+)
+def test_overflowing_lens_is_config_error(tmp_path, capsys, lens_fields, message):
+    # the orbit's <rho^2> stays finite, but z (accelerated) or the gradient
+    # correction overflows before the end of a 1e160 ns lens; the run stops
+    # there, before numpy can warn on the lens's offset array
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["beamline"][1].update(lens_fields, duration_ns=1e160)
+    data["output"] = {"sample_dt_ns": 1e156}
+    path = write_scenario(tmp_path, data)
+    assert main(["propagate", path, "-o", str(tmp_path / "t.csv")]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -504,3 +534,131 @@ def test_sweep_row_is_the_check_report_of_the_substituted_scenario(tmp_path, cap
         report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert report[f"lens[{lens}].transportable"] == transportable
         assert report[f"lens[{lens}].rho2_min_um2"] == rho2_min
+
+
+@pytest.mark.parametrize(
+    "param, spec_range, first_bad",
+    [
+        ("n_prime", "inf:inf", "inf"),
+        ("sigma_r_um", "1e300:1e301", "1e+300"),
+        ("sigma_r_um", "1e-300:1e-299", "1e-300"),
+        ("H0_gauss", "1e-300:1e-299", "1e-300"),
+        ("H0_gauss", "1e300:1e301", "1e+300"),
+        ("sigma_r_um", "0.622:1e300", "5e+299"),
+        ("H0_gauss", "85:1e301", "5e+300"),
+    ],
+)
+def test_sweep_point_past_the_float_range_names_the_first(capsys, param, spec_range, first_bad):
+    path = str(SCENARIOS / "capture_transport.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the array walk overflows without a numpy warning
+        code = main(["sweep", path, "--param", param, f"--range={spec_range}", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: sweep point {param}={first_bad}: ")
+
+
+@pytest.mark.parametrize("param", cli.SWEEP_PARAMS)
+def test_sweep_walks_once(capsys, monkeypatch, param):
+    calls = {"walk": 0, "transport_check": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    path = str(SCENARIOS / "capture_transport.json")
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    obj, key = swept_field(data, 1, param)
+    spec_range = "0:999" if param == "n_prime" else f"{0.5 * obj[key]!r}:{1.5 * obj[key]!r}"
+    assert main(["sweep", path, "--param", param, "--range", spec_range, "--steps", "1000"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1001
+    assert calls["walk"] == 1
+    assert calls["transport_check"] <= 1
+
+
+@st.composite
+def sweep_cases(draw):
+    """A shipped scenario, a line whose last drift may fall to zero, or a drift
+    followed by several lenses and maybe drifts, with a grid over H0_gauss,
+    sigma_r_um or t1_ns around its value."""
+    source = draw(st.sampled_from(("shipped", "defect", "lenses")))
+    if source == "shipped":
+        data = json.loads(draw(st.sampled_from(sorted(SCENARIOS.glob("*.json")))).read_text(encoding="utf-8"))
+    elif source == "defect":
+        data = drift_after_lens(draw(st.floats(0.5, 3.0)))
+    else:
+        packet = LGPacket(draw(st.integers(0, 2)), draw(st.integers(-6, 6)), draw(st.floats(0.45, 0.75)) * 1e-6)
+        matched = solve_matching(packet, 0, units.Particle.electron())
+        beamline = [{"type": "drift", "duration_ns": draw(st.floats(0.05, 3.0))}]
+        kinds = draw(st.lists(st.sampled_from(["lens", "drift"]), min_size=2, max_size=5))
+        for kind in ["lens"] + kinds:
+            if kind == "drift":
+                beamline.append({"type": "drift", "duration_ns": draw(st.floats(0.05, 3.0))})
+                continue
+            field = matched * draw(st.floats(0.5, 1.5))
+            period_ns = 2e9 * math.pi / units.cyclotron_frequency(field, units.Particle.electron())
+            beamline.append(
+                {"type": "lens", "H0_gauss": field, "length_m": 0.1,
+                 "duration_ns": draw(st.floats(0.2, 3.0)) * period_ns}
+            )
+        data = scenario_dict(
+            packet={"n": packet.n, "l": packet.l, "sigma_r_um": packet.sigma_r_m * 1e6},
+            p0_eV=draw(st.floats(0.2, 1.0)),
+            beamline=beamline,
+        )
+    param = draw(st.sampled_from(("H0_gauss", "sigma_r_um", "t1_ns")))
+    lens = next(i for i, e in enumerate(data["beamline"]) if e["type"] == "lens")
+    obj, key = swept_field(data, lens, param)
+    lo, hi = (obj[key] * draw(st.floats(0.3, 3.0)) for _ in range(2))
+    return data, param, f"{lo!r}:{hi!r}", draw(st.integers(1, 30))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sweep_cases())
+def test_array_sweep_is_the_scalar_walk_of_each_point(tmp_path_factory, case):
+    data, param, spec_range, steps = case
+    path = write_scenario(tmp_path_factory.mktemp("sweep"), data)
+    scenario = load_scenario(path)
+    values = cli._sweep_values(spec_range, steps)
+    expected, first_error = [], None
+    for value in values:  # the sweep as it was: one scalar walk per grid point
+        try:
+            legs = list(walk(cli._swept_beamline(scenario, param, value)))
+        except Exception as exc:  # noqa: BLE001 - any exception fails the point
+            first_error = (value, exc)
+            break
+        orbit = next(leg.orbit for leg in legs if leg.orbit is not None)
+        expected.append((orbit.center, orbit.amplitude, transport_check(orbit).transportable))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", path, "--param", param, f"--range={spec_range}", "--steps", str(steps)])
+    if first_error is not None:
+        assert code == EXIT_SCHEMA
+        value, exc = first_error
+        if isinstance(exc, lattice.BeamlineConfigError):
+            assert err.getvalue() == f"error: {exc}\n"
+        elif isinstance(exc, ValueError):
+            assert err.getvalue() == f"error: sweep point {param}={cli._fmt(value)}: {exc}\n"
+        return
+    assert code == EXIT_OK
+    rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]
+    assert [row[1] == "true" for row in rows] == [ok for _, _, ok in expected]
+    # the array walk itself, with numpy warnings as errors: no valid grid warns
+    legs = list(walk(cli._swept_beamline(scenario, param, np.array(values))))
+    orbit = next(leg.orbit for leg in legs if leg.orbit is not None)
+    center, amplitude = (np.broadcast_to(x, len(values)) for x in (orbit.center, orbit.amplitude))
+    assert center.tobytes() == np.array([c for c, _, _ in expected]).tobytes()  # bit for bit
+    assert amplitude.tobytes() == np.array([a for _, a, _ in expected]).tobytes()
+    assert np.broadcast_to(transport_check(orbit).transportable, len(values)).tolist() == [
+        ok for _, _, ok in expected
+    ]

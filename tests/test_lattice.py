@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -549,3 +549,28 @@ def test_trajectory_rows_match_the_reference_on_signed_zeros_and_subnormals():
     rows = trajectory_rows(traj)
     assert rows == reference_rows(traj)
     assert rows[1].startswith("-0,0,-0,-0,-0,-0,-0,-0,-0,")
+
+
+def test_an_array_walk_goes_on_with_the_points_that_have_not_crossed():
+    lens = LensConfig(h0_gauss=99.88769387567038, duration_s=20e-9, length_m=0.1)
+    tail = (Drift(0.5e-9), LensConfig(h0_gauss=60.0, duration_s=5e-9, length_m=0.1))
+
+    def line(h0_gauss):
+        elements = (Drift(2.5e-9), replace(lens, h0_gauss=h0_gauss)) + tail
+        return Beamline(elements, ELECTRON, LGPacket(0, -4, 0.574e-6), 0.43)
+
+    fields = lens.h0_gauss * np.array([0.5, 1.0, 0.6, 2.0])
+    legs = list(walk(line(fields)))
+    crossed = ~np.isnan(legs[1].crossing)
+    assert crossed.tolist() == [False, True, False, True]
+    survivors = [list(walk(line(h))) for h in fields[~crossed].tolist()]
+    assert all(len(list(walk(line(h)))) == 2 for h in fields[crossed].tolist())
+    assert len(legs) == len(survivors[0]) == len(survivors[1]) == 4
+    for leg in legs[2:]:
+        for k, scalar in enumerate(survivors):
+            expected = scalar[leg.index].entry
+            for name in ("rho_sq", "drho_sq_dt", "z", "t"):
+                got = np.broadcast_to(getattr(leg.entry, name), 2)[k]
+                assert got == pytest.approx(getattr(expected, name), rel=1e-13)
+    # once every point has crossed, the walk ends as a scalar walk does
+    assert len(list(walk(line(fields[crossed])))) == 2

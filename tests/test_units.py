@@ -106,3 +106,17 @@ def test_field_from_cyclotron_round_trip():
     for h in (3.0, 85.0, 97.8, 100.0):
         w = units.cyclotron_frequency_natural(h, ELECTRON)
         assert units.field_from_cyclotron_natural(w, ELECTRON) == pytest.approx(h, rel=1e-13)
+
+
+def test_require_checks_a_scalar_or_each_entry_of_an_array():
+    assert units.require("x", 2.0) == 2.0
+    assert units.require("x", 0.0, "non-negative") == 0.0
+    assert units.require("x", -3.0, "finite") == -3.0
+    values = np.array([1.0, 2.0])
+    assert units.require("x", values) is values
+    for value, must in ((0.0, "positive"), (-1e-300, "non-negative"), (math.inf, "finite"), (math.nan, "finite")):
+        with pytest.raises(ValueError, match=f"^x must be {must}, got {value}$"):
+            units.require("x", value, must)
+    # the first entry that fails is named, not the worst one
+    with pytest.raises(ValueError, match=r"^sigma must be positive, got -0\.5$"):
+        units.require("sigma", np.array([1.0, -0.5, math.nan, 0.0]))
