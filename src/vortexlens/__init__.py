@@ -22,13 +22,10 @@ from .lattice import (
 )
 from .moments import (
     MomentState,
-    OverFocusError,
-    RelativisticWarning,
     TransportReport,
     emittance,
     matching_ratio,
     propagate_drift,
-    propagate_lens_homogeneous,
     stationary_rho_sq,
     transport_check,
 )
@@ -56,9 +53,7 @@ __all__ = [
     "MomentState",
     "NoCaptureFieldError",
     "OpticalFunctions",
-    "OverFocusError",
     "Particle",
-    "RelativisticWarning",
     "Trajectory",
     "TransportReport",
     "ZerothOrderInputs",
@@ -70,7 +65,6 @@ __all__ = [
     "matching_ratio",
     "optical_functions",
     "propagate_drift",
-    "propagate_lens_homogeneous",
     "rho_sq_free",
     "run",
     "solve_matching",

@@ -40,7 +40,7 @@ from .lattice import (
     state_at,
     walk,
 )
-from .moments import transport_check
+from .moments import MomentState, transport_check
 from .packet import LGPacket
 from .units import Particle
 
@@ -162,6 +162,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"scenario.p0_eV: need a finite |p0_eV| < mass_eV = {particle.mass_ev}, got {p0_ev}"
         )
+    try:  # the launch state in natural units, as the walk builds it
+        MomentState.from_packet(packet, particle, p0_ev)
+    except ValueError as exc:
+        raise ScenarioError(f"packet: {exc}") from exc
 
     beamline_block = _need(raw, "beamline", list, "scenario")
     if not isinstance(beamline_block, list) or len(beamline_block) == 0:
@@ -187,6 +191,8 @@ def load_scenario(path: str | Path) -> Scenario:
                         kappa_e=_optional(item, "kappa_E", float, path_i, 0.0),
                     )
                 )
+                omega0 = units.cyclotron_frequency_natural(elements[-1].h0_gauss, particle)
+                units.require("omega0 * omega0", omega0 * omega0)  # the lens orbit divides by it
                 n_prime = _optional(item, "n_prime", int, path_i, 0)
                 if n_prime < 0:
                     raise ScenarioError(f"{path_i}.n_prime: must be non-negative, got {n_prime}")
@@ -258,7 +264,8 @@ def _write_csv(trajectory: Trajectory, out_path: str | None) -> None:
 
 
 def _truncate_at_event(trajectory: Trajectory, t_event: float) -> Trajectory:
-    return Trajectory(trajectory.samples[trajectory.samples.t <= t_event], trajectory.events, False)
+    events = tuple(e for e in trajectory.events if e.t <= t_event)
+    return Trajectory(trajectory.samples[trajectory.samples.t <= t_event], events, False)
 
 
 def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool) -> int:

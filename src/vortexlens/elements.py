@@ -137,20 +137,18 @@ class MaxwellResidual:
         return max(abs(self.div_e), abs(self.div_h), abs(self.curl_e_phi), abs(self.curl_h_phi))
 
 
-def maxwell_residual(
-    lens: LensConfig, rho_m: float, z_m: float, step_m: float | None = None
-) -> MaxwellResidual:
+def maxwell_residual(lens: LensConfig, rho_m: float, z_m: float) -> MaxwellResidual:
     """Check the linearized fields against the source-free Maxwell equations.
 
     Central differences are exact for linear fields at any stencil width, so
-    the default step L/8 keeps rounding noise at the 1e-15 level while
+    the step L/8 keeps rounding noise at the 1e-15 level while
     staying inside the linearization region.  Residuals are normalized per
     characteristic length: r = |div F| L / (|F0| + |F1| L).
     """
     if rho_m <= 0:
         raise ValueError("rho must be positive for the cylindrical divergence")
-    h = step_m if step_m is not None else lens.length_m / 8.0
     length = lens.length_m
+    h = length / 8.0
 
     def div_curl(component_rho, component_z):
         def d_rho(f, r, z):

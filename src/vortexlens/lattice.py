@@ -26,7 +26,6 @@ from .elements import Drift, LensConfig
 from .moments import (
     LensOrbit,
     MomentState,
-    RELATIVISTIC_VELOCITY_BOUND,
     _lib,
     compton_floor,
     free_waist_rho_sq,
@@ -54,6 +53,8 @@ EVENT_FOCAL = "focal_point"
 EVENT_OVERFOCUS = "overfocus"
 EVENT_RELATIVISTIC = "relativistic_warning"
 
+# p_z / m above which the non-relativistic model degrades
+RELATIVISTIC_VELOCITY_BOUND = 0.1
 MAX_SAMPLES = 1_000_000
 # relative distance in time within which a grid point k * dt is a sampled
 # focal point or end, up to the rounding of k * dt, of the conversions to
@@ -239,17 +240,13 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
                 inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
                 gradient = inputs, element.kappa
         try:
-            # the end state and correction first, as scalars: a long leg that
-            # overflows then fails before numpy warns on the offset array
-            leg.evaluate(horizon).validated()
+            with np.errstate(all="ignore"):  # an offset past the float range fails validation
+                state = leg.evaluate(offsets)
+                if gradient is not None:
+                    block["rho_sq_corr1"] = correction_closed_form(*gradient, offsets)
+            state.validated()
             if gradient is not None:
-                try:
-                    end = correction_closed_form(*gradient, horizon)
-                except OverflowError:  # a power of the offset past the float range
-                    end = math.inf
-                units.require("rho_sq_corr1", end, "finite")
-                block["rho_sq_corr1"] = correction_closed_form(*gradient, offsets)
-            state = leg.evaluate(offsets).validated()
+                units.require("rho_sq_corr1", block["rho_sq_corr1"], "finite")
         except ValueError as exc:
             raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None
         for name in STATE_FIELDS:
@@ -282,24 +279,19 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
 FOCAL_SLOPE_TOLERANCE = 1e-9
 
 
-def design_direct_capture(
-    state: MomentState, particle: Particle, n_prime: int = 0, length_m: float = 0.1,
-    duration_s: float | None = None, e0_v_per_m: float = 0.0,
-) -> LensConfig:
+def design_direct_capture(state: MomentState, particle: Particle, length_m: float = 0.1) -> LensConfig:
     """Solenoid field that captures a focal-point state with no oscillation.
 
     Solves R_st(omega) = <rho^2>_in, a quadratic in omega, taking the
     positive root; placed at a waist (slope zero within tolerance) the
-    resulting lens holds <rho^2> constant.  n_prime only labels the target
-    stationary level; the field solve is fixed by <u^2> and l.
+    resulting lens holds <rho^2> constant.  The lens lasts three cyclotron
+    periods and has no accelerating field.
     """
     slope_scale = 2.0 * math.sqrt(state.rho_sq * state.u_perp_sq)
     if abs(state.drho_sq_dt) > FOCAL_SLOPE_TOLERANCE * slope_scale:
         raise ValueError(
             f"state is not at a focal point: d<rho^2>/dt = {state.drho_sq_dt} exceeds tolerance"
         )
-    if n_prime < 0:
-        raise ValueError("n_prime must be non-negative")
     m = particle.mass_ev
     b = 2.0 * state.l / m
     disc = b * b + 8.0 * state.rho_sq * state.u_perp_sq
@@ -307,11 +299,8 @@ def design_direct_capture(
     if not omega > 0.0:
         raise NoCaptureFieldError("no positive cyclotron frequency fits this state")
     h0_gauss = units.field_from_cyclotron_natural(omega, particle)
-    if duration_s is None:
-        duration_s = 3.0 * 2.0 * math.pi / units.cyclotron_frequency(h0_gauss, particle)
-    return LensConfig(
-        h0_gauss=h0_gauss, duration_s=duration_s, length_m=length_m, e0_v_per_m=e0_v_per_m
-    )
+    duration_s = 3.0 * 2.0 * math.pi / units.cyclotron_frequency(h0_gauss, particle)
+    return LensConfig(h0_gauss=h0_gauss, duration_s=duration_s, length_m=length_m)
 
 
 def solve_matching(packet: LGPacket, n_prime: int, particle: Particle) -> float:

@@ -16,7 +16,6 @@ a lens and ballistic in a drift.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -26,26 +25,8 @@ from . import units
 from .elements import LensConfig
 from .units import Particle
 
-RELATIVISTIC_VELOCITY_BOUND = 0.1
-
-
-class OverFocusError(RuntimeError):
-    """Mean square radius driven to the Compton-scale floor inside a lens.
-
-    Transport below rho^2 = (hbar / m c)^2 has no single-particle meaning;
-    propagation must stop at the crossing.
-    """
-
-    def __init__(self, t_crossing: float, message: str | None = None):
-        super().__init__(
-            message
-            or f"over-focused: <rho^2> reached the Compton floor at t = {t_crossing}"
-        )
-        self.t_crossing = t_crossing
-
-
-class RelativisticWarning(UserWarning):
-    """Longitudinal velocity beyond the non-relativistic comfort zone."""
+# transport_check's relative tolerance on the waist-matching ratio
+MATCHED_TOLERANCE = 5e-3
 
 
 @dataclass(frozen=True)
@@ -78,15 +59,8 @@ class MomentState:
         return replace(self, **{k: v[keep] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
     @classmethod
-    def from_packet(
-        cls,
-        packet,
-        particle: Particle,
-        p0_ev: float = 0.0,
-        t_s: float = 0.0,
-        z_m: float = 0.0,
-    ) -> "MomentState":
-        """Free-packet state at laboratory time t_s, with z anchored at z_m."""
+    def from_packet(cls, packet, particle: Particle, p0_ev: float = 0.0, t_s: float = 0.0) -> "MomentState":
+        """Free-packet state at laboratory time t_s, with z anchored at 0."""
         from .packet import transverse_velocity_sq
 
         u_sq = transverse_velocity_sq(packet, particle)
@@ -98,7 +72,7 @@ class MomentState:
             drho_sq_dt=2.0 * u_sq * dt,
             u_perp_sq=u_sq,
             p_z=p0_ev,
-            z=units.length_to_natural(z_m),
+            z=0.0,
             t=units.time_to_natural(t_s),
             l=packet.l,
         ).validated()
@@ -237,11 +211,9 @@ def compton_floor(particle: Particle) -> float:
 
 
 def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
-    """State on a built lens orbit a time dt past entry, without the floor guard.
-
-    dt is a scalar or an array of offsets.  The trajectory runner uses this
-    to evaluate states up to and including an over-focus crossing; everyone
-    else should call propagate_lens_homogeneous, which enforces the floor.
+    """State on a built lens orbit a time dt past entry, a scalar or an array
+    of offsets.  It does not check the Compton floor: a walk's Leg stops at
+    the orbit's first crossing, and run samples up to and including it.
     """
     state = orbit.entry
     m = orbit.mass
@@ -253,39 +225,6 @@ def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
         z=state.z + (state.p_z / m) * dt + 0.5 * (orbit.force / m) * dt * dt,
         t=state.t + dt,
     )
-
-
-def propagate_lens_homogeneous(
-    state: MomentState, lens: LensConfig, dt: float, particle: Particle
-) -> MomentState:
-    """Closed-form propagation through a homogeneous lens over dt.
-
-    Transverse moments follow the oscillation around the stationary radius;
-    the kinetic <u_perp^2> is conserved.  Longitudinally the packet is
-    uniformly accelerated by e|E0|.  Raises OverFocusError if <rho^2> would
-    touch the Compton floor anywhere in [0, dt]; warns once the exit
-    velocity passes 0.1 c, where the non-relativistic model degrades.
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    if not lens.is_homogeneous:
-        raise ValueError(
-            "lens has field gradients; propagate the homogeneous part and "
-            "attach first-order corrections from the perturbation module"
-        )
-    orbit = LensOrbit.from_entry(state, lens, particle)
-    crossing = orbit.first_crossing_dt(compton_floor(particle), dt)
-    if crossing is not None:
-        raise OverFocusError(state.t + crossing)
-    out = lens_state_at(orbit, dt)
-    if out.p_z / particle.mass_ev > RELATIVISTIC_VELOCITY_BOUND:
-        warnings.warn(
-            f"longitudinal velocity {out.p_z / particle.mass_ev:.3f} c exceeds "
-            f"the non-relativistic bound {RELATIVISTIC_VELOCITY_BOUND} c",
-            RelativisticWarning,
-            stacklevel=2,
-        )
-    return out
 
 
 def matching_ratio(n: int, l: int, n_prime: int) -> Fraction:
@@ -345,9 +284,7 @@ class TransportReport:
     transportable_solved_form: bool
 
 
-def transport_check(
-    orbit: LensOrbit, n: int = 0, n_prime: int = 0, matched_tol: float = 5e-3
-) -> TransportReport:
+def transport_check(orbit: LensOrbit, n: int = 0, n_prime: int = 0) -> TransportReport:
     """Evaluate matching and transport conditions for a lens orbit's entry.
 
     Transport is judged by the amplitude form
@@ -368,7 +305,7 @@ def transport_check(
     required = matching_ratio(n, state.l, n_prime)
     rho_h_sq = 4.0 / (orbit.mass * orbit.omega0)
     actual = rho_h_sq / free_waist_rho_sq(state)
-    matched = abs(actual / float(required) - 1.0) <= matched_tol
+    matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
     return TransportReport(
         rho_sq_st=orbit.center,
         rho_sq_min=rho_sq_min,

@@ -85,7 +85,7 @@ def transverse_velocity_sq(packet: LGPacket, particle: Particle) -> float:
     oracle for the independent check.
     """
     m_sigma = particle.mass_ev * length_to_natural(packet.sigma_r_m)
-    return packet.mode_order / (m_sigma * m_sigma)
+    return packet.mode_order / require("(m sigma_r)^2", m_sigma * m_sigma)
 
 
 def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:

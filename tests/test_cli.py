@@ -25,7 +25,7 @@ from vortexlens.cli import (
     main,
     serialize_scenario,
 )
-from vortexlens.lattice import solve_matching, walk
+from vortexlens.lattice import EVENT_OVERFOCUS, EVENT_RELATIVISTIC, solve_matching, walk
 from vortexlens.moments import transport_check
 from vortexlens.packet import LGPacket
 
@@ -227,8 +227,8 @@ def test_overflowing_drift_is_config_error(tmp_path, capsys, command, message):
 
 def test_overflowing_last_drift_is_config_error(tmp_path, capsys):
     # few enough samples for MAX_SAMPLES, but <rho^2> overflows to inf at the
-    # drift's end, alone or before a lens; the run stops there, before numpy
-    # can warn on the drift's offset array
+    # drift's end, alone or before a lens; the validation of the drift's
+    # offset array stops the run, and numpy's overflow warnings stay silent
     for beamline in (scenario_dict()["beamline"][:1], scenario_dict()["beamline"]):
         data = scenario_dict(beamline=beamline, output={"sample_dt_ns": 1e156})
         data["beamline"][0]["duration_ns"] = 1e160
@@ -249,8 +249,8 @@ def test_overflowing_last_drift_is_config_error(tmp_path, capsys):
 )
 def test_overflowing_lens_is_config_error(tmp_path, capsys, lens_fields, message):
     # the orbit's <rho^2> stays finite, but z (accelerated) or the gradient
-    # correction overflows before the end of a 1e160 ns lens; the run stops
-    # there, before numpy can warn on the lens's offset array
+    # correction overflows before the end of a 1e160 ns lens; the validation
+    # of the lens's arrays stops the run, and numpy's warnings stay silent
     data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
     data["beamline"][1].update(lens_fields, duration_ns=1e160)
     data["output"] = {"sample_dt_ns": 1e156}
@@ -259,6 +259,54 @@ def test_overflowing_lens_is_config_error(tmp_path, capsys, lens_fields, message
     captured = capsys.readouterr()
     assert captured.err == message
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["propagate", "-o", "t.csv"],
+        ["check"],
+        ["design", "--mode", "capture"],
+        ["design", "--mode", "matching-field"],
+    ],
+)
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        ("lens", "H0_gauss", 1e-300, "error: beamline[1]: omega0 * omega0 must be positive, got 0.0\n"),
+        ("packet", "sigma_r_um", 1e-300, "error: packet: (m sigma_r)^2 must be positive, got 0.0\n"),
+        ("packet", "sigma_r_um", 1e300, "error: packet: (m sigma_r)^2 must be positive, got inf\n"),
+    ],
+)
+def test_value_out_of_the_natural_float_range_is_schema_error(
+    tmp_path, capsys, monkeypatch, command, block, key, value, message
+):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    (data["beamline"][1] if block == "lens" else data["packet"])[key] = value
+    path = write_scenario(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], path, *command[1:]]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
+def test_strict_truncation_drops_the_events_after_the_cut(tmp_path):
+    # an accelerating lens passes 0.1 c long before it over-focuses
+    data = json.loads((SCENARIOS / "overfocus.json").read_text(encoding="utf-8"))
+    data["beamline"][1]["E0_V_per_m"] = 2.5e7
+    path = write_scenario(tmp_path, data)
+    scenario = load_scenario(path)
+    trajectory = lattice.run(scenario.beamline(), scenario.sample_dt_ns * 1e-9)
+    (rel,), (over,) = trajectory.events_of(EVENT_RELATIVISTIC), trajectory.events_of(EVENT_OVERFOCUS)
+    assert rel.t < over.t
+    cut = cli._truncate_at_event(trajectory, rel.t)
+    assert cut.events == tuple(e for e in trajectory.events if e.t <= rel.t)
+    assert rel in cut.events and over not in cut.events
+    assert np.all(cut.samples.t <= rel.t) and not cut.completed
+    assert main(["--strict", "propagate", path, "-o", str(tmp_path / "t.csv")]) == EXIT_RELATIVISTIC
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from vortexlens.lattice import (
 from vortexlens.moments import (
     LensOrbit,
     MomentState,
+    compton_floor,
     emittance,
     lens_state_at,
     propagate_drift,
@@ -439,6 +440,27 @@ def test_no_two_csv_rows_share_time_and_element(case):
     rows = trajectory_rows(run(line, sample_dt_s))[1:]
     keys = [tuple(row.split(",")[:2]) for row in rows]
     assert len(set(keys)) == len(keys)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_lines(), st.data())
+def test_a_leg_evaluated_before_its_crossing_gives_a_valid_state(case, data):
+    _, legs, _ = case
+    floor = compton_floor(ELECTRON)
+    for leg in legs:
+        crossing = leg.crossing
+        horizon = leg.duration if crossing is None else crossing
+        offsets = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))) * horizon
+        if crossing is None:  # the whole leg, both ends included
+            offsets = np.append(offsets, [0.0, horizon])
+        else:
+            offsets = offsets[offsets < crossing]
+        state = leg.evaluate(offsets).validated()
+        for offset in offsets.tolist()[:4]:
+            leg.evaluate(offset).validated()
+        if leg.orbit is not None:  # above the floor, up to the rounding of the orbit
+            rounding = 1e-13 * (abs(leg.orbit.center) + leg.orbit.amplitude)
+            assert np.all(state.rho_sq > floor - rounding)
 
 
 PINNED_COLUMNS = ("t", "z", "p_z", "rho_sq", "drho_sq_dt")

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlens import units
-from vortexlens.elements import LensConfig
-from vortexlens.lattice import solve_matching
+from vortexlens.elements import Drift, LensConfig
+from vortexlens.lattice import EVENT_OVERFOCUS, Beamline, run, solve_matching
 from vortexlens.moments import (
     LensOrbit,
     MomentState,
-    OverFocusError,
-    RelativisticWarning,
     compton_floor,
     emittance,
     free_waist_rho_sq,
@@ -22,7 +19,6 @@ from vortexlens.moments import (
     matching_ratio,
     matching_ratio_large_l,
     propagate_drift,
-    propagate_lens_homogeneous,
     radial_number_for_ratio,
     stationary_rho_sq,
     transport_check,
@@ -76,10 +72,9 @@ def test_lens_stationary_entry_is_fixed_point():
     state = focal_state(0.622e-6)
     rho_st = stationary_rho_sq(state.u_perp_sq, state.l, omega0, ELECTRON)
     captured = MomentState(rho_st, 0.0, state.u_perp_sq, 0.0, 0.0, 0.0, state.l)
+    orbit = LensOrbit.from_entry(captured, lens, ELECTRON)
     for dt_frac in (0.1, 0.5, 2.3):
-        out = propagate_lens_homogeneous(
-            captured, lens, dt_frac * 2 * math.pi / omega0, ELECTRON
-        )
+        out = lens_state_at(orbit, dt_frac * 2 * math.pi / omega0)
         assert out.rho_sq == pytest.approx(rho_st, rel=1e-12)
         assert abs(out.drho_sq_dt) < 1e-12 * rho_st * omega0
 
@@ -88,8 +83,9 @@ def test_lens_periodicity():
     lens = lens_for(0.622e-6)
     omega0 = units.cyclotron_frequency_natural(lens.h0_gauss, ELECTRON)
     entry = propagate_drift(focal_state(0.622e-6), units.time_to_natural(1e-9), ELECTRON)
+    orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
     for k in range(1, 6):
-        out = propagate_lens_homogeneous(entry, lens, k * 2.0 * math.pi / omega0, ELECTRON)
+        out = lens_state_at(orbit, k * 2.0 * math.pi / omega0)
         assert out.rho_sq == pytest.approx(entry.rho_sq, rel=1e-12)
         assert out.drho_sq_dt == pytest.approx(entry.drho_sq_dt, rel=1e-12)
         assert out.u_perp_sq == entry.u_perp_sq
@@ -141,16 +137,16 @@ def test_stationary_rho_sq_cases():
     assert stationary_rho_sq(1e-16, 40, omega0, ELECTRON) < 0.0
 
 
-def test_overfocus_raises_with_crossing_time():
+def test_run_overfocus_event_sits_at_the_floor():
     # drift well past the transport threshold, then a long matched lens
     state = focal_state(0.574e-6)
     entry = propagate_drift(state, units.time_to_natural(2.5e-9), ELECTRON)
     lens = lens_for(0.574e-6, duration_s=20e-9)
-    with pytest.raises(OverFocusError) as err:
-        propagate_lens_homogeneous(entry, lens, units.time_to_natural(20e-9), ELECTRON)
-    t_cross = err.value.t_crossing
+    line = Beamline((Drift(2.5e-9), lens), ELECTRON, LGPacket(0, -4, 0.574e-6), 0.43)
+    (event,) = run(line, 0.05e-9).events_of(EVENT_OVERFOCUS)
+    t_cross = event.t
     orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
-    floor = (1.0 / ELECTRON.mass_ev) ** 2
+    floor = compton_floor(ELECTRON)
     # the closed form indeed sits at the floor there and above it just before
     assert orbit.rho_sq(t_cross - entry.t) == pytest.approx(floor, rel=1e-6)
     dense = np.linspace(0.0, t_cross - entry.t, 20000)[:-1]
@@ -231,7 +227,7 @@ def test_emittance_focal_and_drift_conservation():
 def test_emittance_continuous_at_lens_boundary():
     entry = propagate_drift(focal_state(0.622e-6), units.time_to_natural(1e-9), ELECTRON)
     lens = lens_for(0.622e-6)
-    exit_state = propagate_lens_homogeneous(entry, lens, 0.0, ELECTRON)
+    exit_state = lens_state_at(LensOrbit.from_entry(entry, lens, ELECTRON), 0.0)
     assert emittance(exit_state) == emittance(entry)
     assert (exit_state.rho_sq, exit_state.drho_sq_dt, exit_state.u_perp_sq) == (
         entry.rho_sq,
@@ -251,31 +247,6 @@ def test_waist_helpers():
     moved = propagate_drift(state, units.time_to_natural(1e-9), ELECTRON)
     assert waist_dt(moved) == pytest.approx(-units.time_to_natural(1e-9), rel=1e-12)
     assert free_waist_rho_sq(moved) == pytest.approx(state.rho_sq, rel=1e-12)
-
-
-def test_lens_state_at_matches_guarded_propagation():
-    lens = lens_for(0.622e-6)
-    entry = propagate_drift(focal_state(0.622e-6), units.time_to_natural(0.5e-9), ELECTRON)
-    dt = units.time_to_natural(2.2e-9)
-    assert lens_state_at(LensOrbit.from_entry(entry, lens, ELECTRON), dt) == propagate_lens_homogeneous(
-        entry, lens, dt, ELECTRON
-    )
-
-
-def test_inhomogeneous_lens_rejected_by_homogeneous_propagator():
-    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.05)
-    with pytest.raises(ValueError):
-        propagate_lens_homogeneous(focal_state(0.622e-6), lens, 1.0, ELECTRON)
-
-
-def test_relativistic_bound_warning():
-    from vortexlens.moments import RelativisticWarning
-
-    lens = LensConfig(h0_gauss=85.0, duration_s=1e-9, length_m=0.1, e0_v_per_m=25e6)
-    state = focal_state(0.622e-6)
-    with pytest.warns(RelativisticWarning):
-        out = propagate_lens_homogeneous(state, lens, units.time_to_natural(0.1e-9), ELECTRON)
-    assert out.p_z / ELECTRON.mass_ev > 0.1
 
 
 @st.composite
@@ -327,21 +298,6 @@ def test_first_crossing_against_dense_sampling(case, level, periods):
         assert abs(orbit.rho_sq(crossing) - threshold) <= tol
     else:
         assert orbit.rho_sq(0.0) <= threshold
-
-
-@settings(max_examples=100, deadline=None)
-@given(lens_entries(), st.floats(0.0, 3.0))
-def test_lens_state_at_is_guarded_propagation_short_of_a_crossing(case, periods):
-    entry, lens = case
-    orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
-    dt = periods * 2.0 * math.pi / orbit.omega0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RelativisticWarning)
-        if orbit.first_crossing_dt(compton_floor(ELECTRON), dt) is not None:
-            with pytest.raises(OverFocusError):
-                propagate_lens_homogeneous(entry, lens, dt, ELECTRON)
-            return
-        assert lens_state_at(orbit, dt) == propagate_lens_homogeneous(entry, lens, dt, ELECTRON)
 
 
 def test_validated_requires_every_field_finite():
