@@ -95,19 +95,17 @@ class Scenario:
         return Beamline(self.elements, self.particle, self.packet, self.p0_ev)
 
 
+_KINDS = {float: "a number", int: "an integer", str: "a string", dict: "an object", list: "an array"}
+
+
 def _need(mapping: dict, key: str, kind, path: str):
+    """mapping[key] once it is of kind (a JSON integer counts as a number)."""
     if key not in mapping:
         raise ScenarioError(f"{path}.{key}: required field is missing")
     value = mapping[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
-        return value
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ScenarioError(f"{path}.{key}: expected {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _optional(mapping: dict, key: str, kind, path: str, default):
@@ -134,8 +132,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version}")
 
     particle_block = _need(raw, "particle", dict, "scenario")
-    if not isinstance(particle_block, dict):
-        raise ScenarioError("scenario.particle: expected an object")
     try:
         particle = Particle(
             mass_ev=_need(particle_block, "mass_eV", float, "particle"),
@@ -145,8 +141,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"particle: {exc}") from exc
 
     packet_block = _need(raw, "packet", dict, "scenario")
-    if not isinstance(packet_block, dict):
-        raise ScenarioError("scenario.packet: expected an object")
     try:
         packet = LGPacket(
             n=_need(packet_block, "n", int, "packet"),
@@ -168,7 +162,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"packet: {exc}") from exc
 
     beamline_block = _need(raw, "beamline", list, "scenario")
-    if not isinstance(beamline_block, list) or len(beamline_block) == 0:
+    if len(beamline_block) == 0:
         raise ScenarioError("scenario.beamline: expected a non-empty array")
     elements: list[Drift | LensConfig] = []
     n_primes: list[int] = []
@@ -191,6 +185,7 @@ def load_scenario(path: str | Path) -> Scenario:
                         kappa_e=_optional(item, "kappa_E", float, path_i, 0.0),
                     )
                 )
+                elements[-1].kappa  # the gradient model has one kappa
                 omega0 = units.cyclotron_frequency_natural(elements[-1].h0_gauss, particle)
                 units.require("omega0 * omega0", omega0 * omega0)  # the lens orbit divides by it
                 n_prime = _optional(item, "n_prime", int, path_i, 0)
@@ -205,14 +200,12 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{path_i}: {exc}") from exc
 
     output_block = _optional(raw, "output", dict, "scenario", {})
-    if not isinstance(output_block, dict):
-        raise ScenarioError("scenario.output: expected an object")
     sample_dt_ns = _optional(output_block, "sample_dt_ns", float, "output", 0.05)
     if sample_dt_ns <= 0:
         raise ScenarioError("output.sample_dt_ns: must be positive")
-    csv_path = output_block.get("csv_path")
-    if csv_path is not None and not isinstance(csv_path, str):
-        raise ScenarioError("output.csv_path: expected a string")
+    csv_path = output_block.get("csv_path")  # null: no path
+    if csv_path is not None:
+        csv_path = _need(output_block, "csv_path", str, "output")
 
     return Scenario(
         particle=particle,
@@ -322,7 +315,11 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
     lines: list[str] = []
     if mode == "matching-field":
         n_prime = scenario.lens_n_primes[0] if scenario.lens_n_primes else 0
-        field = solve_matching(scenario.packet, n_prime, scenario.particle)
+        try:
+            field = solve_matching(scenario.packet, n_prime, scenario.particle)
+        except NoCaptureFieldError as exc:
+            sys.stderr.write(f"design: {exc}\n")
+            return EXIT_DESIGN
         lines.append("mode: matching-field")
         lines.append(f"n_prime: {n_prime}")
         lines.append(f"H0_gauss: {_fmt(field)}")

@@ -214,12 +214,13 @@ def landau_rho_sq_st(lens: LensConfig, n_prime: int, l: int, particle: Particle)
 
 
 def landau_energy(lens: LensConfig, n_prime: int, l: int, particle: Particle) -> float:
-    """Transverse level energy (omega_0 / 2)(2 n' + |l| + l + 1) in eV.
+    """Transverse level energy (omega_0 / 2)(2 n' + |l| + l' + 1) in eV, with
+    l' = particle.model_l(l) = -s l for charge sign s.
 
-    For l < 0 the |l| + l cancellation makes the energy independent of the
+    For l' < 0 the |l| + l' cancellation makes the energy independent of the
     OAM magnitude.
     """
     if n_prime < 0:
         raise ValueError(f"n_prime must be non-negative, got {n_prime}")
     omega0_ev = units.cyclotron_frequency_natural(lens.h0_gauss, particle)
-    return 0.5 * omega0_ev * (2 * n_prime + abs(l) + l + 1)
+    return 0.5 * omega0_ev * (2 * n_prime + abs(l) + particle.model_l(l) + 1)

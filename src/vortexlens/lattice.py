@@ -35,7 +35,7 @@ from .moments import (
     waist_dt,
 )
 from .packet import LGPacket
-from .perturbation import ZerothOrderInputs, correction_closed_form
+from .perturbation import correction_closed_form
 from .units import Particle
 
 # sample flags: bit i of flag_bits is FLAG_NAMES[i]
@@ -67,7 +67,7 @@ class BeamlineConfigError(ValueError):
 
 
 class NoCaptureFieldError(RuntimeError):
-    """No positive solenoid field realizes the requested stationary radius."""
+    """No positive solenoid field in the float range realizes the requested radius."""
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
                     events.append(TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index))
                     relativistic_seen = True
             if not element.is_homogeneous:
-                inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
-                gradient = inputs, element.kappa
+                gradient = leg.orbit, element.kappa
         try:
             with np.errstate(all="ignore"):  # an offset past the float range fails validation
                 state = leg.evaluate(offsets)
@@ -306,13 +305,20 @@ def design_direct_capture(state: MomentState, particle: Particle, length_m: floa
 def solve_matching(packet: LGPacket, n_prime: int, particle: Particle) -> float:
     """Solenoid field in gauss that matches the packet waist exactly.
 
-    Inverts rho_H^2(H0) / sigma_r^2 = 4 (2n'+|l|+l+1) / (2n+|l|+1) through
-    rho_H^2 = 4 hbar / (|q| H0); closed form, no iteration.
+    Inverts rho_H^2(H0) / sigma_r^2 = 4 (2n'+|l|+l'+1) / (2n+|l|+1), with
+    l' = particle.model_l(l), through rho_H^2 = 4 hbar / (|q| H0); closed
+    form, no iteration.  A waist so small or so large that the field leaves
+    the float range raises NoCaptureFieldError.
     """
-    ratio = matching_ratio(packet.n, packet.l, n_prime)
-    rho_h_sq_m2 = float(ratio) * packet.sigma_r_m**2
-    h_tesla = 4.0 * units.REDUCED_PLANCK_JS / (units.ELEMENTARY_CHARGE_C * rho_h_sq_m2)
-    return h_tesla * units.GAUSS_PER_TESLA
+    ratio = matching_ratio(packet.n, particle.model_l(packet.l), n_prime)
+    try:
+        rho_h_sq_m2 = float(ratio) * packet.sigma_r_m**2
+        h_tesla = 4.0 * units.REDUCED_PLANCK_JS / (units.ELEMENTARY_CHARGE_C * rho_h_sq_m2)
+        return units.require("H0_gauss", h_tesla * units.GAUSS_PER_TESLA)
+    except (ArithmeticError, ValueError):  # rho_H^2 underflows to 0 or overflows, or H0 does
+        raise NoCaptureFieldError(
+            f"the matching field for sigma_r_m = {packet.sigma_r_m} is out of the float range"
+        ) from None
 
 
 def entry_states(beamline: Beamline) -> tuple[tuple[int, MomentState], ...]:

@@ -60,7 +60,8 @@ class MomentState:
 
     @classmethod
     def from_packet(cls, packet, particle: Particle, p0_ev: float = 0.0, t_s: float = 0.0) -> "MomentState":
-        """Free-packet state at laboratory time t_s, with z anchored at 0."""
+        """Free-packet state at laboratory time t_s, with z anchored at 0; its
+        l is particle.model_l(packet.l)."""
         from .packet import transverse_velocity_sq
 
         u_sq = transverse_velocity_sq(packet, particle)
@@ -74,7 +75,7 @@ class MomentState:
             p_z=p0_ev,
             z=0.0,
             t=units.time_to_natural(t_s),
-            l=packet.l,
+            l=particle.model_l(packet.l),
         ).validated()
 
 
@@ -125,8 +126,9 @@ class LensOrbit:
 
     <rho^2>(dt) = center + a_cos cos(w dt) + a_sin sin(w dt) and
     p_z(dt) = p_z + e|E0| dt.  Only the homogeneous field (H0, E0) enters;
-    gradients are first-order corrections about this orbit.  An entry state
-    or a field H0 with arrays gives an orbit with one entry per point.
+    gradients are first-order corrections about this orbit, and length, the
+    lens length in natural units, normalizes them.  An entry state or a
+    field H0 with arrays gives an orbit with one entry per point.
     """
 
     entry: MomentState
@@ -137,6 +139,7 @@ class LensOrbit:
     amplitude: float
     force: float
     mass: float
+    length: float
 
     @classmethod
     def from_entry(cls, state: MomentState, lens: LensConfig, particle: Particle) -> "LensOrbit":
@@ -158,6 +161,7 @@ class LensOrbit:
             amplitude=units.require("amplitude", amplitude, "finite"),
             force=units.accelerating_force_natural(lens.e0_v_per_m),
             mass=particle.mass_ev,
+            length=units.length_to_natural(lens.length_m),
         )
 
     def rho_sq(self, dt):
@@ -174,6 +178,11 @@ class LensOrbit:
 
     def p_z(self, dt):
         return self.entry.p_z + self.force * dt
+
+    def dz(self, dt):
+        """Distance travelled since the entry, (p_z/m) dt + (e|E0|/m) dt^2 / 2."""
+        m = self.mass
+        return (self.entry.p_z / m) * dt + 0.5 * (self.force / m) * dt * dt
 
     def first_crossing_dt(self, threshold: float, dt_max: float):
         """First dt in [0, dt_max] with <rho^2>(dt) <= threshold, else None; on
@@ -216,13 +225,12 @@ def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
     the orbit's first crossing, and run samples up to and including it.
     """
     state = orbit.entry
-    m = orbit.mass
     return replace(
         state,
         rho_sq=orbit.rho_sq(dt),
         drho_sq_dt=orbit.drho_sq(dt),
         p_z=orbit.p_z(dt),
-        z=state.z + (state.p_z / m) * dt + 0.5 * (orbit.force / m) * dt * dt,
+        z=state.z + orbit.dz(dt),
         t=state.t + dt,
     )
 
@@ -304,7 +312,9 @@ def transport_check(orbit: LensOrbit, n: int = 0, n_prime: int = 0) -> Transport
     )
     required = matching_ratio(n, state.l, n_prime)
     rho_h_sq = 4.0 / (orbit.mass * orbit.omega0)
-    actual = rho_h_sq / free_waist_rho_sq(state)
+    waist = free_waist_rho_sq(state)
+    # a waist that cancels to 0.0 gives inf, on a scalar as numpy gives it on an array
+    actual = rho_h_sq / waist if isinstance(waist, np.ndarray) or waist != 0.0 else math.inf
     matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
     return TransportReport(
         rho_sq_st=orbit.center,

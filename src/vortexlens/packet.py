@@ -18,6 +18,9 @@ from .units import (
     require,
 )
 
+# 2n + |l| + 1 above 2**53 is not exact in a float, which the formulas use
+MAX_MODE_ORDER = 2**53
+
 
 @dataclass(frozen=True)
 class LGPacket:
@@ -40,6 +43,8 @@ class LGPacket:
             raise ValueError(f"n must be a non-negative integer, got {self.n}")
         if not isinstance(self.l, int):
             raise ValueError(f"l must be an integer, got {self.l}")
+        if self.mode_order > MAX_MODE_ORDER:
+            raise ValueError(f"mode order 2n+|l|+1 must not exceed 2**53, got {self.mode_order}")
         require("sigma_r_m", self.sigma_r_m)
         require("focus_time_s", self.focus_time_s, "finite")
 

@@ -10,9 +10,10 @@ parameter kappa, the correction <rho^2>^(1) obeys a driven oscillator
 
     du1/dt = (kappa w / (m^2 L)) (l + (m w / 2) r0(t)) pz0(t)
 
-with the zeroth-order inputs r0, z0 and pz0 taken from the lens orbit
-(moments.LensOrbit) built at the entry, and vanishing initial value, slope
-and u1 at the lens entry.  Two evaluation routes are provided: the
+with the zeroth-order inputs r0, z0 and pz0 read from the lens orbit
+(moments.LensOrbit: rho_sq, dz and p_z) built at the entry, L its length,
+and vanishing initial value, slope and u1 at the lens entry.  Every
+function here takes that orbit.  Two evaluation routes are provided: the
 algebraic closed form of the solution, and direct numerical integration of
 the system.  The numerical route is authoritative; verify_closed_form
 cross-checks the two and reports any mismatch instead of trusting either
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import units
 from .elements import KAPPA_HARD_LIMIT, LensConfig
 from .moments import LensOrbit, MomentState, _lib, _negative
 from .oracle import integrate_rk4  # noqa: F401  bench/spans.py wraps perturbation.integrate_rk4
@@ -104,38 +104,18 @@ class CorrectionState:
     assumptions: tuple[Assumption, ...]
 
 
-@dataclass(frozen=True)
 class ZerothOrderInputs:
-    """The homogeneous lens orbit and the lens length (natural units)."""
+    """The zeroth-order inputs of a gradient lens are its LensOrbit."""
 
-    orbit: LensOrbit
-    length: float
-
-    @classmethod
-    def from_entry_state(
-        cls, state: MomentState, lens: LensConfig, particle: Particle
-    ) -> "ZerothOrderInputs":
-        """Collect the zeroth-order inputs at a lens entry.
-
-        The gradient model assumes a single kappa, so lenses with
-        kappa_m != kappa_e are rejected rather than guessed at.
-        """
+    @staticmethod
+    def from_entry_state(state: MomentState, lens: LensConfig, particle: Particle) -> LensOrbit:
+        """The lens orbit at a lens entry.  The gradient model assumes a single
+        kappa, so a lens with kappa_m != kappa_e is rejected, not guessed at."""
         lens.kappa  # raises on mixed gradients
-        return cls(LensOrbit.from_entry(state, lens, particle), units.length_to_natural(lens.length_m))
-
-    @property
-    def omega0(self) -> float:
-        return self.orbit.omega0
-
-    def rho0(self, dt):
-        return self.orbit.rho_sq(dt)
-
-    def z0(self, dt):
-        orbit = self.orbit
-        return (orbit.entry.p_z * dt + 0.5 * orbit.force * dt * dt) / orbit.mass
+        return LensOrbit.from_entry(state, lens, particle)
 
 
-def closed_form_groups(inputs: ZerothOrderInputs, kappa: float, dt) -> tuple:
+def closed_form_groups(orbit: LensOrbit, kappa: float, dt) -> tuple:
     """The five closed-form groups of <rho^2>^(1), individually.
 
     Two sine groups, a cosine group, a cosine-times-dt group and a secular
@@ -143,14 +123,13 @@ def closed_form_groups(inputs: ZerothOrderInputs, kappa: float, dt) -> tuple:
     cross-check can report which group disagrees.  dt is a scalar or an
     array of times.
     """
-    orbit = inputs.orbit
     a_in = orbit.entry.rho_sq
     a_st = orbit.center
     rate = orbit.entry.drho_sq_dt
     p0 = orbit.entry.p_z
     f = orbit.force
     w = orbit.omega0
-    ll = inputs.length
+    ll = orbit.length
     m = orbit.mass
     phase = w * dt
     lib = _lib(phase)
@@ -170,8 +149,8 @@ def closed_form_groups(inputs: ZerothOrderInputs, kappa: float, dt) -> tuple:
     )
 
 
-def _closed_form(inputs: ZerothOrderInputs, kappa: float, dt):
-    g1, g2, g3, g4, g5 = closed_form_groups(inputs, kappa, dt)
+def _closed_form(orbit: LensOrbit, kappa: float, dt):
+    g1, g2, g3, g4, g5 = closed_form_groups(orbit, kappa, dt)
     return g1 + g2 + g3 + g4 + g5
 
 
@@ -180,7 +159,7 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"|kappa| must not exceed {KAPPA_HARD_LIMIT}, got {kappa}")
 
 
-def correction_closed_form(inputs: ZerothOrderInputs, kappa: float, dt):
+def correction_closed_form(orbit: LensOrbit, kappa: float, dt):
     """Closed-form <rho^2>^(1) a time dt past the lens entry.
 
     dt is a scalar or an array of offsets.  Exactly linear in kappa; value
@@ -190,23 +169,22 @@ def correction_closed_form(inputs: ZerothOrderInputs, kappa: float, dt):
     _check_kappa(kappa)
     if _negative(dt):
         raise ValueError(f"dt must be non-negative, got {dt}")
-    return _closed_form(inputs, kappa, dt)
+    return _closed_form(orbit, kappa, dt)
 
 
-def _gradient_forcing(inputs: ZerothOrderInputs, kappa: float, t):
+def _gradient_forcing(orbit: LensOrbit, kappa: float, t):
     """Gradient terms of the driven system at t past the lens entry.
 
     Returns (du1/dt, drive), where drive is the right-hand side of
     r1'' + w^2 r1 = 2 u1 + drive without its 2 u1 term.  t is a scalar or
     an array of times.
     """
-    orbit = inputs.orbit
     w = orbit.omega0
     m = orbit.mass
     l = orbit.entry.l
-    ll = inputs.length
+    ll = orbit.length
     rho0 = orbit.rho_sq(t)
-    z0 = inputs.z0(t)
+    z0 = orbit.dz(t)
     du1 = (kappa * w / (m * m * ll)) * (l + 0.5 * m * w * rho0) * orbit.p_z(t)
     drive = (
         -kappa * (2.0 * w * l / (m * ll)) * z0
@@ -216,33 +194,20 @@ def _gradient_forcing(inputs: ZerothOrderInputs, kappa: float, t):
     return du1, drive
 
 
-def _integrate_linear(inputs: ZerothOrderInputs, kappa: float, t_end: float, step: float):
+def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
     """The driven first-order system, state (u1, r1, dr1), from rest at the
     lens entry to t_end by the exact RK4 step map."""
-    w = inputs.omega0
+    w = orbit.omega0
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
 
     def forcing(t: np.ndarray) -> np.ndarray:
-        du1, drive = _gradient_forcing(inputs, kappa, t)
+        du1, drive = _gradient_forcing(orbit, kappa, t)
         return np.array([du1, np.zeros_like(t), drive])
 
     return integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
 
 
-def _attach(inputs: ZerothOrderInputs, kappa: float, dt: float, r1: float, u1: float) -> CorrectionState:
-    exceeded = abs(r1) > VALIDITY_FRACTION * abs(inputs.rho0(dt))
-    return CorrectionState(
-        rho_sq_1=r1,
-        u_perp_sq_1=u1,
-        kappa=kappa,
-        validity_exceeded=exceeded,
-        assumptions=approximation_ledger(),
-    )
-
-
-def correction_by_quadrature(
-    inputs: ZerothOrderInputs, kappa: float, dt: float, step: float
-) -> CorrectionState:
+def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:
     """Corrections at dt by direct integration of the driven system.
 
     This is the authoritative route.  The step must resolve the oscillation:
@@ -250,15 +215,21 @@ def correction_by_quadrature(
     """
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    period = 2.0 * math.pi / inputs.omega0
+    period = 2.0 * math.pi / orbit.omega0
     if step > period / MIN_STEPS_PER_PERIOD:
         raise ValueError(
             f"step {step} too coarse; need <= period/{MIN_STEPS_PER_PERIOD} = "
             f"{period / MIN_STEPS_PER_PERIOD}"
         )
-    _, states = _integrate_linear(inputs, kappa, dt, step)
-    u1, r1, _ = states[-1]
-    return _attach(inputs, kappa, dt, float(r1), float(u1))
+    _, states = _integrate_linear(orbit, kappa, dt, step)
+    u1, r1, _ = states[-1].tolist()
+    return CorrectionState(
+        rho_sq_1=r1,
+        u_perp_sq_1=u1,
+        kappa=kappa,
+        validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(dt)),
+        assumptions=approximation_ledger(),
+    )
 
 
 @dataclass(frozen=True)
@@ -287,7 +258,7 @@ class ClosedFormCheck:
 
 
 def verify_closed_form(
-    inputs: ZerothOrderInputs,
+    orbit: LensOrbit,
     kappa: float,
     n_periods: float = 4.0,
     tolerance: float = 1e-6,
@@ -301,9 +272,9 @@ def verify_closed_form(
     worst time are reported for diagnosis.
     """
     _check_kappa(kappa)
-    period = 2.0 * math.pi / inputs.omega0
+    period = 2.0 * math.pi / orbit.omega0
     t_end = n_periods * period
-    ts, states = _integrate_linear(inputs, kappa, t_end, period / 2048.0)
+    ts, states = _integrate_linear(orbit, kappa, t_end, period / 2048.0)
     u1s = states[:, 0]
     r1_num = states[:, 1]
     peak = float(np.max(np.abs(r1_num)))
@@ -312,7 +283,7 @@ def verify_closed_form(
     # residual of the closed form in r1'' + w^2 r1 = D(t), D built from the
     # integrated u1; central differences with a rounding-balanced step, and
     # no residual within h of the entry, where t - h precedes it
-    w = inputs.omega0
+    w = orbit.omega0
     h = period * 1e-4
     # per-block maxima, combined below with numpy so that a NaN anywhere
     # fails the check exactly as a whole-grid np.max/np.argmax would
@@ -320,12 +291,12 @@ def verify_closed_form(
     for start in range(0, ts.size, VERIFY_BLOCK):
         block = slice(start, start + VERIFY_BLOCK)
         t = ts[block]
-        closed, plus, minus = _closed_form(inputs, kappa, t + np.array([[0.0], [h], [-h]]))
+        closed, plus, minus = _closed_form(orbit, kappa, t + np.array([[0.0], [h], [-h]]))
         mismatch = np.abs(closed - r1_num[block]) / scale
         i = int(np.argmax(mismatch))
         mismatch_max.append(mismatch[i])
         mismatch_at.append(start + i)
-        _, drive = _gradient_forcing(inputs, kappa, t)
+        _, drive = _gradient_forcing(orbit, kappa, t)
         drive += 2.0 * u1s[block]
         second = (plus - 2.0 * closed + minus) / (h * h)
         residual = second + w * w * closed - drive
@@ -348,5 +319,5 @@ def verify_closed_form(
         tolerance=tolerance,
         consistent=consistent,
         worst_time=float(ts[worst]),
-        groups_at_worst_time=closed_form_groups(inputs, kappa, float(ts[worst])),
+        groups_at_worst_time=closed_form_groups(orbit, kappa, float(ts[worst])),
     )

@@ -79,6 +79,12 @@ class Particle:
     def positron(cls) -> "Particle":
         return cls(ELECTRON_MASS_EV, +1)
 
+    def model_l(self, l: int) -> int:
+        """The OAM -s l that the model reads, s the charge sign: the model is
+        written for s = -1, and the Larmor term -s (w/2) L_z of
+        H = (p - qA)^2 / 2m holds the OAM only as -s l."""
+        return -self.charge_sign * l
+
     @property
     def compton_length_m(self) -> float:
         return HBARC_EV_M / self.mass_ev

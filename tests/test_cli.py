@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from vortexlens.cli import (
     serialize_scenario,
 )
 from vortexlens.lattice import EVENT_OVERFOCUS, EVENT_RELATIVISTIC, solve_matching, walk
-from vortexlens.moments import transport_check
+from vortexlens.moments import LensOrbit, transport_check
 from vortexlens.packet import LGPacket
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -268,6 +269,7 @@ def test_overflowing_lens_is_config_error(tmp_path, capsys, lens_fields, message
         ["check"],
         ["design", "--mode", "capture"],
         ["design", "--mode", "matching-field"],
+        ["sweep", "--param", "H0_gauss", "--range", "85:86", "--steps", "3"],
     ],
 )
 @pytest.mark.parametrize(
@@ -276,6 +278,10 @@ def test_overflowing_lens_is_config_error(tmp_path, capsys, lens_fields, message
         ("lens", "H0_gauss", 1e-300, "error: beamline[1]: omega0 * omega0 must be positive, got 0.0\n"),
         ("packet", "sigma_r_um", 1e-300, "error: packet: (m sigma_r)^2 must be positive, got 0.0\n"),
         ("packet", "sigma_r_um", 1e300, "error: packet: (m sigma_r)^2 must be positive, got inf\n"),
+        # the gradient model has one kappa
+        ("lens", "kappa_M", 0.05, "error: beamline[1]: kappa is only defined for kappa_m == kappa_e (got 0.05 and 0.0)\n"),
+        # l is stored as int64, and 2n+|l|+1 must stay exact in a float
+        ("packet", "l", 10**30, f"error: packet: mode order 2n+|l|+1 must not exceed 2**53, got {10**30 + 1}\n"),
     ],
 )
 def test_value_out_of_the_natural_float_range_is_schema_error(
@@ -291,6 +297,90 @@ def test_value_out_of_the_natural_float_range_is_schema_error(
     assert captured.out == ""
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "block, key", [("packet", "focus_time_ns"), ("drift", "duration_ns")]
+)
+def test_free_waist_that_cancels_to_zero_fails_the_match(tmp_path, capsys, block, key):
+    # 1e150 ns from the waist, rho_sq - drho_sq_dt^2 / (4 u^2) cancels to 0.0
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    (data["packet"] if block == "packet" else data["beamline"][0])[key] = 1e150
+    path = write_scenario(tmp_path, data)
+    assert main(["check", path]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "lens[1].matching_ratio_actual: inf\nlens[1].matched: false\n" in captured.out
+    assert captured.err == ""
+    # an orbit of arrays, as a sweep builds, gives the same ratio for that point
+    scenario = load_scenario(path)
+    leg = next(leg for leg in walk(scenario.beamline()) if leg.orbit is not None)
+    entry = leg.entry
+    points = dc_replace(entry, rho_sq=np.array([entry.rho_sq]), drho_sq_dt=np.array([entry.drho_sq_dt]))
+    with np.errstate(divide="ignore"):
+        ratio = transport_check(LensOrbit.from_entry(points, leg.element, scenario.particle)).matching_ratio_actual
+    assert transport_check(leg.orbit).matching_ratio_actual == ratio[0] == math.inf
+
+
+@pytest.mark.parametrize(
+    "sigma_r_um, code", [(1e-140, EXIT_OK), (1e-145, EXIT_OK), (1e-150, EXIT_DESIGN), (1e-155, EXIT_DESIGN), (1e-160, EXIT_DESIGN)]
+)
+def test_matching_field_out_of_the_float_range_is_design_failure(tmp_path, capsys, sigma_r_um, code):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["packet"]["sigma_r_um"] = sigma_r_um
+    path = write_scenario(tmp_path, data)
+    assert main(["design", path, "--mode", "matching-field"]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        field = float(captured.out.splitlines()[-1].removeprefix("H0_gauss: "))
+        assert 0.0 < field < math.inf and captured.err == ""
+    else:
+        assert captured.err.startswith("design: the matching field for sigma_r_m = ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+MIRROR_COMMANDS = (
+    ["propagate", "-o", "-"],
+    ["check"],
+    ["design", "--mode", "capture"],
+    ["design", "--mode", "matching-field"],
+    ["sweep", "--param", "H0_gauss", "--range", "50:150", "--steps", "11"],
+    ["sweep", "--param", "sigma_r_um", "--range", "0.4:0.8", "--steps", "11"],
+)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_positive_charge_with_l_mirrors_negative_charge_with_minus_l(tmp_path, capsys, name):
+    # the model sees the OAM only through -s l, s the charge sign
+    data = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+    assert data["packet"]["l"] != 0  # else the mirror shows nothing
+    outputs = {}
+    for sign in (1, -1):
+        point = json.loads(json.dumps(data))
+        point["particle"]["charge_sign"] = sign
+        point["packet"]["l"] = sign * data["packet"]["l"]
+        path = write_scenario(tmp_path, point, f"charge{sign}.json")
+        for command in MIRROR_COMMANDS:
+            code = main([command[0], path, *command[1:]])
+            captured = capsys.readouterr()
+            outputs.setdefault(" ".join(command), []).append((code, captured.out, captured.err))
+    for command, (positive, negative) in outputs.items():
+        assert positive == negative, command
+
+
+def test_typed_fields_name_the_expected_kind(tmp_path, capsys):
+    cases = [
+        (scenario_dict(particle=[]), "error: scenario.particle: expected an object, got []\n"),
+        (scenario_dict(packet="p"), "error: scenario.packet: expected an object, got 'p'\n"),
+        (scenario_dict(beamline={}), "error: scenario.beamline: expected an array, got {}\n"),
+        (scenario_dict(output=3), "error: scenario.output: expected an object, got 3\n"),
+        (scenario_dict(output={"csv_path": 5}), "error: output.csv_path: expected a string, got 5\n"),
+        (scenario_dict(beamline=[{"type": 5}]), "error: beamline[0].type: expected a string, got 5\n"),
+        (scenario_dict(p0_eV=True), "error: scenario.p0_eV: expected a number, got True\n"),
+    ]
+    for data, message in cases:
+        assert main(["check", write_scenario(tmp_path, data)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == message
+    assert load_scenario(write_scenario(tmp_path, scenario_dict(output={"csv_path": None}))).csv_path is None
 
 
 def test_strict_truncation_drops_the_events_after_the_cut(tmp_path):

@@ -152,6 +152,10 @@ def test_landau_energy():
     # negative-l levels do not depend on |l|
     values = {landau_energy(lens, 1, l, ELECTRON) for l in range(-8, 0)}
     assert len(values) == 1
+    # a positive charge with l sits on the electron's level with -l
+    positron = Particle.positron()
+    for l in range(-5, 6):
+        assert landau_energy(lens, 1, l, positron) == landau_energy(lens, 1, -l, ELECTRON)
 
 
 def test_landau_rho_sq_cyclotron_identity():

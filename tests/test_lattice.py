@@ -486,7 +486,7 @@ def test_leg_on_an_offset_array_matches_the_scalar_route(case, data):
                 )
         element = leg.element
         if isinstance(element, LensConfig) and not element.is_homogeneous:
-            inputs = ZerothOrderInputs(leg.orbit, units.length_to_natural(element.length_m))
+            inputs = leg.orbit
             corr = correction_closed_form(inputs, element.kappa, offsets)
             scale = 1e-15 * np.max(np.abs(corr))
             for i, offset in enumerate(offsets.tolist()):

@@ -20,6 +20,12 @@ def test_packet_validation():
     with pytest.raises(ValueError):
         LGPacket(0, 0, -1e-6)
     assert LGPacket(1, 2, 1e-6).mode_order == 5
+    # the mode order 2n+|l|+1 stays exact in a float
+    assert LGPacket(0, 2**53 - 1, 1e-6).mode_order == 2**53
+    with pytest.raises(ValueError, match=r"mode order"):
+        LGPacket(0, 2**53, 1e-6)
+    with pytest.raises(ValueError, match=r"mode order"):
+        LGPacket(2**52, 0, 1e-6)
 
 
 def test_optical_functions_at_focus():

@@ -186,7 +186,7 @@ def test_validity_horizon_flag():
     late = correction_by_quadrature(inputs, 0.081, 6.0 * period, period / 512)
     assert not early.validity_exceeded
     assert late.validity_exceeded
-    assert abs(late.rho_sq_1) > 0.3 * abs(inputs.rho0(6.0 * period))
+    assert abs(late.rho_sq_1) > 0.3 * abs(inputs.rho_sq(6.0 * period))
 
 
 def test_closed_form_agrees_with_quadrature_pointwise():
