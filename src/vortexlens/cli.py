@@ -232,17 +232,21 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     samples = trajectory.samples
     rho2_m2 = units.area_from_natural(samples.rho_sq)
     corr = samples.rho_sq_corr1
-    columns = (
-        units.time_from_natural(samples.t) * 1e9,
-        samples.element_index,
-        units.length_from_natural(samples.z) * 1e6,
-        samples.p_z,
-        rho2_m2 * 1e12,
-        np.sqrt(rho2_m2) * 1e6,
-        units.area_from_natural(samples.drho_sq_dt) / units.HBAR_EV_S * 1e12 * 1e-9,
-        samples.u_perp_sq,
-        units.area_from_natural(corr) * 1e12,
-    )
+    with np.errstate(over="ignore"):  # a finite sample can overflow in laboratory units
+        columns = (
+            units.time_from_natural(samples.t) * 1e9,
+            samples.element_index,
+            units.length_from_natural(samples.z) * 1e6,
+            samples.p_z,
+            rho2_m2 * 1e12,
+            np.sqrt(rho2_m2) * 1e6,
+            units.area_from_natural(samples.drho_sq_dt) / units.HBAR_EV_S * 1e12 * 1e-9,
+            samples.u_perp_sq,
+            units.area_from_natural(corr) * 1e12,
+        )
+    for name, column in zip(CSV_COLUMNS, columns):
+        if np.isinf(column).any():
+            raise ScenarioError(f"CSV column {name}: a value overflows the float range")
     kinds = (samples.flag_bits + 8 * np.isnan(corr)).tolist()
     rows = zip(*(column.tolist() for column in columns))
     return [",".join(CSV_COLUMNS)] + [ROW_FORMATS[k] % row for k, row in zip(kinds, rows)]
@@ -327,7 +331,7 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
         return EXIT_OK
 
     # capture mode: find the first focal point in a drift, solve the field
-    focal = [leg for leg in walk(scenario.beamline()) if leg.focal is not None]
+    focal = [leg for leg in walk(scenario.beamline()) if not np.isnan(leg.focal)]
     if not focal:
         sys.stderr.write("design: no focal point found in any drift\n")
         return EXIT_DESIGN
@@ -368,7 +372,7 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_values(spec_range: str, steps: int) -> list[float]:
+def _sweep_values(spec_range: str, steps: int) -> np.ndarray:
     try:
         lo_text, hi_text = spec_range.split(":", 1)
         lo, hi = float(lo_text), float(hi_text)
@@ -379,8 +383,9 @@ def _sweep_values(spec_range: str, steps: int) -> list[float]:
     if steps > MAX_SAMPLES:
         raise ScenarioError(f"--steps: at most MAX_SAMPLES = {MAX_SAMPLES} grid points, got {steps}")
     if steps == 1 or lo == hi:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+        return np.array([lo])
+    with np.errstate(all="ignore"):  # a grid point past the float range fails as a sweep point
+        return lo + (hi - lo) * np.arange(steps) / (steps - 1)
 
 
 def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:
@@ -407,9 +412,9 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     if param == "t1_ns" and not isinstance(scenario.elements[0], Drift):
         raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
     if param == "n_prime":  # it labels the target level; the transport verdict does not read it
-        bad = next((v for v in values if not (v.is_integer() and v >= 0)), None)
-        if bad is not None:
-            raise ScenarioError(f"sweep point n_prime={_fmt(bad)}: n_prime must be a non-negative integer")
+        bad = values[~(np.isfinite(values) & (values == np.floor(values)) & (values >= 0))]
+        if bad.size:
+            raise ScenarioError(f"sweep point n_prime={_fmt(bad[0])}: n_prime must be a non-negative integer")
 
     def transport(value):
         # walking the whole line makes a defect downstream of the lens exit 1;
@@ -422,7 +427,7 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     # validation, so numpy's warnings are noise here
     with np.errstate(all="ignore"):
         try:
-            report = transport(np.array(values))
+            report = transport(values)
         except ValueError:
             for value in values:  # the first grid point that fails names the error
                 try:
@@ -436,7 +441,7 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     rho2_min = np.broadcast_to(units.area_from_natural(report.rho_sq_min) * 1e12, len(values)).tolist()
     rows = [f"{param},transportable,rho2_min_um2"] + [
         "%.12g,%s,%.12g" % (value, "true" if ok else "false", r)
-        for value, ok, r in zip(values, transportable, rho2_min)
+        for value, ok, r in zip(values.tolist(), transportable, rho2_min)
     ]
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK

@@ -197,14 +197,6 @@ def potentials_at(lens: LensConfig, rho_m: float, z_m: float) -> tuple[float, fl
     return phi, a_phi
 
 
-def omega_c_of_z(lens: LensConfig, z_m: float, particle: Particle) -> float:
-    """Local cyclotron frequency omega_0 (1 + kappa_M z / L) in rad/s."""
-    if not math.isfinite(z_m):
-        raise ValueError("z must be finite")
-    omega0 = units.cyclotron_frequency(lens.h0_gauss, particle)
-    return omega0 * (1.0 + lens.kappa_m * z_m / lens.length_m)
-
-
 def landau_rho_sq_st(lens: LensConfig, n_prime: int, l: int, particle: Particle) -> float:
     """Stationary mean square radius (rho_H^2 / 2)(2 n' + |l| + 1) in m^2."""
     if n_prime < 0:

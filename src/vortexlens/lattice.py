@@ -26,7 +26,6 @@ from .elements import Drift, LensConfig
 from .moments import (
     LensOrbit,
     MomentState,
-    _lib,
     compton_floor,
     free_waist_rho_sq,
     lens_state_at,
@@ -115,16 +114,16 @@ class Trajectory:
 @dataclass(frozen=True)
 class Leg:
     """One reachable element of a walk; times are natural offsets from entry,
-    a scalar or an array for evaluate.  orbit is a lens's orbit, else None.
-    In a walk of arrays, crossing is an array (see walk)."""
+    a scalar or an array for evaluate, and focal and crossing are NaN where
+    there is none (see walk).  orbit is a lens's orbit, else None."""
 
     index: int
     element: Drift | LensConfig
     entry: MomentState
     duration: float
     evaluate: Callable[..., MomentState]
-    focal: float | None
-    crossing: float | None
+    focal: float
+    crossing: float
     orbit: LensOrbit | None
 
 
@@ -135,52 +134,48 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     lens's first over-focus crossing, which ends the walk; a lens evaluates
     its zeroth-order orbit, built once per leg.  A drift whose <rho^2> would
     fall to zero (a lens left <rho^2><u^2> < <rho.u>^2) or an exit state
-    that is not a valid state raises BeamlineConfigError.
+    that is not a valid state raises BeamlineConfigError; numpy's overflow
+    warnings are silenced, since validation catches the overflow.
 
     The packet's sigma_r_m, and a field of an element up to and including
     the first lens, may be an array with one entry per point.  States,
-    orbits and a lens's crossing (NaN where a point does not cross) then
-    hold arrays, any point that fails raises, drifts have no focal, and
-    only the points that have not crossed go on past a lens.  Overflow
-    there makes numpy warn unless the caller silences it; validation
-    still catches it.
+    orbits, focal and crossing then hold arrays, any point that fails
+    raises, and only the points that have not crossed go on past a lens.
     """
     particle = beamline.particle
     floor = compton_floor(particle)
     entry = MomentState.from_packet(beamline.packet, particle, beamline.p0_ev, t_s=0.0)
     leg = None
     for index, element in enumerate(beamline.elements):
-        if leg is not None:
-            exit_state = leg.evaluate(leg.duration)
-            if isinstance(leg.crossing, np.ndarray):
-                exit_state = exit_state.select(np.isnan(leg.crossing))
-            try:
-                entry = exit_state.validated()
-            except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
-                raise BeamlineConfigError(f"beamline[{leg.index}]: exit state: {exc}") from None
-        duration = units.time_to_natural(element.duration_s)
-        focal = crossing = orbit = None
-        if isinstance(element, Drift):
-            evaluate = partial(propagate_drift, entry, particle=particle)
-            waist, rho_sq = waist_dt(entry), free_waist_rho_sq(entry)
-            # before the waist, <rho^2> reaches zero at waist - sqrt(-rho_sq / <u^2>) if rho_sq <= 0
-            zero_at = waist - _lib(rho_sq).sqrt(abs(rho_sq) / entry.u_perp_sq)
-            falls = (entry.drho_sq_dt <= 0.0) & (rho_sq <= 0.0) & (zero_at <= duration)
-            points = isinstance(falls, np.ndarray)  # numpy on a scalar costs far more
-            if falls.any() if points else falls:
-                raise BeamlineConfigError(
-                    f"beamline[{index}]: <rho^2> falls to zero in this drift "
-                    "(the lens before it left <rho^2><u^2> < <rho.u>^2)"
-                )
-            if not points and entry.drho_sq_dt <= 0.0 and 0.0 <= waist < duration:
-                focal = waist
-        else:
-            orbit = LensOrbit.from_entry(entry, element, particle)
-            evaluate = partial(lens_state_at, orbit)
-            crossing = orbit.first_crossing_dt(floor, duration)
+        with np.errstate(all="ignore"):
+            if leg is not None:
+                exit_state = leg.evaluate(leg.duration).select(np.isnan(leg.crossing))
+                try:
+                    entry = exit_state.validated()
+                except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
+                    raise BeamlineConfigError(f"beamline[{leg.index}]: exit state: {exc}") from None
+            duration = units.time_to_natural(element.duration_s)
+            focal = crossing = math.nan
+            orbit = None
+            if isinstance(element, Drift):
+                evaluate = partial(propagate_drift, entry, particle=particle)
+                waist, rho_sq = waist_dt(entry), free_waist_rho_sq(entry)
+                # before the waist, <rho^2> reaches zero at waist - sqrt(-rho_sq / <u^2>) if rho_sq <= 0
+                zero_at = waist - np.sqrt(abs(rho_sq) / entry.u_perp_sq)
+                approaching = entry.drho_sq_dt <= 0.0
+                if np.count_nonzero(approaching & (rho_sq <= 0.0) & (zero_at <= duration)):
+                    raise BeamlineConfigError(
+                        f"beamline[{index}]: <rho^2> falls to zero in this drift "
+                        "(the lens before it left <rho^2><u^2> < <rho.u>^2)"
+                    )
+                focal = np.where(approaching & (0.0 <= waist) & (waist < duration), waist, math.nan)[()]
+            else:
+                orbit = LensOrbit.from_entry(entry, element, particle)
+                evaluate = partial(lens_state_at, orbit)
+                crossing = orbit.first_crossing_dt(floor, duration)
         leg = Leg(index, element, entry, duration, evaluate, focal, crossing, orbit)
         yield leg
-        if crossing is not None and not (isinstance(crossing, np.ndarray) and np.isnan(crossing).any()):
+        if not np.count_nonzero(np.isnan(crossing)):
             return  # every point has crossed
 
 
@@ -206,14 +201,15 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     relativistic_seen = False
     for leg in walk(beamline):
         index, element, entry, crossing = leg.index, leg.element, leg.entry, leg.crossing
+        crossed = not math.isnan(crossing)
         if index > 0:
             events.append(TrajectoryEvent(entry.t, EVENT_BOUNDARY, index))
         elif entry.p_z / mass > bound:
             events.append(TrajectoryEvent(entry.t, EVENT_RELATIVISTIC, 0))
             relativistic_seen = True
-        horizon = crossing if crossing is not None else leg.duration
-        end = horizon if crossing is not None or index == len(beamline.elements) - 1 else None
-        extra = [x for x in (leg.focal, end) if x is not None]
+        horizon = crossing if crossed else leg.duration
+        end = horizon if crossed or index == len(beamline.elements) - 1 else math.nan
+        extra = [x for x in (leg.focal, end) if not math.isnan(x)]
         grid = np.arange(math.ceil(horizon / dt_sample) + 1) * dt_sample
         keep = grid < horizon
         for x in extra:  # the nearest grid point repeats x's row if their times agree within rounding
@@ -222,10 +218,10 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         offsets = np.unique(np.append(grid[keep], extra))
         block = np.zeros(offsets.size, SAMPLE_DTYPE)
         block["rho_sq_corr1"] = np.nan
-        if leg.focal is not None:
+        if not math.isnan(leg.focal):
             events.append(TrajectoryEvent(entry.t + leg.focal, EVENT_FOCAL, index))
             block["flag_bits"][offsets == leg.focal] |= FLAG_FOCAL
-        if crossing is not None:
+        if crossed:
             events.append(TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index))
             block["flag_bits"][offsets == crossing] |= FLAG_OVERFOCUS
         gradient = None
@@ -254,7 +250,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         block["flag_bits"][block["p_z"] / mass > bound] |= FLAG_RELATIVISTIC
         blocks.append(block)
     samples = np.concatenate(blocks).view(np.recarray)
-    return Trajectory(samples, tuple(events), completed=crossing is None)
+    return Trajectory(samples, tuple(events), completed=not crossed)
 
 
 def state_at(beamline: Beamline, t: float) -> MomentState:
@@ -267,7 +263,7 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
         offset = t - leg.entry.t
         if offset < 0.0:
             raise ValueError(f"t = {t} precedes the beamline start")
-        if leg.crossing is not None and leg.crossing <= offset:
+        if leg.crossing <= offset:  # False for NaN, no crossing
             at = leg.entry.t + leg.crossing
             raise ValueError(f"t = {t} lies beyond the over-focus crossing at {at}")
         if offset <= leg.duration:

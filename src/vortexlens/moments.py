@@ -11,6 +11,9 @@ with R_st = (2 <u^2> - 2 w l / m) / w^2 the stationary mean square radius.
 The mean square transverse velocity is conserved in both regimes; the OAM l
 rides along unchanged.  Longitudinal motion is uniformly accelerated inside
 a lens and ballistic in a drift.
+
+Each formula has one body for a scalar and an array of points.  Write x * x,
+not x ** 2, in one: numpy's power squares an array but calls pow on a scalar.
 """
 
 from __future__ import annotations
@@ -55,8 +58,12 @@ class MomentState:
         return self
 
     def select(self, keep) -> "MomentState":
-        """The points where the boolean array keep holds; scalar fields are shared."""
-        return replace(self, **{k: v[keep] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
+        """The points where keep, a boolean or an array of them, holds; scalar fields are shared."""
+        arrays = {k: v for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        if not arrays:
+            return self
+        keep = np.broadcast_to(keep, np.broadcast_shapes(*(v.shape for v in arrays.values())))
+        return replace(self, **{k: v[keep] for k, v in arrays.items()})
 
     @classmethod
     def from_packet(cls, packet, particle: Particle, p0_ev: float = 0.0, t_s: float = 0.0) -> "MomentState":
@@ -64,7 +71,7 @@ class MomentState:
         l is particle.model_l(packet.l)."""
         from .packet import transverse_velocity_sq
 
-        u_sq = transverse_velocity_sq(packet, particle)
+        u_sq = units.require("u_perp_sq", transverse_velocity_sq(packet, particle), "subluminal")
         dt = units.time_to_natural(t_s - packet.focus_time_s)
         sigma = units.length_to_natural(packet.sigma_r_m)
         sigma_sq = sigma * sigma
@@ -79,14 +86,9 @@ class MomentState:
         ).validated()
 
 
-def _negative(dt) -> bool:
-    """Whether the offset dt, or any offset in an array dt, is negative."""
-    return (dt < 0).any() if isinstance(dt, np.ndarray) else dt < 0
-
-
 def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:
     """Free expansion over dt, a scalar or an array of offsets; exact for dt >= 0."""
-    if _negative(dt):
+    if np.count_nonzero(dt < 0):
         raise ValueError(f"dt must be non-negative, got {dt}")
     u_sq = state.u_perp_sq
     return replace(
@@ -98,15 +100,12 @@ def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:
     )
 
 
-def _lib(x):
-    """math for a scalar x, numpy for an array x (a phase, or a radius).
-
-    The scalar path keeps math.sin/math.cos: the CSV output is pinned to
-    their bits, and numpy on a scalar costs far more.  Write x * x, not
-    x ** 2, in a formula that may see both: Python's pow differs from
-    numpy's square in the last bit.
-    """
-    return np if isinstance(x, np.ndarray) else math
+def _per_point(function, *arrays):
+    """A math function at each point of arrays of one shape, as a float64 or an
+    array: numpy's hypot, arccos and arctan2 differ from math's in the last
+    bit, and the CSV is pinned to math's."""
+    values = map(function, *(x.ravel().tolist() for x in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)[()]
 
 
 def stationary_rho_sq(u_perp_sq: float, l: int, omega0: float, particle: Particle) -> float:
@@ -146,12 +145,7 @@ class LensOrbit:
         omega0 = units.cyclotron_frequency_natural(lens.h0_gauss, particle)
         center = stationary_rho_sq(state.u_perp_sq, state.l, omega0, particle)
         a_cos, a_sin = state.rho_sq - center, state.drho_sq_dt / omega0
-        if isinstance(a_cos, np.ndarray) or isinstance(a_sin, np.ndarray):
-            # math.hypot per point: np.hypot differs in the last bit, and center - amplitude cancels
-            pairs = (x.tolist() for x in np.broadcast_arrays(a_cos, a_sin))
-            amplitude = np.fromiter(map(math.hypot, *pairs), float)
-        else:
-            amplitude = math.hypot(a_cos, a_sin)
+        amplitude = _per_point(math.hypot, *np.broadcast_arrays(a_cos, a_sin))  # center - amplitude cancels
         return cls(
             entry=state,
             omega0=omega0,
@@ -167,14 +161,12 @@ class LensOrbit:
     def rho_sq(self, dt):
         """<rho^2> at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
-        lib = _lib(w)
-        return self.center + self.a_cos * lib.cos(w) + self.a_sin * lib.sin(w)
+        return self.center + self.a_cos * np.cos(w) + self.a_sin * np.sin(w)
 
     def drho_sq(self, dt):
         """d<rho^2>/dt at dt, a scalar or an array of offsets."""
         w = self.omega0 * dt
-        lib = _lib(w)
-        return self.omega0 * (-self.a_cos * lib.sin(w) + self.a_sin * lib.cos(w))
+        return self.omega0 * (-self.a_cos * np.sin(w) + self.a_sin * np.cos(w))
 
     def p_z(self, dt):
         return self.entry.p_z + self.force * dt
@@ -185,33 +177,24 @@ class LensOrbit:
         return (self.entry.p_z / m) * dt + 0.5 * (self.force / m) * dt * dt
 
     def first_crossing_dt(self, threshold: float, dt_max: float):
-        """First dt in [0, dt_max] with <rho^2>(dt) <= threshold, else None; on
-        an orbit of arrays, an array with NaN where a point never crosses.
+        """First dt in [0, dt_max] with <rho^2>(dt) <= threshold, NaN if there is
+        none; on an orbit of arrays, one entry per point.
 
         The orbit dips below the threshold on the arc
         (phase + theta, phase + 2 pi - theta) with
-        theta = arccos((threshold - center) / amplitude).
+        theta = arccos((threshold - center) / amplitude); only the points
+        that dip below the threshold after the entry are solved.
         """
-        center, amp = self.center, self.amplitude
-        if isinstance(amp, np.ndarray):
-            theta = np.arccos(np.clip((threshold - center) / amp, -1.0, 1.0))
-            phase = np.arctan2(self.a_sin, self.a_cos) % (2.0 * np.pi)
-            dt_cross = (phase + theta) % (2.0 * np.pi) / self.omega0
-            dt_cross[(amp == 0.0) | (center - amp > threshold) | (dt_cross > dt_max)] = np.nan
-            dt_cross[self.rho_sq(0.0) <= threshold] = 0.0
-            return dt_cross
-        if self.rho_sq(0.0) <= threshold:
-            return 0.0
-        if amp == 0.0 or center - amp > threshold:
-            return None
-        cos_arg = (threshold - center) / amp
-        theta = math.acos(max(-1.0, min(1.0, cos_arg)))
-        phase = math.atan2(self.a_sin, self.a_cos) % (2.0 * math.pi)  # of the maximum
-        entry_angle = (phase + theta) % (2.0 * math.pi)
-        dt_cross = entry_angle / self.omega0
-        if dt_cross <= dt_max:
-            return dt_cross
-        return None
+        crossing = np.where(self.rho_sq(0.0) <= threshold, 0.0, np.nan)
+        dips = np.isnan(crossing) & (self.amplitude != 0.0) & (self.center - self.amplitude <= threshold)
+        if np.count_nonzero(dips):
+            fields = np.broadcast_arrays(self.center, self.amplitude, self.a_cos, self.a_sin, self.omega0)
+            center, amp, a_cos, a_sin, omega0 = (x[dips] for x in fields)
+            theta = _per_point(math.acos, np.minimum(np.maximum((threshold - center) / amp, -1.0), 1.0))
+            phase = _per_point(math.atan2, a_sin, a_cos) % (2.0 * math.pi)  # of the maximum
+            dt = (phase + theta) % (2.0 * math.pi) / omega0
+            crossing[dips] = np.where(dt <= dt_max, dt, np.nan)
+        return crossing[()]
 
 
 def compton_floor(particle: Particle) -> float:
@@ -242,13 +225,6 @@ def matching_ratio(n: int, l: int, n_prime: int) -> Fraction:
     ratio = Fraction(4 * (2 * n_prime + abs(l) + l + 1), 2 * n + abs(l) + 1)
     assert ratio > 0
     return ratio
-
-
-def matching_ratio_large_l(l: int) -> int:
-    """Large-|l| limit of the matching ratio for n = n': 4 (1 + sgn l)."""
-    if l == 0:
-        raise ValueError("the large-|l| limit needs l != 0")
-    return 4 * (1 + (1 if l > 0 else -1))
 
 
 def large_l_waist(h0_gauss: float, particle: Particle) -> float:
@@ -301,21 +277,21 @@ def transport_check(orbit: LensOrbit, n: int = 0, n_prime: int = 0) -> Transport
         R_st > R_in / 2 + dR_in^2 / (2 w^2 R_in);
     the two are algebraically equivalent and both are reported.  The actual
     matching ratio compares rho_H^2 against the waist of the free trajectory
-    through the entry state.  On an orbit of arrays, every field but the
-    required ratio holds one entry per point.
+    through the entry state; a waist that cancels to 0 makes it inf.  On an
+    orbit of arrays, every field but the required ratio holds one entry per
+    point.  A value past the float range is returned as numpy gives it.
     """
     state = orbit.entry
     rho_sq_min = orbit.center - orbit.amplitude
-    solved = orbit.center > (
-        0.5 * state.rho_sq
-        + state.drho_sq_dt * state.drho_sq_dt / (2.0 * (orbit.omega0 * orbit.omega0) * state.rho_sq)
-    )
     required = matching_ratio(n, state.l, n_prime)
     rho_h_sq = 4.0 / (orbit.mass * orbit.omega0)
-    waist = free_waist_rho_sq(state)
-    # a waist that cancels to 0.0 gives inf, on a scalar as numpy gives it on an array
-    actual = rho_h_sq / waist if isinstance(waist, np.ndarray) or waist != 0.0 else math.inf
-    matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
+    with np.errstate(all="ignore"):
+        solved = orbit.center > (
+            0.5 * state.rho_sq
+            + state.drho_sq_dt * state.drho_sq_dt / (2.0 * (orbit.omega0 * orbit.omega0) * state.rho_sq)
+        )
+        actual = np.divide(rho_h_sq, free_waist_rho_sq(state))
+        matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
     return TransportReport(
         rho_sq_st=orbit.center,
         rho_sq_min=rho_sq_min,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import KAPPA_HARD_LIMIT, LensConfig
-from .moments import LensOrbit, MomentState, _lib, _negative
+from .moments import LensOrbit, MomentState
 from .oracle import integrate_rk4  # noqa: F401  bench/spans.py wraps perturbation.integrate_rk4
 from .oracle import integrate_rk4_linear
 from .units import Particle
@@ -121,20 +121,20 @@ def closed_form_groups(orbit: LensOrbit, kappa: float, dt) -> tuple:
     Two sine groups, a cosine group, a cosine-times-dt group and a secular
     polynomial; their sum is the correction.  Exposed separately so a failed
     cross-check can report which group disagrees.  dt is a scalar or an
-    array of times.
+    array of times.  The powers of w are numpy's: inf or 0 past the float
+    range, where Python's raise.
     """
     a_in = orbit.entry.rho_sq
     a_st = orbit.center
     rate = orbit.entry.drho_sq_dt
     p0 = orbit.entry.p_z
     f = orbit.force
-    w = orbit.omega0
+    w = np.float64(orbit.omega0)
     ll = orbit.length
     m = orbit.mass
     phase = w * dt
-    lib = _lib(phase)
-    sin_w = lib.sin(phase)
-    cos_w = lib.cos(phase)
+    sin_w = np.sin(phase)
+    cos_w = np.cos(phase)
     return (
         -(kappa * sin_w / (2.0 * ll * m * w))
         * (f * dt * (rate * dt - 4.0 * (a_in - a_st)) + 2.0 * p0 * (rate * dt - a_in)),
@@ -167,7 +167,7 @@ def correction_closed_form(orbit: LensOrbit, kappa: float, dt):
     verify_closed_form cross-checks the two routes.
     """
     _check_kappa(kappa)
-    if _negative(dt):
+    if np.count_nonzero(dt < 0):
         raise ValueError(f"dt must be non-negative, got {dt}")
     return _closed_form(orbit, kappa, dt)
 

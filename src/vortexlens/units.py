@@ -34,22 +34,24 @@ HBAR_EV_S = REDUCED_PLANCK_JS / ELEMENTARY_CHARGE_C   # 6.582119565e-16 eV s
 HBARC_EV_M = HBAR_EV_S * LIGHT_SPEED_M_PER_S          # 1.973269803e-7 eV m
 GAUSS_PER_TESLA = 1.0e4
 
-_BOUNDS = {"positive": operator.gt, "non-negative": operator.ge, "finite": None}
+_BOUNDS = {"positive": (operator.gt, 0.0), "non-negative": (operator.ge, 0.0), "subluminal": (operator.lt, 1.0),
+           "finite": (None, None)}
 
 
 def require(name: str, value, must: str = "positive"):
-    """value, once it is finite and `must` holds: "positive", "non-negative" or
-    only "finite".  value is a scalar or an array with one entry per point; the
-    ValueError names the first entry that fails."""
-    bound = _BOUNDS[must]
+    """value, once it is finite and `must` holds: "positive", "non-negative",
+    "subluminal" (a squared velocity below c^2 = 1) or only "finite".  value is
+    a scalar or an array with one entry per point; the ValueError names the
+    first entry that fails."""
+    bound, limit = _BOUNDS[must]
     if isinstance(value, np.ndarray):
         ok = np.isfinite(value)
         if bound is not None:
-            ok &= bound(value, 0.0)
+            ok &= bound(value, limit)
         if ok.all():
             return value
         value = value.flat[np.argmin(ok)]
-    elif math.isfinite(value) and (bound is None or bound(value, 0.0)):
+    elif math.isfinite(value) and (bound is None or bound(value, limit)):
         return value
     raise ValueError(f"{name} must be {must}, got {value}")
 
@@ -156,10 +158,3 @@ def diffraction_time(sigma_r_m: float, particle: Particle) -> float:
     """Spreading timescale t_d = m sigma_r^2 / hbar in seconds."""
     require("sigma_r", sigma_r_m)
     return particle.mass_ev * length_to_natural(sigma_r_m) ** 2 * HBAR_EV_S
-
-
-def rayleigh_length(mean_velocity_c: float, sigma_r_m: float, particle: Particle) -> float:
-    """Longitudinal spreading scale <u> c t_d in meters, velocity in units of c."""
-    if not (0.0 < mean_velocity_c < 1.0):
-        raise ValueError(f"mean velocity must lie in (0, 1), got {mean_velocity_c}")
-    return mean_velocity_c * LIGHT_SPEED_M_PER_S * diffraction_time(sigma_r_m, particle)

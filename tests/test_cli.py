@@ -278,6 +278,9 @@ def test_overflowing_lens_is_config_error(tmp_path, capsys, lens_fields, message
         ("lens", "H0_gauss", 1e-300, "error: beamline[1]: omega0 * omega0 must be positive, got 0.0\n"),
         ("packet", "sigma_r_um", 1e-300, "error: packet: (m sigma_r)^2 must be positive, got 0.0\n"),
         ("packet", "sigma_r_um", 1e300, "error: packet: (m sigma_r)^2 must be positive, got inf\n"),
+        # <u^2> = (2n+|l|+1) / (m sigma_r)^2 reaches c^2 below a 1e-6 um waist
+        ("packet", "sigma_r_um", 1e-7, "error: packet: u_perp_sq must be subluminal, got 74.559490023558\n"),
+        ("packet", "sigma_r_um", 1e-150, "error: packet: u_perp_sq must be subluminal, got 7.455949002355802e+287\n"),
         # the gradient model has one kappa
         ("lens", "kappa_M", 0.05, "error: beamline[1]: kappa is only defined for kappa_m == kappa_e (got 0.05 and 0.0)\n"),
         # l is stored as int64, and 2n+|l|+1 must stay exact in a float
@@ -322,11 +325,15 @@ def test_free_waist_that_cancels_to_zero_fails_the_match(tmp_path, capsys, block
 
 
 @pytest.mark.parametrize(
-    "sigma_r_um, code", [(1e-140, EXIT_OK), (1e-145, EXIT_OK), (1e-150, EXIT_DESIGN), (1e-155, EXIT_DESIGN), (1e-160, EXIT_DESIGN)]
+    "n_prime, code", [(0, EXIT_OK), (10**24, EXIT_OK), (10**30, EXIT_DESIGN), (10**40, EXIT_DESIGN)]
 )
-def test_matching_field_out_of_the_float_range_is_design_failure(tmp_path, capsys, sigma_r_um, code):
+def test_matching_field_out_of_the_float_range_is_design_failure(tmp_path, capsys, n_prime, code):
+    # a 1e140 m waist: rho_H^2 = ratio * sigma_r^2 overflows once n_prime, and
+    # with it the ratio, is large enough (a waist that small that it would
+    # underflow makes the packet superluminal, which load rejects)
     data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
-    data["packet"]["sigma_r_um"] = sigma_r_um
+    data["packet"]["sigma_r_um"] = 1e146
+    data["beamline"][1]["n_prime"] = n_prime
     path = write_scenario(tmp_path, data)
     assert main(["design", path, "--mode", "matching-field"]) == code
     captured = capsys.readouterr()
@@ -577,6 +584,40 @@ def test_scenario_serialize_round_trip():
     assert once == again
 
 
+@st.composite
+def raw_scenarios(draw):
+    """Scenario JSON that load_scenario accepts: drifts and lenses with every
+    optional field present or absent."""
+    data = scenario_dict(p0_eV=draw(st.floats(0.0, 1.0)))
+    data["packet"] = {
+        "n": draw(st.integers(0, 3)),
+        "l": draw(st.integers(-6, 6)),
+        "sigma_r_um": draw(st.floats(0.3, 1.0)),
+        **draw(st.dictionaries(st.just("focus_time_ns"), st.floats(-2.0, 2.0))),
+    }
+    drift = st.builds(lambda d: {"type": "drift", "duration_ns": d}, st.floats(0.01, 5.0))
+    lens = st.builds(
+        lambda required, optional: {"type": "lens", **required, **optional},
+        st.fixed_dictionaries({"H0_gauss": st.floats(10.0, 200.0), "duration_ns": st.floats(0.01, 5.0),
+                               "length_m": st.floats(0.05, 0.2)}),
+        st.fixed_dictionaries({}, optional={"E0_V_per_m": st.floats(0.0, 1e5), "n_prime": st.integers(0, 3)}),
+    )
+    data["beamline"] = draw(st.lists(st.one_of(drift, lens), min_size=1, max_size=4))
+    data["output"] = draw(st.fixed_dictionaries({}, optional={"sample_dt_ns": st.floats(0.01, 1.0)}))
+    return data
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw_scenarios())
+def test_serialize_scenario_is_idempotent(tmp_path, data):
+    once = serialize_scenario(data)
+    assert serialize_scenario(json.loads(once)) == once
+    # and the serialized file loads as the same scenario
+    original = load_scenario(write_scenario(tmp_path, data, "original.json"))
+    reloaded = load_scenario(write_scenario(tmp_path, json.loads(once), "serialized.json"))
+    assert reloaded == original
+
+
 def test_sample_dt_override(tmp_path):
     out = tmp_path / "t.csv"
     main(["propagate", str(SCENARIOS / "capture_transport.json"), "-o", str(out)])
@@ -680,6 +721,7 @@ def test_sweep_row_is_the_check_report_of_the_substituted_scenario(tmp_path, cap
         ("n_prime", "inf:inf", "inf"),
         ("sigma_r_um", "1e300:1e301", "1e+300"),
         ("sigma_r_um", "1e-300:1e-299", "1e-300"),
+        ("sigma_r_um", "1e-7:0.6", "1e-07"),  # a superluminal packet
         ("H0_gauss", "1e-300:1e-299", "1e-300"),
         ("H0_gauss", "1e300:1e301", "1e+300"),
         ("sigma_r_um", "0.622:1e300", "5e+299"),
@@ -800,3 +842,29 @@ def test_array_sweep_is_the_scalar_walk_of_each_point(tmp_path_factory, case):
     assert np.broadcast_to(transport_check(orbit).transportable, len(values)).tolist() == [
         ok for _, _, ok in expected
     ]
+
+
+@pytest.mark.parametrize("h0_gauss, named", [(1e150, "rho_sq_corr1"), (1e-150, "rho_sq")])
+def test_gradient_lens_field_at_the_float_range_edge_is_config_error(tmp_path, capsys, h0_gauss, named):
+    # w^4 overflows and w^3 underflows in the gradient correction; numpy
+    # gives inf or 0 there, and the validation of the lens's arrays names it
+    data = json.loads((SCENARIOS / "gradient_perturbed.json").read_text(encoding="utf-8"))
+    data["beamline"][1]["H0_gauss"] = h0_gauss
+    path = write_scenario(tmp_path, data)
+    assert main(["propagate", path, "-o", "-"]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: beamline[1]: {named} must be ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_csv_column_overflow_is_schema_error(tmp_path, capsys):
+    # 1e150 ns from the waist, d<rho^2>/dt is finite in natural units but
+    # overflows on conversion to um^2/ns
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["packet"]["focus_time_ns"] = 1e150
+    path = write_scenario(tmp_path, data)
+    assert main(["propagate", path, "-o", "-"]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == "error: CSV column drho2_dt_um2_per_ns: a value overflows the float range\n"
+    assert captured.out == ""

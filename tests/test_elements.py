@@ -12,7 +12,6 @@ from vortexlens.elements import (
     landau_energy,
     landau_rho_sq_st,
     maxwell_residual,
-    omega_c_of_z,
     potentials_at,
 )
 from vortexlens.units import Particle
@@ -123,15 +122,6 @@ def test_potentials_reproduce_fields():
         assert abs(e_z - sample.e_z) < 1e-10 * e_scale
         assert abs(h_rho_t - sample.h_rho / units.GAUSS_PER_TESLA) < 1e-10 * h_scale
         assert abs(h_z_t - sample.h_z / units.GAUSS_PER_TESLA) < 1e-10 * h_scale
-
-
-def test_omega_c_of_z():
-    lens = _lens(kappa_m=0.081, kappa_e=0.081)
-    omega0 = units.cyclotron_frequency(85.0, ELECTRON)
-    assert omega_c_of_z(lens, 0.0, ELECTRON) == omega0
-    assert omega_c_of_z(lens, lens.length_m, ELECTRON) == pytest.approx(1.081 * omega0, rel=1e-12)
-    down = _lens(kappa_m=-0.081, kappa_e=-0.081)
-    assert omega_c_of_z(down, down.length_m, ELECTRON) == pytest.approx(0.919 * omega0, rel=1e-12)
 
 
 def test_landau_rho_sq_st():

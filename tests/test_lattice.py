@@ -258,14 +258,14 @@ def test_drift_leg_focal_is_the_in_range_waist():
     past = LGPacket(0, -4, 0.574e-6, focus_time_s=-1e-9)
     (leg,) = walk(Beamline((Drift(3e-9),), ELECTRON, past, 0.43))
     assert leg.entry.drho_sq_dt == expanding.drho_sq_dt
-    assert leg.focal is None
+    assert math.isnan(leg.focal)
     # launched 1 ns before its focus, the waist is 1 ns into the drift
     before = LGPacket(0, -4, 0.574e-6, focus_time_s=1e-9)
     (leg,) = walk(Beamline((Drift(3e-9),), ELECTRON, before, 0.43))
     assert leg.focal == pytest.approx(units.time_to_natural(1e-9), rel=1e-12)
     # a drift that ends before the waist has none
     (leg,) = walk(Beamline((Drift(0.5e-9),), ELECTRON, before, 0.43))
-    assert leg.focal is None
+    assert math.isnan(leg.focal)
     # a packet launched at its focus has its waist at the entry
     (leg,) = walk(Beamline((Drift(3e-9),), ELECTRON, packet_0574(), 0.43))
     assert leg.focal == 0.0
@@ -449,9 +449,9 @@ def test_a_leg_evaluated_before_its_crossing_gives_a_valid_state(case, data):
     floor = compton_floor(ELECTRON)
     for leg in legs:
         crossing = leg.crossing
-        horizon = leg.duration if crossing is None else crossing
+        horizon = leg.duration if math.isnan(crossing) else crossing
         offsets = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))) * horizon
-        if crossing is None:  # the whole leg, both ends included
+        if math.isnan(crossing):  # the whole leg, both ends included
             offsets = np.append(offsets, [0.0, horizon])
         else:
             offsets = offsets[offsets < crossing]
@@ -463,6 +463,38 @@ def test_a_leg_evaluated_before_its_crossing_gives_a_valid_state(case, data):
             assert np.all(state.rho_sq > floor - rounding)
 
 
+def emittance_sq(state):
+    """<rho^2><u^2> - <rho.u>^2, the radicand of emittance(); a lens can leave
+    it negative, and drifts and joins keep it all the same."""
+    return state.rho_sq * state.u_perp_sq - 0.25 * state.drho_sq_dt * state.drho_sq_dt
+
+
+def rounding_scale(leg, state):
+    """The size of the terms whose rounding moves emittance_sq of a state on this leg."""
+    rho_sq = state.rho_sq if leg.orbit is None else abs(leg.orbit.center) + leg.orbit.amplitude
+    return max(rho_sq, state.rho_sq) * state.u_perp_sq + 0.25 * state.drho_sq_dt * state.drho_sq_dt
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_lines(), st.data())
+def test_emittance_is_constant_along_drifts_and_continuous_at_joins(case, data):
+    _, legs, _ = case
+    for leg in legs:
+        start = leg.evaluate(0.0)
+        if isinstance(leg.element, Drift):
+            fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+            for offset in (np.array(fractions) * leg.duration).tolist():
+                state = leg.evaluate(offset)
+                tol = 1e-14 * (rounding_scale(leg, state) + rounding_scale(leg, start))
+                assert abs(emittance_sq(state) - emittance_sq(start)) <= tol
+                if emittance_sq(start) > 1e6 * tol:  # then the rounding moves emittance by under 1e-6
+                    assert emittance(state) == pytest.approx(emittance(start), rel=1e-6)
+    for before, after in zip(legs, legs[1:]):  # each leg's own closed form on either side
+        end, start = before.evaluate(before.duration), after.evaluate(0.0)
+        tol = 1e-14 * (rounding_scale(before, end) + rounding_scale(after, start))
+        assert abs(emittance_sq(end) - emittance_sq(start)) <= tol
+
+
 PINNED_COLUMNS = ("t", "z", "p_z", "rho_sq", "drho_sq_dt")
 NUMPY_VS_MATH = "numpy and math disagree on this host; the CSV golden digests will move"
 
@@ -472,7 +504,7 @@ NUMPY_VS_MATH = "numpy and math disagree on this host; the CSV golden digests wi
 def test_leg_on_an_offset_array_matches_the_scalar_route(case, data):
     line, legs, _ = case
     for leg in legs:
-        horizon = leg.crossing if leg.crossing is not None else leg.duration
+        horizon = leg.duration if math.isnan(leg.crossing) else leg.crossing
         fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
         offsets = np.sort(np.array(fractions) * horizon)
         state = leg.evaluate(offsets)

@@ -66,21 +66,6 @@ def test_diffraction_time_quadratic_scaling():
     assert units.diffraction_time(0.6e-6, ELECTRON) == pytest.approx(4.0 * base, rel=1e-14)
 
 
-def test_rayleigh_length():
-    td = units.diffraction_time(0.574e-6, ELECTRON)
-    u = 0.43 / ELECTRON.mass_ev
-    assert units.rayleigh_length(u, 0.574e-6, ELECTRON) == pytest.approx(
-        u * units.LIGHT_SPEED_M_PER_S * td, rel=1e-14
-    )
-    # a 1 nm packet spreading to 1 mm travels meters, not microns
-    z_r = units.rayleigh_length(0.999, 1e-9, ELECTRON)
-    spread_distance = z_r * 1e6
-    assert 1.0 < spread_distance < 10.0
-    for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            units.rayleigh_length(bad, 1e-9, ELECTRON)
-
-
 def test_rho_h_omega_identity():
     # rho_H^2 omega_0 = 4 hbar / m for any field
     m_kg = ELECTRON.mass_ev * units.ELEMENTARY_CHARGE_C / units.LIGHT_SPEED_M_PER_S**2
