@@ -114,6 +114,13 @@ def _optional(mapping: dict, key: str, kind, path: str, default):
     return _need(mapping, key, kind, path)
 
 
+def _sample_dt(value: float, source: str) -> float:
+    try:
+        return units.require("sample_dt_ns", value)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: {exc}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; ScenarioError names the bad field."""
     try:  # open(), not pathlib: Path interns each part, and freed interned strings churn that table
@@ -201,8 +208,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     output_block = _optional(raw, "output", dict, "scenario", {})
     sample_dt_ns = _optional(output_block, "sample_dt_ns", float, "output", 0.05)
-    if sample_dt_ns <= 0:
-        raise ScenarioError("output.sample_dt_ns: must be positive")
+    sample_dt_ns = _sample_dt(sample_dt_ns, "output.sample_dt_ns")
     csv_path = output_block.get("csv_path")  # null: no path
     if csv_path is not None:
         csv_path = _need(output_block, "csv_path", str, "output")
@@ -404,8 +410,7 @@ def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:
 
 def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> int:
     if param not in SWEEP_PARAMS:
-        sys.stderr.write(f"sweep: unknown parameter {param!r}; choose from {SWEEP_PARAMS}\n")
-        return EXIT_SCHEMA
+        raise ScenarioError(f"--param: unknown parameter {param!r}; choose from {SWEEP_PARAMS}")
     values = _sweep_values(spec_range, steps)
     if not scenario.lens_n_primes:
         raise ScenarioError("beamline: sweep needs at least one lens")
@@ -489,9 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.sample_dt_ns is not None:
-            if args.sample_dt_ns <= 0:
-                raise ScenarioError("--sample-dt-ns: must be positive")
-            scenario = dc_replace(scenario, sample_dt_ns=args.sample_dt_ns)
+            scenario = dc_replace(scenario, sample_dt_ns=_sample_dt(args.sample_dt_ns, "--sample-dt-ns"))
         if args.command == "propagate":
             return cmd_propagate(scenario, args.output or scenario.csv_path, args.strict)
         if args.command == "check":

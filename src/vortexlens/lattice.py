@@ -188,8 +188,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     trajectory.  Gradient lenses carry the first-order radius
     correction.  Over MAX_SAMPLES raises before any sample is built.
     """
-    if not sample_dt_s > 0:
-        raise ValueError("sample_dt_s must be positive")
+    units.require("sample_dt_s", sample_dt_s)
     count = beamline.duration_s / sample_dt_s + 3 * len(beamline.elements)  # grid, focal, end
     if not count <= MAX_SAMPLES:
         raise BeamlineConfigError(f"up to {count:.3g} samples, over MAX_SAMPLES = {MAX_SAMPLES}")

@@ -41,7 +41,8 @@ from .units import Particle
 
 VALIDITY_FRACTION = 0.3
 MIN_STEPS_PER_PERIOD = 200
-# grid points per array evaluation in verify_closed_form
+# grid points per closed-form evaluation in verify_closed_form: the (3, n)
+# stencil of a whole grid at once would raise peak memory by about 2 MB
 VERIFY_BLOCK = 256
 
 
@@ -285,32 +286,23 @@ def verify_closed_form(
     # no residual within h of the entry, where t - h precedes it
     w = orbit.omega0
     h = period * 1e-4
-    # per-block maxima, combined below with numpy so that a NaN anywhere
-    # fails the check exactly as a whole-grid np.max/np.argmax would
-    mismatch_max, mismatch_at, drive_max, residual_max = [], [], [], []
+    table = np.empty((3, ts.size))
+    mismatch, drive, residual = table
     for start in range(0, ts.size, VERIFY_BLOCK):
         block = slice(start, start + VERIFY_BLOCK)
         t = ts[block]
         closed, plus, minus = _closed_form(orbit, kappa, t + np.array([[0.0], [h], [-h]]))
-        mismatch = np.abs(closed - r1_num[block]) / scale
-        i = int(np.argmax(mismatch))
-        mismatch_max.append(mismatch[i])
-        mismatch_at.append(start + i)
-        _, drive = _gradient_forcing(orbit, kappa, t)
-        drive += 2.0 * u1s[block]
+        mismatch[block] = np.abs(closed - r1_num[block]) / scale
+        _, drive[block] = _gradient_forcing(orbit, kappa, t)
+        drive[block] += 2.0 * u1s[block]
         second = (plus - 2.0 * closed + minus) / (h * h)
-        residual = second + w * w * closed - drive
-        near_entry = t < h
-        drive[near_entry] = 0.0
-        residual[near_entry] = 0.0
-        drive_max.append(np.max(np.abs(drive)))
-        residual_max.append(np.max(np.abs(residual)))
-    worst_block = int(np.argmax(mismatch_max))
-    worst = mismatch_at[worst_block]
-    max_mismatch = float(mismatch_max[worst_block])
-    drive_scale = float(np.max(drive_max))
+        residual[block] = second + w * w * closed - drive[block]
+    table[1:, ts < h] = 0.0  # drive and residual near the entry
+    worst = int(np.argmax(mismatch))
+    max_mismatch = float(mismatch[worst])
+    drive_scale = float(np.max(np.abs(drive)))
     drive_scale = drive_scale if drive_scale > 0 else 1.0
-    max_residual = float(np.max(residual_max)) / drive_scale
+    max_residual = float(np.max(np.abs(residual))) / drive_scale
 
     consistent = max_mismatch <= tolerance and max_residual <= tolerance
     return ClosedFormCheck(

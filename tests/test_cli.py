@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from vortexlens import cli, lattice, units
 from vortexlens.cli import (
@@ -741,6 +741,14 @@ def test_sweep_point_past_the_float_range_names_the_first(capsys, param, spec_ra
     assert lines[0].startswith(f"error: sweep point {param}={first_bad}: ")
 
 
+def test_unknown_sweep_parameter_is_schema_error(capsys):
+    path = str(SCENARIOS / "capture_transport.json")
+    assert main(["sweep", path, "--param", "E0", "--range", "0:1", "--steps", "2"]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --param: unknown parameter 'E0'; choose from {cli.SWEEP_PARAMS}\n"
+
+
 @pytest.mark.parametrize("param", cli.SWEEP_PARAMS)
 def test_sweep_walks_once(capsys, monkeypatch, param):
     calls = {"walk": 0, "transport_check": 0}
@@ -868,3 +876,84 @@ def test_csv_column_overflow_is_schema_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: CSV column drho2_dt_um2_per_ns: a value overflows the float range\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("source", ["output.sample_dt_ns", "--sample-dt-ns"])
+def test_sampling_step_must_be_finite_and_positive(tmp_path, capsys, source, value):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    options = []
+    if source == "--sample-dt-ns":
+        options = ["--sample-dt-ns", value]
+    else:
+        data["output"]["sample_dt_ns"] = float(value)  # NaN and Infinity are JSON tokens here
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*options, "propagate", path, "-o", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.out == ""
+    assert captured.err == f"error: {source}: sample_dt_ns must be positive, got {float(value)}\n"
+
+
+# the extremes of a JSON number: zero, the edges of the float range and past
+# them, non-finite values, and integers too large for exact float conversion
+FUZZ_VALUES = (0, 1e-300, -1e-300, 1e-150, -1e-150, 1e150, -1e150, 1e300, -1e300,
+               math.inf, -math.inf, math.nan, 10**6, -(10**6), 10**30, 2**53 + 1)
+FUZZ_COMMANDS = (["propagate", "-o", "-"], ["check"], ["design", "--mode", "matching-field"],
+                 ["design", "--mode", "capture"], ["sweep", "--param", "H0_gauss", "--range", "50:150", "--steps", "5"])
+
+
+def numeric_fields(data, prefix=()):
+    """Key paths of every number in a scenario's JSON."""
+    items = enumerate(data) if isinstance(data, list) else data.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_fields(value, prefix + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + (key,)
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A shipped scenario with one or two of its numbers set to a FUZZ_VALUES entry."""
+    data = json.loads(draw(st.sampled_from(sorted(SCENARIOS.glob("*.json")))).read_text(encoding="utf-8"))
+    fields = draw(st.lists(st.sampled_from(list(numeric_fields(data))), min_size=1, max_size=2, unique=True))
+    for *parents, key in fields:
+        obj = data
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return data, fields
+
+
+def shipped_with(name, block, key, value):
+    data = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+    data[block][key] = value
+    return data, [(block, key)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_scenarios())
+@example(shipped_with("capture_transport.json", "output", "sample_dt_ns", math.nan))
+@example(shipped_with("capture_transport.json", "output", "sample_dt_ns", math.inf))
+def test_fuzzed_scenario_exits_with_a_verdict_or_one_error_line(tmp_path_factory, case):
+    data, fields = case
+    path = write_scenario(tmp_path_factory.mktemp("fuzz"), data)
+    options = []
+    if ("output", "sample_dt_ns") not in fields:  # about 50 samples of the line, whatever its length
+        durations = (e.get("duration_ns") for e in data["beamline"])
+        total = math.fsum(d for d in durations if isinstance(d, (int, float)) and math.isfinite(d) and d > 0)
+        options = ["--sample-dt-ns", repr(max(total, 1.0) / 50.0)]
+    for command in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([*options, command[0], path, *command[1:]])
+        lines = err.getvalue().splitlines()
+        if code == EXIT_SCHEMA:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+        else:
+            assert code in (EXIT_OK, EXIT_OVERFOCUS, EXIT_CHECK_FAILED, EXIT_DESIGN), (command, code, lines)
+            assert lines == [] or (len(lines) == 1 and lines[0].startswith("design: ")), (command, lines)

@@ -141,6 +141,13 @@ def test_sample_dt_halving_keeps_events_identical():
     ]
 
 
+@pytest.mark.parametrize("sample_dt_s", [math.nan, math.inf, 0.0, -1e-9])
+def test_run_requires_a_finite_positive_step(sample_dt_s):
+    line = Beamline((Drift(2.0e-9),), ELECTRON, packet_0574(), 0.43)
+    with pytest.raises(ValueError, match=f"^sample_dt_s must be positive, got {sample_dt_s}$"):
+        run(line, sample_dt_s)
+
+
 def test_two_lens_recapture_scenario():
     # over-focusing first lens terminated early; identical second lens placed
     # at the inter-lens waist captures and transports

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -206,3 +207,33 @@ def test_kappa_bound_enforced():
         correction_closed_form(inputs, 0.5, 1.0)
     with pytest.raises(ValueError):
         correction_closed_form(inputs, 0.081, -1.0)
+
+
+def nan_group_from(fraction):
+    """closed_form_groups with its third group NaN past fraction of a one-period grid."""
+    groups = perturbation.closed_form_groups
+
+    def third_group_nan(inputs, kappa, dt):
+        g = list(groups(inputs, kappa, dt))
+        g[2] = np.where(np.asarray(dt) >= fraction * period_of(inputs), math.nan, g[2])
+        return tuple(g)
+
+    return third_group_nan
+
+
+@pytest.mark.parametrize(
+    "e0, kappa, nan_from",
+    [(0.0, 0.081, None), (25e6, -0.081, None), (25e6, 0.081, 0.0), (25e6, 0.081, 0.37)],
+)
+@pytest.mark.parametrize("block", [1, 7, "grid"])
+def test_closed_form_check_does_not_depend_on_the_block_size(monkeypatch, e0, kappa, nan_from, block):
+    inputs = entry_inputs(e0=e0)
+    if nan_from is not None:
+        monkeypatch.setattr(perturbation, "closed_form_groups", nan_group_from(nan_from))
+    default = verify_closed_form(inputs, kappa, n_periods=1.0)
+    grid_size = perturbation._integrate_linear(inputs, kappa, period_of(inputs), period_of(inputs) / 2048.0)[0].size
+    monkeypatch.setattr(perturbation, "VERIFY_BLOCK", grid_size if block == "grid" else block)
+    check = verify_closed_form(inputs, kappa, n_periods=1.0)
+    for field in dataclasses.fields(check):
+        got, want = np.asarray(getattr(check, field.name)), np.asarray(getattr(default, field.name))
+        assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), field.name
