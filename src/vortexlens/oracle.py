@@ -17,6 +17,8 @@ from typing import Callable
 import numpy as np
 
 MAX_LAGUERRE_INDEX = 12
+# steps per integration: the grid and the states are allocated whole
+MAX_STEPS = 1_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -51,11 +53,17 @@ def _check_plan(t0: float, t_end: float, step: float) -> None:
 
 
 def _time_grid(t0: float, t_end: float, step: float) -> tuple[np.ndarray, float]:
-    """Uniform grid from t0 to t_end with the largest step not exceeding step."""
+    """Uniform grid from t0 to t_end with the largest step not exceeding step.
+
+    Over MAX_STEPS steps raises before the grid is allocated.
+    """
     span = t_end - t0
     if span == 0.0:
         return np.array([t0]), 0.0
-    n = max(1, math.ceil(span / step - 1e-12))
+    count = span / step
+    if not count <= MAX_STEPS:
+        raise ValueError(f"{count:.3g} steps, over MAX_STEPS = {MAX_STEPS}")
+    n = max(1, math.ceil(count - 1e-12))
     h = span / n
     return t0 + h * np.arange(n + 1), h
 
@@ -85,7 +93,11 @@ def integrate_rk4(spec: ODESpec) -> tuple[np.ndarray, np.ndarray]:
     return ts, out
 
 
-LINEAR_BLOCK = 256
+# steps per forcing evaluation in integrate_rk4_linear
+LINEAR_BLOCK = 1024
+# steps per chunk of the step map, at most: the block-Toeplitz matrix of
+# P^0 .. P^(S-1) is (3S, 3S)
+LINEAR_CHUNK = 32
 
 
 def integrate_rk4_linear(
@@ -99,13 +111,20 @@ def integrate_rk4_linear(
     """Classical RK4 for the three-component linear system y' = A y + b(t).
 
     For a linear system one RK4 step is exactly the map
-    y+ = P y + h (Q0 b(t) + Qm b(t + h/2) + Q1 b(t + h)) with M = h A,
+    y+ = P y + c with c = h (Q0 b(t) + Qm b(t + h/2) + Q1 b(t + h)), M = h A,
     P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = (I + M + M^2/2 + M^3/4)/6,
     Qm = (4I + 2M + M^2/2)/6 and Q1 = I/6.  forcing maps an array of times
     to b as an array of shape (3, len(times)); it is evaluated on blocks of
-    the grid, and only the 3x3 recurrence runs per step.  The grid, the
-    input validation and the IntegrationError on a non-finite state match
-    integrate_rk4, which stays the reference for this map.
+    LINEAR_BLOCK steps.  The map runs on chunks of S steps without a
+    per-step loop: y[s+k+1] = P^(k+1) y[s] + sum_{j<=k} P^(k-j) c[s+j], one
+    matmul with the block-Toeplitz matrix of P^0 .. P^(S-1) for the kicks of
+    every chunk of a block, and one P^1 .. P^S carry per chunk.  S is
+    LINEAR_CHUNK, or fewer where a higher power of P overflows (an inf
+    power times a zero state would read NaN).  A non-finite kick is zeroed
+    before the matmul, which would spread it to the earlier steps of its
+    chunk, and reported at its own step.  The grid, the input validation
+    and the IntegrationError on a non-finite state match integrate_rk4,
+    which stays the reference for this map.
     """
     _check_plan(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
@@ -118,29 +137,41 @@ def integrate_rk4_linear(
     m = h * a
     m2 = m @ m
     m3 = m2 @ m
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = (
-        eye + m + m2 / 2.0 + m3 / 6.0 + (m3 @ m) / 24.0
-    ).tolist()
+    p = eye + m + m2 / 2.0 + m3 / 6.0 + (m3 @ m) / 24.0
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    y_0, y_1, y_2 = (float(v) for v in y0)
+    powers = np.empty((LINEAR_CHUNK + 1, 3, 3))
+    powers[0] = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(LINEAR_CHUNK):
+            powers[k + 1] = powers[k] @ p
+    finite = np.isfinite(powers[1:]).all(axis=(1, 2))
+    s = max(1, LINEAR_CHUNK if finite.all() else int(np.argmin(finite)))
+    lag = np.subtract.outer(np.arange(s), np.arange(s))
+    toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(3 * s, 3 * s)
+    carry = powers[1 : s + 1].reshape(3 * s, 3)
     for start in range(0, ts.size - 1, LINEAR_BLOCK):
         stop = min(start + LINEAR_BLOCK, ts.size - 1)
         # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
         b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
-        kicks = (q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]).T.tolist()
-        rows = []
-        for c0, c1, c2 in kicks:
-            y_0, y_1, y_2 = (
-                p00 * y_0 + p01 * y_1 + p02 * y_2 + c0,
-                p10 * y_0 + p11 * y_1 + p12 * y_2 + c1,
-                p20 * y_0 + p21 * y_1 + p22 * y_2 + c2,
-            )
-            rows.append((y_0, y_1, y_2))
+        n = stop - start
+        kicks = np.zeros((-(-n // s) * s, 3))  # whole chunks; the padding is dropped below
+        kicks[:n] = (q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]).T
+        finite = np.isfinite(kicks).all(axis=1)
+        bad = kicks.shape[0] if finite.all() else int(np.argmin(finite))
+        kicks[bad:] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
+            chunks = kicks.reshape(-1, 3 * s) @ toeplitz.T
+            y = out[start]
+            for chunk in chunks:
+                chunk += carry @ y
+                y = chunk[-3:]
         block = out[start + 1 : stop + 1]
-        block[:] = rows
+        block[:] = chunks.reshape(-1, 3)[:n]
         finite = np.isfinite(block).all(axis=1)
+        finite[bad:] = False
         if not finite.all():
             raise IntegrationError(float(ts[start + 1 + int(np.argmin(finite))]))
     return ts, out

@@ -19,7 +19,8 @@ the system.  The numerical route is authoritative; verify_closed_form
 cross-checks the two and reports any mismatch instead of trusting either
 silently.  The system is linear in (u1, r1, dr1), so both
 correction_by_quadrature and verify_closed_form integrate it with the
-exact one-step map of classical RK4 (oracle.integrate_rk4_linear), and
+exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
+to chunks of steps at once by matrix powers with no per-step loop, and
 verify_closed_form evaluates the closed form on arrays; a test pins that
 map to the generic RK4 integrator.
 
@@ -42,8 +43,10 @@ from .units import Particle
 VALIDITY_FRACTION = 0.3
 MIN_STEPS_PER_PERIOD = 200
 # grid points per closed-form evaluation in verify_closed_form: the (3, n)
-# stencil of a whole grid at once would raise peak memory by about 2 MB
-VERIFY_BLOCK = 256
+# stencil of a whole 8,193-point grid at once raises peak memory by about
+# 2 MB; blocks of 1024 cost about 0.2 MB over blocks of 256 (max RSS of 244
+# calls on x86_64: 40.07-40.18 MB against 39.89-40.02 MB, 41.98 whole)
+VERIFY_BLOCK = 1024
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexlens import oracle
 from vortexlens.oracle import (
@@ -95,6 +97,117 @@ def test_rk4_linear_blow_up_reported_at_same_time():
         with pytest.raises(IntegrationError) as linear:
             integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
     assert linear.value.t == generic.value.t
+
+
+def test_rk4_linear_blow_up_raises_no_warning():
+    # the overflow is reported by the IntegrationError alone
+    matrix, forcing, _ = _linear_system(1e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
+
+
+def test_rk4_linear_overflowing_powers_are_no_blow_up():
+    # P^k of this matrix overflows within the first chunk; times a zero
+    # state it would read NaN, so the step map must stop its chunks short
+    matrix, _, _ = _linear_system(1e4)
+
+    def forcing(t):
+        return np.zeros((3, t.size))
+
+    def rhs(t, y):
+        return matrix @ y
+
+    ts_ref, ref = integrate_rk4(ODESpec(rhs, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5))
+    ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5)
+    assert np.array_equal(ts, ts_ref)
+    assert np.array_equal(states, ref)
+    assert not np.any(states)
+
+
+@pytest.mark.parametrize("t_star", [0.37, 0.375, 2.0, 5.55, 10.3])
+def test_rk4_linear_nonfinite_forcing_reported_at_same_time(t_star):
+    # a NaN kick inside a chunk must not reach the earlier steps of that chunk
+    matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -4.0, 0.0]])
+
+    def forcing(t):
+        t = np.asarray(t)
+        return np.where(t < t_star, 1.0, math.nan) * np.array([np.cos(t), np.zeros_like(t), np.ones_like(t)])
+
+    def rhs(t, y):
+        return matrix @ y + forcing(t)
+
+    with pytest.raises(IntegrationError) as generic:
+        integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01))
+    with pytest.raises(IntegrationError) as linear:
+        integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01)
+    assert linear.value.t == generic.value.t
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _matrices(draw):
+    """A dense 3x3 matrix, or a non-diagonalisable one: a repeated
+    eigenvalue over a nonzero superdiagonal, permuted off the triangle."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(_UNIT, min_size=9, max_size=9))).reshape(3, 3)
+    lam = draw(_UNIT)
+    mu = draw(st.one_of(st.just(lam), _UNIT))
+    a = np.array(
+        [[lam, draw(st.floats(0.1, 1.0)), draw(_UNIT)], [0.0, lam, draw(_UNIT)], [0.0, 0.0, mu]]
+    )
+    order = draw(st.permutations([0, 1, 2]))
+    return a[order][:, order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _matrices(),
+    st.tuples(*[st.one_of(st.floats(0.5, 1.0), st.floats(-1.0, -0.5))] * 3),
+    st.sampled_from(
+        [1, oracle.LINEAR_CHUNK - 1, oracle.LINEAR_CHUNK, oracle.LINEAR_CHUNK + 1, oracle.LINEAR_BLOCK + 1]
+    ),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_rk4_linear_matches_generic_rk4(matrix, y0, steps, nan_from):
+    # the two routes round differently, by about steps * eps of the state's
+    # size; a unit span and |y0| components of at least 1/2 keep every
+    # component's peak comparable to that size
+    def forcing(t):
+        t = np.asarray(t)
+        on = 1.0 if nan_from is None else np.where(t < nan_from, 1.0, math.nan)
+        return on * np.array([np.cos(t), np.sin(2.0 * t), np.ones_like(t)])
+
+    def rhs(t, y):
+        return matrix @ y + forcing(t)
+
+    try:
+        ts_ref, ref = integrate_rk4(ODESpec(rhs, y0, 0.0, 1.0, 1.0 / steps))
+    except IntegrationError as generic:
+        with pytest.raises(IntegrationError) as linear:
+            integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
+        assert linear.value.t == generic.t
+        return
+    ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
+    assert np.array_equal(ts, ts_ref)
+    peak = np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
+
+
+def test_rk4_grid_is_bounded_before_allocation():
+    matrix, forcing, rhs = _linear_system(1.0)
+    message = f"MAX_STEPS = {oracle.MAX_STEPS}"
+    with pytest.raises(ValueError, match=message):
+        oracle._time_grid(0.0, 1e13, 1.0)
+    with pytest.raises(ValueError, match=message):
+        integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 1e13, 1.0)
+    with pytest.raises(ValueError, match=message):
+        integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 1.0, 1e-320))
+    ts, _ = oracle._time_grid(0.0, float(oracle.MAX_STEPS), 1.0)
+    assert ts.size == oracle.MAX_STEPS + 1
 
 
 @pytest.mark.parametrize(
