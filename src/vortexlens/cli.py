@@ -258,12 +258,12 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     return [",".join(CSV_COLUMNS)] + [ROW_FORMATS[k] % row for k, row in zip(kinds, rows)]
 
 
-def _write_csv(trajectory: Trajectory, out_path: str | None) -> None:
-    text = "\n".join(trajectory_rows(trajectory)) + "\n"
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+def _write_text(path: str, text: str, source: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"{source}: cannot write: {exc}") from exc
 
 
 def _truncate_at_event(trajectory: Trajectory, t_event: float) -> Trajectory:
@@ -271,7 +271,7 @@ def _truncate_at_event(trajectory: Trajectory, t_event: float) -> Trajectory:
     return Trajectory(trajectory.samples[trajectory.samples.t <= t_event], events, False)
 
 
-def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool) -> int:
+def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool, source: str) -> int:
     trajectory = run(scenario.beamline(), scenario.sample_dt_ns * 1e-9)
     exit_code = EXIT_OK
     if strict:
@@ -282,7 +282,11 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool) -> int
             exit_code = EXIT_RELATIVISTIC
     if exit_code == EXIT_OK and not trajectory.completed:
         exit_code = EXIT_OVERFOCUS
-    _write_csv(trajectory, out_path)
+    text = "\n".join(trajectory_rows(trajectory)) + "\n"
+    if out_path is None or out_path == "-":
+        sys.stdout.write(text)
+    else:
+        _write_text(out_path, text, source)
     return exit_code
 
 
@@ -372,7 +376,7 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
             }
         )
         raw["beamline"] = trimmed
-        Path(emit_path).write_text(serialize_scenario(raw), encoding="utf-8")
+        _write_text(emit_path, serialize_scenario(raw), "--emit-scenario")
         lines.append(f"scenario_written: {emit_path}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -442,13 +446,19 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
                 except ValueError as exc:
                     raise ScenarioError(f"sweep point {param}={_fmt(value)}: {exc}") from None
             raise
+    header = f"{param},transportable,rho2_min_um2\n"
+    rho2_min = units.area_from_natural(report.rho_sq_min) * 1e12
+    if np.ndim(report.transportable) == 0:  # one verdict for the whole grid (n_prime): format it once
+        tail = ",%s,%.12g\n" % ("true" if report.transportable else "false", rho2_min)
+        sys.stdout.write(header + tail.join(["%.12g" % value for value in values.tolist()]) + tail)
+        return EXIT_OK
     transportable = np.broadcast_to(report.transportable, len(values)).tolist()
-    rho2_min = np.broadcast_to(units.area_from_natural(report.rho_sq_min) * 1e12, len(values)).tolist()
-    rows = [f"{param},transportable,rho2_min_um2"] + [
+    rho2_min = np.broadcast_to(rho2_min, len(values)).tolist()
+    rows = [
         "%.12g,%s,%.12g" % (value, "true" if ok else "false", r)
         for value, ok, r in zip(values.tolist(), transportable, rho2_min)
     ]
-    sys.stdout.write("\n".join(rows) + "\n")
+    sys.stdout.write(header + "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -496,7 +506,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.sample_dt_ns is not None:
             scenario = dc_replace(scenario, sample_dt_ns=_sample_dt(args.sample_dt_ns, "--sample-dt-ns"))
         if args.command == "propagate":
-            return cmd_propagate(scenario, args.output or scenario.csv_path, args.strict)
+            source = "-o" if args.output else "output.csv_path"
+            return cmd_propagate(scenario, args.output or scenario.csv_path, args.strict, source)
         if args.command == "check":
             return cmd_check(scenario)
         if args.command == "design":

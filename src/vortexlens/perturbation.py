@@ -199,16 +199,21 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t):
 
 
 def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
-    """The driven first-order system, state (u1, r1, dr1), from rest at the
-    lens entry to t_end by the exact RK4 step map."""
+    """(ts, states, drive): the driven first-order system, state (u1, r1, dr1),
+    from rest at the lens entry to t_end by the exact RK4 step map, and the
+    drive at ts[1:], kept from the forcing the map evaluates on each block:
+    its even half-steps are ts[start:stop + 1], ts[start] ending the block before."""
     w = orbit.omega0
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
+    drives = [np.empty(0)]  # none on a one-point grid
 
     def forcing(t: np.ndarray) -> np.ndarray:
         du1, drive = _gradient_forcing(orbit, kappa, t)
+        drives.append(drive[2::2])
         return np.array([du1, np.zeros_like(t), drive])
 
-    return integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
+    ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
+    return ts, states, np.concatenate(drives)
 
 
 def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:
@@ -225,7 +230,7 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
             f"step {step} too coarse; need <= period/{MIN_STEPS_PER_PERIOD} = "
             f"{period / MIN_STEPS_PER_PERIOD}"
         )
-    _, states = _integrate_linear(orbit, kappa, dt, step)
+    _, states, _ = _integrate_linear(orbit, kappa, dt, step)
     u1, r1, _ = states[-1].tolist()
     return CorrectionState(
         rho_sq_1=r1,
@@ -278,7 +283,7 @@ def verify_closed_form(
     _check_kappa(kappa)
     period = 2.0 * math.pi / orbit.omega0
     t_end = n_periods * period
-    ts, states = _integrate_linear(orbit, kappa, t_end, period / 2048.0)
+    ts, states, forced = _integrate_linear(orbit, kappa, t_end, period / 2048.0)
     u1s = states[:, 0]
     r1_num = states[:, 1]
     peak = float(np.max(np.abs(r1_num)))
@@ -291,13 +296,13 @@ def verify_closed_form(
     h = period * 1e-4
     table = np.empty((3, ts.size))
     mismatch, drive, residual = table
+    drive[0] = 0.0  # the entry, zeroed below with the rest within h of it
+    np.add(forced, 2.0 * u1s[1:], out=drive[1:])
     for start in range(0, ts.size, VERIFY_BLOCK):
         block = slice(start, start + VERIFY_BLOCK)
         t = ts[block]
         closed, plus, minus = _closed_form(orbit, kappa, t + np.array([[0.0], [h], [-h]]))
         mismatch[block] = np.abs(closed - r1_num[block]) / scale
-        _, drive[block] = _gradient_forcing(orbit, kappa, t)
-        drive[block] += 2.0 * u1s[block]
         second = (plus - 2.0 * closed + minus) / (h * h)
         residual[block] = second + w * w * closed - drive[block]
     table[1:, ts < h] = 0.0  # drive and residual near the entry

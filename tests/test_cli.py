@@ -478,6 +478,30 @@ def test_design_capture_mode(tmp_path, capsys):
     assert max(rho2) / min(rho2) - 1.0 < 1e-9
 
 
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        (["propagate", "-o", "{missing}"], "-o"),
+        (["propagate", "-o", "{directory}"], "-o"),
+        (["design", "--mode", "capture", "--emit-scenario", "{missing}"], "--emit-scenario"),
+        (["propagate"], "output.csv_path"),
+    ],
+    ids=["missing-directory", "a-directory", "emit-scenario", "scenario-csv-path"],
+)
+def test_unwritable_output_path_is_schema_error(tmp_path, capsys, command, source):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    missing = str(tmp_path / "missing" / "out")
+    data["output"]["csv_path"] = missing
+    path = write_scenario(tmp_path, data)
+    argv = [arg.format(missing=missing, directory=tmp_path) for arg in command]
+    assert main([argv[0], path, *argv[1:]]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {source}: cannot write: ")
+
+
 def test_design_capture_no_focus(tmp_path, capsys):
     data = scenario_dict(
         packet={"n": 0, "l": -4, "sigma_r_um": 0.622, "focus_time_ns": -1.0},
@@ -772,6 +796,51 @@ def test_sweep_walks_once(capsys, monkeypatch, param):
     assert len(capsys.readouterr().out.splitlines()) == 1001
     assert calls["walk"] == 1
     assert calls["transport_check"] <= 1
+
+
+def row_per_point_n_prime_sweep(name, spec_range, steps):
+    """The n_prime sweep's output as one "%.12g,%s,%.12g" row per grid point,
+    over the verdict broadcast to the grid."""
+    scenario = load_scenario(SCENARIOS / name)
+    values = cli._sweep_values(spec_range, steps)
+    with np.errstate(all="ignore"):
+        orbit = next(leg.orbit for leg in walk(scenario.beamline()) if leg.orbit is not None)
+        report = transport_check(orbit, n=scenario.packet.n, n_prime=scenario.lens_n_primes[0])
+    transportable = np.broadcast_to(report.transportable, len(values)).tolist()
+    rho2_min = np.broadcast_to(units.area_from_natural(report.rho_sq_min) * 1e12, len(values)).tolist()
+    rows = ["n_prime,transportable,rho2_min_um2"] + [
+        "%.12g,%s,%.12g" % (value, "true" if ok else "false", r)
+        for value, ok, r in zip(values.tolist(), transportable, rho2_min)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+@st.composite
+def n_prime_grids(draw):
+    """A shipped scenario and an n_prime grid of whole numbers: a random
+    range (either way round, maybe lo == hi) whose span the step count
+    divides, or one step; some at 1e12 and above, where %.12g writes an exponent."""
+    name = draw(st.sampled_from(sorted(p.name for p in SCENARIOS.glob("*.json"))))
+    lo = draw(st.one_of(st.integers(0, 1000), st.integers(10**12 - 50, 10**15)))
+    intervals = draw(st.integers(0, 40))
+    hi = lo + intervals * draw(st.integers(0, 10**6)) if intervals else draw(st.integers(0, 10**15))
+    if draw(st.booleans()):
+        lo, hi = hi, lo
+    return name, f"{lo}:{hi}", intervals + 1
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_prime_grids())
+@example(("overfocus.json", "0:999", 1000))
+@example(("two_lens_recapture.json", "999999999998:1000000000002", 5))
+@example(("capture_transport.json", "7:7", 3))
+def test_n_prime_sweep_is_the_row_per_point_format(case):
+    name, spec_range, steps = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", str(SCENARIOS / name), "--param", "n_prime", "--range", spec_range, "--steps", str(steps)])
+    assert code == EXIT_OK
+    assert out.getvalue() == row_per_point_n_prime_sweep(name, spec_range, steps)
 
 
 @st.composite

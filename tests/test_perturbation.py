@@ -126,13 +126,22 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
     inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
     t_end, step = 4.0 * period, period / 2048.0
-    ts, states = perturbation._integrate_linear(inputs, kappa, t_end, step)
+    ts, states, _ = perturbation._integrate_linear(inputs, kappa, t_end, step)
     ts_ref, ref = integrate_rk4(
         ODESpec(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
     )
     assert np.array_equal(ts, ts_ref)
     peak = np.max(np.abs(ref), axis=0)
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
+
+
+@pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0])
+def test_integrated_drive_is_the_forcing_at_the_grid_points(n_periods):
+    # verify_closed_form reads the drive off the forcing the step map evaluates
+    inputs = entry_inputs(e0=25e6)
+    period = period_of(inputs)
+    ts, _, drive = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
+    assert np.array_equal(drive, perturbation._gradient_forcing(inputs, 0.081, ts[1:])[1])
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, math.nan])
