@@ -81,11 +81,12 @@ def integrate_rk4(spec: ODESpec) -> tuple[np.ndarray, np.ndarray]:
     out[0] = y
     rhs = spec.rhs
     for i in range(1, ts.size):
-        t = ts[i - 1]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
+        # stages at the times integrate_rk4_linear uses; t + h can miss ts[i] by an ulp
+        mid = spec.t0 + (0.5 * h) * (2 * i - 1)
+        k1 = rhs(ts[i - 1], y)
+        k2 = rhs(mid, y + (0.5 * h) * k1)
+        k3 = rhs(mid, y + (0.5 * h) * k2)
+        k4 = rhs(ts[i], y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(float(ts[i]))
@@ -93,11 +94,43 @@ def integrate_rk4(spec: ODESpec) -> tuple[np.ndarray, np.ndarray]:
     return ts, out
 
 
-# steps per forcing evaluation in integrate_rk4_linear
+# steps per forcing evaluation in integrate_rk4_linear, at most
 LINEAR_BLOCK = 1024
 # steps per chunk of the step map, at most: the block-Toeplitz matrix of
 # P^0 .. P^(S-1) is (3S, 3S)
 LINEAR_CHUNK = 32
+
+
+def _powers(p: np.ndarray, n: int) -> np.ndarray:
+    """P^0 .. P^(n-1) by doubling, cut before the first non-finite power
+    (an inf power times a zero state would read NaN), but not below P^1."""
+    powers = np.empty((n, 3, 3))
+    powers[0] = np.eye(3)
+    powers[1] = p
+    k = 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            m = min(2 * k - 1, n)
+            powers[k:m] = powers[k - 1] @ powers[1 : m - k + 1]
+            k = m
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    return powers if finite.all() else powers[: max(2, int(np.argmin(finite)))]
+
+
+def _lower_toeplitz(powers: np.ndarray, s: int) -> np.ndarray:
+    """The (3s, 3s) block lower-Toeplitz matrix with powers[i - j] at block (i, j)."""
+    lag = np.subtract.outer(np.arange(s), np.arange(s))
+    blocks = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * s, 3 * s)
+
+
+def _zero_from_nonfinite(rows: np.ndarray) -> int:
+    """Zero rows from the first with a non-finite entry on; its index, or len(rows)."""
+    if np.isfinite(rows).all():
+        return len(rows)
+    first = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    rows[first:] = 0.0
+    return first
 
 
 def integrate_rk4_linear(
@@ -115,16 +148,18 @@ def integrate_rk4_linear(
     P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = (I + M + M^2/2 + M^3/4)/6,
     Qm = (4I + 2M + M^2/2)/6 and Q1 = I/6.  forcing maps an array of times
     to b as an array of shape (3, len(times)); it is evaluated on blocks of
-    LINEAR_BLOCK steps.  The map runs on chunks of S steps without a
-    per-step loop: y[s+k+1] = P^(k+1) y[s] + sum_{j<=k} P^(k-j) c[s+j], one
-    matmul with the block-Toeplitz matrix of P^0 .. P^(S-1) for the kicks of
-    every chunk of a block, and one P^1 .. P^S carry per chunk.  S is
-    LINEAR_CHUNK, or fewer where a higher power of P overflows (an inf
-    power times a zero state would read NaN).  A non-finite kick is zeroed
-    before the matmul, which would spread it to the earlier steps of its
-    chunk, and reported at its own step.  The grid, the input validation
-    and the IntegrationError on a non-finite state match integrate_rk4,
-    which stays the reference for this map.
+    C chunks of S steps.  The map runs without a loop over steps or chunks:
+    y[s+k+1] = P^(k+1) y[s] + sum_{j<=k} P^(k-j) c[s+j] within a chunk, and
+    the chunk starts obey the same recurrence one level up,
+    x[i+1] = P^S x[i] + e[i], e[i] the end of chunk i run from rest.  A
+    block is three matmuls: with the block-Toeplitz matrices of
+    P^0 .. P^(S-1) (the kicks) and of (P^S)^0 .. (P^S)^(C-1) (the block
+    start and the e[i]), and with P^1 .. P^S (the chunk starts).  S is
+    LINEAR_CHUNK and C is LINEAR_BLOCK // S, or fewer where a higher power
+    overflows.  A non-finite kick or e[i] is zeroed before its matmul, which
+    would spread it to earlier steps, and reported at its own step.  The
+    grid, the input validation and the IntegrationError on a non-finite
+    state match integrate_rk4, which stays the reference for this map.
     """
     _check_plan(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
@@ -141,38 +176,32 @@ def integrate_rk4_linear(
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    powers = np.empty((LINEAR_CHUNK + 1, 3, 3))
-    powers[0] = eye
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(LINEAR_CHUNK):
-            powers[k + 1] = powers[k] @ p
-    finite = np.isfinite(powers[1:]).all(axis=(1, 2))
-    s = max(1, LINEAR_CHUNK if finite.all() else int(np.argmin(finite)))
-    lag = np.subtract.outer(np.arange(s), np.arange(s))
-    toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(3 * s, 3 * s)
-    carry = powers[1 : s + 1].reshape(3 * s, 3)
-    for start in range(0, ts.size - 1, LINEAR_BLOCK):
-        stop = min(start + LINEAR_BLOCK, ts.size - 1)
+    powers = _powers(p, LINEAR_CHUNK + 1)
+    s = len(powers) - 1
+    outer = _powers(powers[s], LINEAR_BLOCK // s)
+    c = len(outer)
+    inner, across = _lower_toeplitz(powers, s), _lower_toeplitz(outer, c)
+    carry = powers[1:].reshape(3 * s, 3)
+    for start in range(0, ts.size - 1, c * s):
+        stop = min(start + c * s, ts.size - 1)
         # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
         b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
         n = stop - start
-        kicks = np.zeros((-(-n // s) * s, 3))  # whole chunks; the padding is dropped below
+        kicks = np.zeros((c * s, 3))  # whole chunks; the padding is dropped below
         kicks[:n] = (q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]).T
-        finite = np.isfinite(kicks).all(axis=1)
-        bad = kicks.shape[0] if finite.all() else int(np.argmin(finite))
-        kicks[bad:] = 0.0
+        bad = _zero_from_nonfinite(kicks)
         with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
-            chunks = kicks.reshape(-1, 3 * s) @ toeplitz.T
-            y = out[start]
-            for chunk in chunks:
-                chunk += carry @ y
-                y = chunk[-3:]
+            chunks = kicks.reshape(c, 3 * s) @ inner.T
+            links = np.empty((c, 3))  # the block start, then each chunk's end from rest
+            links[0] = out[start]
+            links[1:] = chunks[:-1, -3:]
+            bad = min(bad, _zero_from_nonfinite(links) * s)
+            chunks += (across @ links.reshape(-1)).reshape(c, 3) @ carry.T
         block = out[start + 1 : stop + 1]
         block[:] = chunks.reshape(-1, 3)[:n]
-        finite = np.isfinite(block).all(axis=1)
-        finite[bad:] = False
-        if not finite.all():
+        if bad < n or not np.isfinite(block).all():
+            finite = np.isfinite(block).all(axis=1)
+            finite[bad:] = False
             raise IntegrationError(float(ts[start + 1 + int(np.argmin(finite))]))
     return ts, out
 

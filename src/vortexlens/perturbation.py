@@ -20,9 +20,9 @@ cross-checks the two and reports any mismatch instead of trusting either
 silently.  The system is linear in (u1, r1, dr1), so both
 correction_by_quadrature and verify_closed_form integrate it with the
 exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
-to chunks of steps at once by matrix powers with no per-step loop, and
-verify_closed_form evaluates the closed form on arrays; a test pins that
-map to the generic RK4 integrator.
+by matrix powers with no loop over steps or chunks; a test pins that map to
+the generic RK4 integrator.  verify_closed_form evaluates the closed form
+once, on that grid, and differentiates it there.
 
 Everything here is in natural units (see the units module).
 """
@@ -42,11 +42,6 @@ from .units import Particle
 
 VALIDITY_FRACTION = 0.3
 MIN_STEPS_PER_PERIOD = 200
-# grid points per closed-form evaluation in verify_closed_form: the (3, n)
-# stencil of a whole 8,193-point grid at once raises peak memory by about
-# 2 MB; blocks of 1024 cost about 0.2 MB over blocks of 256 (max RSS of 244
-# calls on x86_64: 40.07-40.18 MB against 39.89-40.02 MB, 41.98 whole)
-VERIFY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -274,11 +269,12 @@ def verify_closed_form(
 ) -> ClosedFormCheck:
     """Cross-check the closed form against the integrated system.
 
-    Compares the two routes on a dense grid over n_periods and substitutes
-    the closed form into the oscillator equation by central differences.
-    The integral route is authoritative: a failed check means the closed
-    form (or its transcription) is wrong, and the per-group values at the
-    worst time are reported for diagnosis.
+    Compares the two routes on the RK4 grid (period / 2048) over n_periods
+    and substitutes the closed form into the oscillator equation by the
+    five-point fourth-order central difference on that grid, at every grid
+    point past the entry.  The integral route is authoritative: a failed
+    check means the closed form (or its transcription) is wrong, and the
+    per-group values at the worst time are reported for diagnosis.
     """
     _check_kappa(kappa)
     period = 2.0 * math.pi / orbit.omega0
@@ -290,27 +286,22 @@ def verify_closed_form(
     scale = peak if peak > 0 else 1.0
 
     # residual of the closed form in r1'' + w^2 r1 = D(t), D built from the
-    # integrated u1; central differences with a rounding-balanced step, and
-    # no residual within h of the entry, where t - h precedes it
+    # integrated u1; r1'' by the five-point central difference on the grid,
+    # which the closed form (valid for any t) extends one step before the
+    # entry and two past the end; no residual at the entry, where D is not kept
     w = orbit.omega0
-    h = period * 1e-4
-    table = np.empty((3, ts.size))
-    mismatch, drive, residual = table
-    drive[0] = 0.0  # the entry, zeroed below with the rest within h of it
-    np.add(forced, 2.0 * u1s[1:], out=drive[1:])
-    for start in range(0, ts.size, VERIFY_BLOCK):
-        block = slice(start, start + VERIFY_BLOCK)
-        t = ts[block]
-        closed, plus, minus = _closed_form(orbit, kappa, t + np.array([[0.0], [h], [-h]]))
-        mismatch[block] = np.abs(closed - r1_num[block]) / scale
-        second = (plus - 2.0 * closed + minus) / (h * h)
-        residual[block] = second + w * w * closed - drive[block]
-    table[1:, ts < h] = 0.0  # drive and residual near the entry
+    h = ts[1] if ts.size > 1 else 0.0  # a one-point grid has no residual
+    closed = _closed_form(orbit, kappa, h * np.arange(-1, ts.size + 2))
+    mismatch = np.abs(closed[1:-2] - r1_num) / scale
+    drive = forced + 2.0 * u1s[1:]
+    r1 = closed[2:-2]  # at ts[1:]
+    second = (16.0 * (closed[1:-3] + closed[3:-1]) - closed[:-4] - closed[4:] - 30.0 * r1) / (12.0 * h * h)
+    residual = second + w * w * r1 - drive
     worst = int(np.argmax(mismatch))
     max_mismatch = float(mismatch[worst])
-    drive_scale = float(np.max(np.abs(drive)))
+    drive_scale = float(np.max(np.abs(drive), initial=0.0))
     drive_scale = drive_scale if drive_scale > 0 else 1.0
-    max_residual = float(np.max(np.abs(residual))) / drive_scale
+    max_residual = float(np.max(np.abs(residual), initial=0.0)) / drive_scale
 
     consistent = max_mismatch <= tolerance and max_residual <= tolerance
     return ClosedFormCheck(

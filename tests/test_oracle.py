@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vortexlens import oracle
 from vortexlens.oracle import (
@@ -74,23 +74,25 @@ def test_rk4_reports_nonfinite_state():
         integrate_rk4(ODESpec(rhs, (1.0,), 0.0, 10.0, 0.05))
 
 
-def _linear_system(rate):
+def _linear_system(rate, drive=1.0):
     matrix = rate * np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
 
     def forcing(t):
-        return np.array([np.cos(t), np.zeros_like(t), np.ones_like(t)])
+        return drive * np.array([np.cos(t), np.zeros_like(t), np.ones_like(t)])
 
     def rhs(t, y):
-        return matrix @ y + np.array([math.cos(t), 0.0, 1.0])
+        return matrix @ y + drive * np.array([math.cos(t), 0.0, 1.0])
 
     return matrix, forcing, rhs
 
 
-def test_rk4_linear_blow_up_reported_at_same_time():
+@pytest.mark.parametrize("drive", [1.0, 1e100, 1e200])
+def test_rk4_linear_blow_up_reported_at_same_time(drive):
     # the generic route overflows in its stages and the step map in the
     # state, so the growth per step (about 1e13) dwarfs the stage factors
-    # and both overflow in the same step
-    matrix, forcing, rhs = _linear_system(1e4)
+    # and both overflow in the same step; a huge drive overflows a chunk's
+    # response from rest, which must not reach the earlier chunks
+    matrix, forcing, rhs = _linear_system(1e4, drive)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as generic:
             integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5))
@@ -124,6 +126,41 @@ def test_rk4_linear_overflowing_powers_are_no_blow_up():
     assert np.array_equal(ts, ts_ref)
     assert np.array_equal(states, ref)
     assert not np.any(states)
+
+
+@pytest.mark.parametrize("y0", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e-300, 0.0, 0.0)])
+def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
+    # P^32 is finite but (P^32)^4 overflows, so a block holds fewer chunks.
+    # From rest the states stay zero, not NaN; a growing state is reported
+    # where the generic route reports it, in the first block from a unit
+    # state and in the second from a tiny one, with no warning
+    matrix, _, _ = _linear_system(20.0)
+    m = 0.5 * matrix
+    p = np.eye(3) + m + m @ m / 2.0 + m @ m @ m / 6.0 + m @ m @ m @ m / 24.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(np.linalg.matrix_power(p, 32)).all()
+        assert not np.isfinite(np.linalg.matrix_power(p, 4 * 32)).all()
+
+    def forcing(t):
+        return np.zeros((3, t.size))
+
+    def rhs(t, y):
+        return matrix @ y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not any(y0):
+            ts_ref, ref = integrate_rk4(ODESpec(rhs, y0, 0.0, 200.0, 0.5))
+            ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
+            assert np.array_equal(ts, ts_ref)
+            assert np.array_equal(states, ref)
+            assert not np.any(states)
+            return
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as generic:
+            integrate_rk4(ODESpec(rhs, y0, 0.0, 200.0, 0.5))
+        with pytest.raises(IntegrationError) as linear:
+            integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
+    assert linear.value.t == generic.value.t
 
 
 @pytest.mark.parametrize("t_star", [0.37, 0.375, 2.0, 5.55, 10.3])
@@ -168,10 +205,14 @@ def _matrices(draw):
     _matrices(),
     st.tuples(*[st.one_of(st.floats(0.5, 1.0), st.floats(-1.0, -0.5))] * 3),
     st.sampled_from(
-        [1, oracle.LINEAR_CHUNK - 1, oracle.LINEAR_CHUNK, oracle.LINEAR_CHUNK + 1, oracle.LINEAR_BLOCK + 1]
+        [1, oracle.LINEAR_CHUNK - 1, oracle.LINEAR_CHUNK, oracle.LINEAR_CHUNK + 1, oracle.LINEAR_BLOCK + 1,
+         2 * oracle.LINEAR_BLOCK + 1, 3 * oracle.LINEAR_BLOCK + 1]
     ),
     st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
+# 3073 steps of 1/3073 end a rounding below 1.0, while t + h of the last step
+# reads 1.0: a route that evaluates there meets the NaN and the other does not
+@example(np.zeros((3, 3)), (1.0, 1.0, 1.0), 3 * oracle.LINEAR_BLOCK + 1, 1.0)
 def test_rk4_linear_matches_generic_rk4(matrix, y0, steps, nan_from):
     # the two routes round differently, by about steps * eps of the state's
     # size; a unit span and |y0| components of at least 1/2 keep every

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -103,7 +102,16 @@ def test_closed_form_consistent_with_integrated_system(e0, kappa):
     check = verify_closed_form(inputs, kappa, n_periods=4.0)
     assert check.consistent, check.report()
     assert check.max_mismatch_over_peak < 1e-6
-    assert check.max_ode_residual_over_drive < 1e-6
+    assert check.max_ode_residual_over_drive <= 1e-8
+
+
+@pytest.mark.parametrize("n_periods", [0.003, 0.001, 0.0])
+@pytest.mark.parametrize("kappa", [0.081, -0.081])
+def test_closed_form_check_holds_on_short_spans(kappa, n_periods):
+    # a second difference 1e-4 period wide is too noisy on spans this short:
+    # it read ODE residuals of 2.2e-6 and 6.5e-6 at 0.003 and 0.001 periods
+    check = verify_closed_form(entry_inputs(e0=0.0), kappa, n_periods=n_periods)
+    assert check.consistent, check.report()
 
 
 def system_rhs(inputs, kappa):
@@ -234,15 +242,14 @@ def nan_group_from(fraction):
     "e0, kappa, nan_from",
     [(0.0, 0.081, None), (25e6, -0.081, None), (25e6, 0.081, 0.0), (25e6, 0.081, 0.37)],
 )
-@pytest.mark.parametrize("block", [1, 7, "grid"])
-def test_closed_form_check_does_not_depend_on_the_block_size(monkeypatch, e0, kappa, nan_from, block):
+def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_from):
     inputs = entry_inputs(e0=e0)
     if nan_from is not None:
         monkeypatch.setattr(perturbation, "closed_form_groups", nan_group_from(nan_from))
-    default = verify_closed_form(inputs, kappa, n_periods=1.0)
-    grid_size = perturbation._integrate_linear(inputs, kappa, period_of(inputs), period_of(inputs) / 2048.0)[0].size
-    monkeypatch.setattr(perturbation, "VERIFY_BLOCK", grid_size if block == "grid" else block)
     check = verify_closed_form(inputs, kappa, n_periods=1.0)
-    for field in dataclasses.fields(check):
-        got, want = np.asarray(getattr(check, field.name)), np.asarray(getattr(default, field.name))
-        assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), field.name
+    period = period_of(inputs)
+    ts, states, _ = perturbation._integrate_linear(inputs, kappa, period, period / 2048.0)
+    r1 = states[:, 1]
+    mismatch = np.max(np.abs(perturbation._closed_form(inputs, kappa, ts) - r1)) / np.max(np.abs(r1))
+    assert np.array_equal(check.max_mismatch_over_peak, mismatch, equal_nan=True)
+    assert check.consistent == (nan_from is None)
