@@ -6,7 +6,7 @@ order and 12-significant-digit serialization, so identical scenarios yield
 byte-identical tables.  Plots are never rendered here; the CSV is the
 contract.
 
-Exit codes: 0 success, 1 schema or configuration error, 2 over-focus
+Exit codes: 0 success, 1 usage, schema or configuration error, 2 over-focus
 truncation, 3 failed check, 4 relativistic abort in strict mode, 5 design
 solve failure.
 """
@@ -65,12 +65,9 @@ CSV_COLUMNS = (
     "rho2_corr1_um2",
     "flags",
 )
-# one row format per kind = flag_bits + 8 * (correction absent, i.e. NaN),
-# with the flags text built in; "%.0s" prints the absent correction as ""
-ROW_FORMATS = tuple(
-    "%.12g,%d" + ",%.12g" * 6 + (",%.0s," if absent else ",%.12g,")
-    + ";".join(name for i, name in enumerate(FLAG_NAMES) if bits >> i & 1)
-    for absent in (0, 1) for bits in range(8)
+# the flags text of each flag_bits value
+FLAG_TEXTS = tuple(
+    ";".join(name for i, name in enumerate(FLAG_NAMES) if bits >> i & 1) for bits in range(8)
 )
 
 SWEEP_PARAMS = ("H0_gauss", "sigma_r_um", "t1_ns", "n_prime")
@@ -235,6 +232,16 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_rows(trajectory: Trajectory) -> list[str]:
+    """The CSV header, then one row per sample, each number as format(x, ".12g").
+
+    Rows are built one run at a time: a run is a stretch of a leg (equal
+    element_index) with equal flags whose correction is either absent (NaN,
+    printed as "") or present throughout.  A column whose values on a run
+    are bitwise equal (so -0.0 is not 0.0) is formatted once, into the run's
+    row format: element_index always, u2_over_c2 (the model conserves
+    <u^2>), pz_eV without an accelerating field and z_um at p_z = 0.  Only
+    the other columns go through % per row.
+    """
     samples = trajectory.samples
     rho2_m2 = units.area_from_natural(samples.rho_sq)
     corr = samples.rho_sq_corr1
@@ -253,9 +260,32 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     for name, column in zip(CSV_COLUMNS, columns):
         if np.isinf(column).any():
             raise ScenarioError(f"CSV column {name}: a value overflows the float range")
-    kinds = (samples.flag_bits + 8 * np.isnan(corr)).tolist()
-    rows = zip(*(column.tolist() for column in columns))
-    return [",".join(CSV_COLUMNS)] + [ROW_FORMATS[k] % row for k, row in zip(kinds, rows)]
+    rows = [",".join(CSV_COLUMNS)]
+    if not len(samples):
+        return rows
+    kinds = samples.flag_bits + 8 * np.isnan(corr)  # + 8: the correction is absent
+    starts = np.flatnonzero(np.diff(samples.element_index) | np.diff(kinds)) + 1
+    bounds = [0, *starts.tolist(), len(samples)]
+    starts = np.insert(starts, 0, 0)
+    table = np.stack(columns)
+    bits = table.view(np.int64)
+    changed = np.zeros(bits.shape, bool)  # changed[j, i]: row i of column j differs from row i - 1
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=changed[:, 1:])
+    changed[:, starts] = False
+    varies = np.logical_or.reduceat(changed, starts, axis=1).T  # varies[run, j]
+    kinds = kinds[starts]
+    varies[kinds >= 8, 8] = False  # an absent correction is "" in every row
+    runs = zip(varies.tolist(), table[:, starts].T.tolist(), kinds.tolist(), bounds, bounds[1:])
+    for vary, first, kind, start, stop in runs:
+        fields = ["%.12g" if v else _fmt(x) for v, x in zip(vary, first)]
+        fields[1] = "%d" % first[1]
+        if kind >= 8:
+            fields[8] = ""
+        row_format = ",".join(fields) + "," + FLAG_TEXTS[kind & 7]
+        lists = [column[start:stop].tolist() for v, column in zip(vary, columns) if v]
+        values = zip(*lists) if lists else [()] * (stop - start)
+        rows += [row_format % row for row in values]
+    return rows
 
 
 def _write_text(path: str, text: str, source: str) -> None:
@@ -462,9 +492,17 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (a bad or missing argument) raises ScenarioError, so it exits
+    1 with one error line; argparse's own exit 2 is EXIT_OVERFOCUS here."""
+
+    def error(self, message: str):
+        raise ScenarioError(message)
+
+
 @functools.cache  # one parser per process: building one costs ~1 ms and grows the heap
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vortexlens",
         description=(
             "Propagate vortex-packet transverse moments through drift and "
@@ -493,15 +531,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="transport check on a parameter grid")
     p.add_argument("scenario")
     p.add_argument("--param", required=True)
-    p.add_argument("--range", dest="spec_range", required=True, help="a:b")
+    p.add_argument("--range", dest="spec_range", required=True, help="a:b (--range=a:b when a is negative)")
     p.add_argument("--steps", type=int, required=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         scenario = load_scenario(args.scenario)
         if args.sample_dt_ns is not None:
             scenario = dc_replace(scenario, sample_dt_ns=_sample_dt(args.sample_dt_ns, "--sample-dt-ns"))

@@ -248,7 +248,9 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         block["element_index"] = index
         block["flag_bits"][block["p_z"] / mass > bound] |= FLAG_RELATIVISTIC
         blocks.append(block)
-    samples = np.concatenate(blocks).view(np.recarray)
+    # joined as bytes: np.concatenate promotes a structured dtype field by field in Python
+    joined = np.concatenate([block.view(np.uint8) for block in blocks])
+    samples = joined.view(dtype=SAMPLE_DTYPE, type=np.recarray)
     return Trajectory(samples, tuple(events), completed=not crossed)
 
 

@@ -583,6 +583,55 @@ def test_sweep_steps_over_cap_is_schema_error(capsys, monkeypatch):
     assert lines[0].startswith("error: --steps: ")
 
 
+CAPTURE = str(SCENARIOS / "capture_transport.json")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["sweep", CAPTURE, "--param", "H0_gauss", "--range", "80:90", "--steps", "abc"], "--steps"),
+        (["propagate"], "scenario"),
+        (["--sample-dt-ns", "x", "propagate", CAPTURE], "--sample-dt-ns"),
+        (["sweep", CAPTURE, "--param", "t1_ns", "--range", "-0:2", "--steps", "3"], "--range"),
+        (["design", CAPTURE], "--mode"),
+        (["design", CAPTURE, "--mode", "nowhere"], "--mode"),
+        ([], "command"),
+        (["no-such-command", CAPTURE], "no-such-command"),
+        (["check", CAPTURE, "extra"], "extra"),
+    ],
+)
+def test_usage_error_exits_1_with_one_error_line(capsys, argv, fragment):
+    assert main(argv) == EXIT_SCHEMA  # not argparse's 2, which is EXIT_OVERFOCUS here
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["propagate", "--help"], ["sweep", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: vortexlens")
+
+
+def test_negative_range_start_after_an_equals_sign_reaches_the_sweep(capsys):
+    assert main(["sweep", CAPTURE, "--param", "t1_ns", "--range=-1:2", "--steps", "3"]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: sweep point t1_ns=-1: ")
+
+
+def test_usage_error_in_a_fresh_process_exits_1():
+    proc = subprocess.run(
+        [sys.executable, "-m", "vortexlens.cli", "propagate"], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the following arguments are required: scenario\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -382,7 +382,8 @@ def valid_lines(draw):
                 kappa_e=kappa,
             )
         )
-    line = Beamline(tuple(elements), ELECTRON, packet, draw(st.floats(0.2, 1.0)))
+    p0_ev = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.2, 1.0)))
+    line = Beamline(tuple(elements), ELECTRON, packet, p0_ev)
     try:
         legs = list(walk(line))
     except BeamlineConfigError:
@@ -610,6 +611,71 @@ def test_trajectory_rows_match_the_reference_on_signed_zeros_and_subnormals():
     rows = trajectory_rows(traj)
     assert rows == reference_rows(traj)
     assert rows[1].startswith("-0,0,-0,-0,-0,-0,-0,-0,-0,")
+
+
+def hand_built_trajectory(element_index, **columns):
+    """A trajectory of the given legs whose samples are 1.0 in every state
+    column and NaN in rho_sq_corr1, except for the columns given."""
+    samples = np.zeros(len(element_index), SAMPLE_DTYPE).view(np.recarray)
+    for name in ("rho_sq", "drho_sq_dt", "u_perp_sq", "p_z", "z", "t"):
+        samples[name] = 1.0
+    samples.rho_sq_corr1 = np.nan
+    samples.element_index = element_index
+    for name, values in columns.items():
+        samples[name] = values
+    return Trajectory(samples, (), True)
+
+
+nan = math.nan
+
+
+@pytest.mark.parametrize(
+    "element_index, columns",
+    [
+        pytest.param(  # equal under ==, not bit for bit
+            [0, 0, 0, 1, 1, 1],
+            {"p_z": [0.0, -0.0, 0.0, -0.0, -0.0, -0.0], "z": [0.0, 0.0, -0.0, 0.0, 0.0, 0.0]},
+            id="signed-zero-p_z-and-z",
+        ),
+        pytest.param(
+            [0, 1, 2, 2],
+            {"t": [0.0, 1.0, 2.0, 3.0], "flag_bits": [0, 1, 0, 6], "rho_sq_corr1": [nan, 2e-3, 1e-3, 1e-3]},
+            id="one-sample-legs",
+        ),
+        pytest.param(
+            [0, 0, 0, 1, 1],
+            {"t": [0.0, 1.0, 2.0, 3.0, 4.0], "rho_sq_corr1": [-4e-5, -4e-5, -4e-5, nan, nan]},
+            id="finite-constant-correction",
+        ),
+        pytest.param(
+            [0, 0, 0, 0, 1, 1, 1],
+            {
+                "t": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                "rho_sq_corr1": [nan, 1e-3, 2e-3, nan, nan, 5e-4, 5e-4],
+                "flag_bits": [0, 0, 0, 1, 4, 0, 2],
+            },
+            id="nan-and-finite-corrections",
+        ),
+        pytest.param(  # NaNs of either sign are one absent correction
+            [0, 0, 0],
+            {"t": [0.0, 1.0, 2.0], "rho_sq_corr1": [nan, -nan, nan]},
+            id="signed-nan-corrections",
+        ),
+        pytest.param(  # a run that repeats an earlier index is a leg of its own
+            [3, 3, 0, 0, 3],
+            {"rho_sq": [1.0, 2.0, 2.0, 2.0, 2.0], "p_z": [0.5, 0.5, 0.5, -0.0, -0.0]},
+            id="repeated-index",
+        ),
+    ],
+)
+def test_trajectory_rows_match_the_reference_on_hand_built_legs(element_index, columns):
+    traj = hand_built_trajectory(element_index, **columns)
+    assert trajectory_rows(traj) == reference_rows(traj)
+
+
+def test_trajectory_rows_of_no_samples_is_the_header():
+    traj = hand_built_trajectory([])
+    assert trajectory_rows(traj) == reference_rows(traj) == [",".join(CSV_COLUMNS)]
 
 
 def test_an_array_walk_goes_on_with_the_points_that_have_not_crossed():
