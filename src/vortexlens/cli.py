@@ -391,11 +391,13 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
     lines.append(f"rho2_at_focus_um2: {_fmt(units.area_from_natural(state.rho_sq) * 1e12)}")
     if emit_path is not None:
         # trim the beamline at the focal point so the designed lens starts
-        # exactly at the waist, then append it
+        # exactly at the waist, then append it; a waist at the leg's entry
+        # (the launch instant, say) needs no drift before the lens
         raw = json.loads(json.dumps(scenario.raw))
         entry_ns = sum(e["duration_ns"] for e in raw["beamline"][:leg.index])
         trimmed = raw["beamline"][:leg.index]
-        trimmed.append({"type": "drift", "duration_ns": t_focal_ns - entry_ns})
+        if t_focal_ns > entry_ns:
+            trimmed.append({"type": "drift", "duration_ns": t_focal_ns - entry_ns})
         trimmed.append(
             {
                 "type": "lens",

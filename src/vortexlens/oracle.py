@@ -347,45 +347,6 @@ def mode_velocity_coefficient_moments(n: int, l: int) -> float:
     return total / y_l
 
 
-def laguerre_generating_partial(alpha: int, s: float, y, n_terms: int):
-    """Partial sum of the generating function sum_n L_n^alpha(y) s^n."""
-    y = np.asarray(y, dtype=float)
-    acc = np.zeros_like(y)
-    for k in range(n_terms):
-        acc += laguerre(k, alpha, y) * s**k
-    return acc
-
-
-def generating_product_closed_form(
-    gamma: int, alpha: int, beta: int, s1: float, s2: float
-) -> float:
-    """Closed form of integral U_alpha(y,s1) y^gamma U_beta(y,s2) exp(-y) dy."""
-    return (
-        (1.0 - s1) ** (gamma - alpha)
-        * (1.0 - s2) ** (gamma - beta)
-        * math.factorial(gamma)
-        / (1.0 - s1 * s2) ** (gamma + 1)
-    )
-
-
-def generating_product_quadrature(
-    gamma: int, alpha: int, beta: int, s1: float, s2: float, n_terms: int = 24
-) -> float:
-    """Quadrature of the same product built from generating-function partial sums."""
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        return (
-            laguerre_generating_partial(alpha, s1, y, n_terms)
-            * y**gamma
-            * laguerre_generating_partial(beta, s2, y, n_terms)
-            * np.exp(-y)
-        )
-
-    y_max = _cutoff(n_terms, gamma + max(alpha, beta))
-    spec = QuadratureSpec(integrand, y_max, panels=int(math.ceil(y_max / 2.0)))
-    return gauss_legendre_integral(spec)
-
-
 def _series_binomial(p: int, k: int) -> Fraction:
     """Coefficient of s^k in (1 - s)^p for integer p of either sign."""
     num = Fraction(1)
@@ -397,7 +358,10 @@ def _series_binomial(p: int, k: int) -> Fraction:
 def generating_product_coefficient(
     gamma: int, alpha: int, beta: int, i: int, j: int
 ) -> Fraction:
-    """Exact coefficient of s1^i s2^j in the closed-form generating product."""
+    """Exact coefficient of s1^i s2^j in gamma! (1 - s1)^(gamma - alpha)
+    (1 - s2)^(gamma - beta) / (1 - s1 s2)^(gamma + 1), the generating function
+    of integral L_i^alpha(y) y^gamma L_j^beta(y) exp(-y) dy: the exact
+    rational reference for lg_quadrature."""
     a = gamma - alpha
     b = gamma - beta
     c = gamma + 1

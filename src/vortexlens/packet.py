@@ -1,8 +1,8 @@
-"""Free Laguerre-Gaussian packet: mode data, optical functions, spreading law.
+"""Free Laguerre-Gaussian packet: mode data, spreading law, transverse velocity.
 
-The optical functions (envelope, Gouy phase, wavefront curvature) are exposed
-for free space only; inside a lens the mean square radius is the propagated
-quantity and the phase functions are intentionally not computed.
+Only second moments are modelled: the mean square radius and the mean square
+transverse velocity.  The phase functions (Gouy phase, wavefront curvature)
+are not computed.
 """
 
 from __future__ import annotations
@@ -10,13 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import (
-    Particle,
-    area_from_natural,
-    diffraction_time,
-    length_to_natural,
-    require,
-)
+from .units import Particle, area_from_natural, length_to_natural, require
 
 # 2n + |l| + 1 above 2**53 is not exact in a float, which the formulas use
 MAX_MODE_ORDER = 2**53
@@ -27,10 +21,9 @@ class LGPacket:
     """Quantum numbers and focal waist of a free Laguerre-Gaussian mode.
 
     sigma_r_m is the focal RMS radius, defined through the mean square
-    transverse radius at the focal instant: sigma_r^2 = <rho^2>(t0).  For
-    the ground mode it coincides with the envelope width; for higher modes
-    the envelope is narrower than the RMS radius.  All dynamics here track
-    the RMS radius, so sigma_r is the quantity that matters.
+    transverse radius at the focal instant: sigma_r^2 = <rho^2>(t0).  All
+    dynamics here track the RMS radius, so sigma_r is the quantity that
+    matters.
     """
 
     n: int
@@ -52,34 +45,6 @@ class LGPacket:
     def mode_order(self) -> int:
         """Combined mode index 2n + |l| + 1 weighting spreading and phase."""
         return 2 * self.n + abs(self.l) + 1
-
-
-@dataclass(frozen=True)
-class OpticalFunctions:
-    """Envelope, Gouy phase and squared wavefront-curvature radius.
-
-    curvature_sq_m2 is +inf at the focal instant (flat wavefront).
-    """
-
-    sigma_perp_sq_m2: float
-    gouy_phase_rad: float
-    curvature_sq_m2: float
-
-
-def optical_functions(packet: LGPacket, t_s: float, particle: Particle) -> OpticalFunctions:
-    """Free-space optical functions at laboratory time t_s.
-
-    The envelope is anchored so that sigma_perp^2(t0) equals sigma_r^2, the
-    mean square radius at focus.
-    """
-    if not math.isfinite(t_s):
-        raise ValueError("t must be finite")
-    t_d = diffraction_time(packet.sigma_r_m, particle)
-    x = (t_s - packet.focus_time_s) / t_d
-    sigma_sq = packet.sigma_r_m**2 * (1.0 + x * x)
-    gouy = packet.mode_order * math.atan(x)
-    curvature_sq = sigma_sq / x if x != 0.0 else math.inf
-    return OpticalFunctions(sigma_sq, gouy, curvature_sq)
 
 
 def transverse_velocity_sq(packet: LGPacket, particle: Particle) -> float:

@@ -87,14 +87,6 @@ class Particle:
         H = (p - qA)^2 / 2m holds the OAM only as -s l."""
         return -self.charge_sign * l
 
-    @property
-    def compton_length_m(self) -> float:
-        return HBARC_EV_M / self.mass_ev
-
-    @property
-    def compton_time_s(self) -> float:
-        return HBAR_EV_S / self.mass_ev
-
 
 def length_to_natural(x_m: float) -> float:
     return x_m / HBARC_EV_M

@@ -468,6 +468,21 @@ def test_design_capture_mode(tmp_path, capsys):
     assert "focal_time_ns:" in out
     field = float([l for l in out.splitlines() if l.startswith("H0_gauss:")][0].split(":")[1])
     assert field > 0
+    assert_emitted_lens_holds_radius(tmp_path, emitted)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_design_capture_emits_a_loadable_scenario(tmp_path, name):
+    # on every shipped scenario the waist is the launch instant, where the
+    # emitted beamline needs no drift before the designed lens
+    emitted = tmp_path / "designed.json"
+    code = main(["design", str(SCENARIOS / name), "--mode", "capture", "--emit-scenario", str(emitted)])
+    assert code == EXIT_OK
+    assert load_scenario(emitted).raw["beamline"][-1]["type"] == "lens"
+    assert_emitted_lens_holds_radius(tmp_path, emitted)
+
+
+def assert_emitted_lens_holds_radius(tmp_path, emitted):
     # the emitted scenario propagates to completion and holds the radius
     # constant inside the appended lens
     csv_path = tmp_path / "designed.csv"

@@ -9,9 +9,7 @@ from vortexlens import oracle
 from vortexlens.oracle import (
     IntegrationError,
     ODESpec,
-    generating_product_closed_form,
     generating_product_coefficient,
-    generating_product_quadrature,
     integrate_rk4,
     integrate_rk4_linear,
     laguerre,
@@ -327,14 +325,6 @@ def test_moment_extraction_from_generating_function():
         expected = (-1) ** k * float(coeff)
         scale = max(1.0, abs(expected))
         assert abs(lg_quadrature(n, l, m, k) - expected) < 1e-10 * scale
-
-
-def test_generating_function_partial_sums_match_closed_form():
-    s = 0.3
-    for gamma, alpha, beta in [(3, 3, 3), (4, 3, 4), (2, 1, 2), (5, 4, 6)]:
-        numeric = generating_product_quadrature(gamma, alpha, beta, s, s, n_terms=24)
-        closed = generating_product_closed_form(gamma, alpha, beta, s, s)
-        assert numeric == pytest.approx(closed, rel=1e-8)
 
 
 def test_cutoff_keeps_tail_negligible():

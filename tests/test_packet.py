@@ -1,10 +1,8 @@
-import math
-
 import pytest
 
 from vortexlens import units
 from vortexlens.oracle import mode_velocity_coefficient_quadrature
-from vortexlens.packet import LGPacket, optical_functions, rho_sq_free, transverse_velocity_sq
+from vortexlens.packet import LGPacket, rho_sq_free, transverse_velocity_sq
 from vortexlens.units import Particle
 
 ELECTRON = Particle.electron()
@@ -26,32 +24,6 @@ def test_packet_validation():
         LGPacket(0, 2**53, 1e-6)
     with pytest.raises(ValueError, match=r"mode order"):
         LGPacket(2**52, 0, 1e-6)
-
-
-def test_optical_functions_at_focus():
-    pk = LGPacket(0, -4, 0.574e-6, focus_time_s=2e-9)
-    opt = optical_functions(pk, 2e-9, ELECTRON)
-    assert opt.gouy_phase_rad == 0.0
-    assert opt.sigma_perp_sq_m2 == pk.sigma_r_m**2
-    assert math.isinf(opt.curvature_sq_m2)
-
-
-def test_optical_functions_one_diffraction_time():
-    pk = LGPacket(1, 3, 0.5e-6)
-    td = units.diffraction_time(pk.sigma_r_m, ELECTRON)
-    opt = optical_functions(pk, td, ELECTRON)
-    assert opt.gouy_phase_rad == pytest.approx(pk.mode_order * math.pi / 4, rel=1e-12)
-    assert opt.sigma_perp_sq_m2 == pytest.approx(2.0 * pk.sigma_r_m**2, rel=1e-12)
-    assert opt.curvature_sq_m2 == pytest.approx(opt.sigma_perp_sq_m2, rel=1e-12)
-
-
-def test_gouy_phase_asymptote_and_monotonicity():
-    pk = LGPacket(0, 2, 0.6e-6)
-    td = units.diffraction_time(pk.sigma_r_m, ELECTRON)
-    phases = [optical_functions(pk, k * td, ELECTRON).gouy_phase_rad for k in range(0, 200, 5)]
-    assert all(b > a for a, b in zip(phases, phases[1:]))
-    assert phases[-1] < pk.mode_order * math.pi / 2
-    assert phases[-1] == pytest.approx(pk.mode_order * math.pi / 2, rel=1e-2)
 
 
 def test_transverse_velocity_sq_values():
@@ -96,8 +68,9 @@ def test_rho_sq_free_quadratic_growth():
     assert g2 == pytest.approx(4.0 * g1, rel=1e-12)
 
 
-def test_ground_mode_envelope_equals_rms():
+def test_ground_mode_spreads_on_the_diffraction_time():
     pk = LGPacket(0, 0, 0.45e-6)
+    td = units.diffraction_time(pk.sigma_r_m, ELECTRON)
     for t in (0.0, 0.7e-9, 3.1e-9):
-        opt = optical_functions(pk, t, ELECTRON)
-        assert opt.sigma_perp_sq_m2 == pytest.approx(rho_sq_free(pk, t, ELECTRON), rel=1e-13)
+        expected = pk.sigma_r_m**2 * (1.0 + (t / td) ** 2)
+        assert rho_sq_free(pk, t, ELECTRON) == pytest.approx(expected, rel=1e-13)

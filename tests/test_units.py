@@ -25,8 +25,9 @@ def test_particle_validation():
 
 
 def test_compton_scales():
-    assert ELECTRON.compton_length_m == pytest.approx(3.8615926799e-13, rel=1e-9)
-    assert ELECTRON.compton_time_s == ELECTRON.compton_length_m / units.LIGHT_SPEED_M_PER_S
+    lc = units.HBARC_EV_M / ELECTRON.mass_ev
+    assert lc == pytest.approx(3.8615926799e-13, rel=1e-9)
+    assert units.HBAR_EV_S / ELECTRON.mass_ev == lc / units.LIGHT_SPEED_M_PER_S
 
 
 def test_cyclotron_frequency_golden():
@@ -55,8 +56,8 @@ def test_diffraction_time_golden():
     assert units.diffraction_time(0.574e-6, ELECTRON) == pytest.approx(TD_0574_S, rel=1e-13)
     assert units.diffraction_time(0.622e-6, ELECTRON) == pytest.approx(TD_0622_S, rel=1e-13)
     # sigma_r equal to the Compton length gives the Compton time
-    lc = ELECTRON.compton_length_m
-    assert units.diffraction_time(lc, ELECTRON) == pytest.approx(ELECTRON.compton_time_s, rel=1e-12)
+    lc = units.HBARC_EV_M / ELECTRON.mass_ev
+    assert units.diffraction_time(lc, ELECTRON) == pytest.approx(units.HBAR_EV_S / ELECTRON.mass_ev, rel=1e-12)
     with pytest.raises(ValueError):
         units.diffraction_time(-1e-9, ELECTRON)
 
