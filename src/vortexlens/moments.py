@@ -26,6 +26,7 @@ import numpy as np
 
 from . import units
 from .elements import LensConfig
+from .packet import LGPacket, transverse_velocity_sq
 from .units import Particle
 
 # transport_check's relative tolerance on the waist-matching ratio
@@ -69,8 +70,6 @@ class MomentState:
     def from_packet(cls, packet, particle: Particle, p0_ev: float = 0.0, t_s: float = 0.0) -> "MomentState":
         """Free-packet state at laboratory time t_s, with z anchored at 0; its
         l is particle.model_l(packet.l)."""
-        from .packet import transverse_velocity_sq
-
         u_sq = units.require("u_perp_sq", transverse_velocity_sq(packet, particle), "subluminal")
         dt = units.time_to_natural(t_s - packet.focus_time_s)
         sigma = units.length_to_natural(packet.sigma_r_m)
@@ -84,6 +83,13 @@ class MomentState:
             t=units.time_to_natural(t_s),
             l=particle.model_l(packet.l),
         ).validated()
+
+
+def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:
+    """Mean square radius sigma_r^2 + <u_perp^2> (t - t0)^2 of a free packet, in m^2."""
+    if not math.isfinite(t_s):
+        raise ValueError("t must be finite")
+    return units.area_from_natural(MomentState.from_packet(packet, particle, t_s=t_s).rho_sq)
 
 
 def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:

@@ -94,43 +94,9 @@ def integrate_rk4(spec: ODESpec) -> tuple[np.ndarray, np.ndarray]:
     return ts, out
 
 
-# steps per forcing evaluation in integrate_rk4_linear, at most
-LINEAR_BLOCK = 1024
-# steps per chunk of the step map, at most: the block-Toeplitz matrix of
-# P^0 .. P^(S-1) is (3S, 3S)
-LINEAR_CHUNK = 32
-
-
-def _powers(p: np.ndarray, n: int) -> np.ndarray:
-    """P^0 .. P^(n-1) by doubling, cut before the first non-finite power
-    (an inf power times a zero state would read NaN), but not below P^1."""
-    powers = np.empty((n, 3, 3))
-    powers[0] = np.eye(3)
-    powers[1] = p
-    k = 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < n:
-            m = min(2 * k - 1, n)
-            powers[k:m] = powers[k - 1] @ powers[1 : m - k + 1]
-            k = m
-    finite = np.isfinite(powers).all(axis=(1, 2))
-    return powers if finite.all() else powers[: max(2, int(np.argmin(finite)))]
-
-
-def _lower_toeplitz(powers: np.ndarray, s: int) -> np.ndarray:
-    """The (3s, 3s) block lower-Toeplitz matrix with powers[i - j] at block (i, j)."""
-    lag = np.subtract.outer(np.arange(s), np.arange(s))
-    blocks = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-    return blocks.transpose(0, 2, 1, 3).reshape(3 * s, 3 * s)
-
-
-def _zero_from_nonfinite(rows: np.ndarray) -> int:
-    """Zero rows from the first with a non-finite entry on; its index, or len(rows)."""
-    if np.isfinite(rows).all():
-        return len(rows)
-    first = int(np.argmin(np.isfinite(rows).all(axis=1)))
-    rows[first:] = 0.0
-    return first
+# steps per block of integrate_rk4_linear, at most: one forcing evaluation
+# and one scan each
+LINEAR_BLOCK = 8192
 
 
 def integrate_rk4_linear(
@@ -147,27 +113,26 @@ def integrate_rk4_linear(
     y+ = P y + c with c = h (Q0 b(t) + Qm b(t + h/2) + Q1 b(t + h)), M = h A,
     P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = (I + M + M^2/2 + M^3/4)/6,
     Qm = (4I + 2M + M^2/2)/6 and Q1 = I/6.  forcing maps an array of times
-    to b as an array of shape (3, len(times)); it is evaluated on blocks of
-    C chunks of S steps.  The map runs without a loop over steps or chunks:
-    y[s+k+1] = P^(k+1) y[s] + sum_{j<=k} P^(k-j) c[s+j] within a chunk, and
-    the chunk starts obey the same recurrence one level up,
-    x[i+1] = P^S x[i] + e[i], e[i] the end of chunk i run from rest.  A
-    block is three matmuls: with the block-Toeplitz matrices of
-    P^0 .. P^(S-1) (the kicks) and of (P^S)^0 .. (P^S)^(C-1) (the block
-    start and the e[i]), and with P^1 .. P^S (the chunk starts).  S is
-    LINEAR_CHUNK and C is LINEAR_BLOCK // S, or fewer where a higher power
-    overflows.  A non-finite kick or e[i] is zeroed before its matmul, which
-    would spread it to earlier steps, and reported at its own step.  The
-    grid, the input validation and the IntegrationError on a non-finite
-    state match integrate_rk4, which stays the reference for this map.
+    to b as an array of shape (3, len(times)); it is evaluated once per block
+    of up to LINEAR_BLOCK steps.  Each block is a prefix scan of the map
+    (Blelloch, "Prefix sums and their applications", 1990) with no loop over
+    steps: column 0 holds the block's start state and columns 1..n the kicks
+    c, and y[:, s:] += P^s y[:, :-s] for s = 1, 2, 4, ..., the powers by
+    repeated squaring, leaves every column at its state.  The scan only
+    moves values forward, so the first non-finite column is the step that
+    blows up.  Where a power the block needs leaves the float range (an inf
+    power times a zero state would read NaN), the block runs the plain step
+    instead.  The grid, the input validation and the IntegrationError on a
+    non-finite state match integrate_rk4, which stays the reference for
+    this map.
     """
     _check_plan(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
     if a.shape != (3, 3) or len(y0) != 3:
         raise ValueError("integrate_rk4_linear needs a 3x3 matrix and a 3-component state")
     ts, h = _time_grid(t0, t_end, step)
-    out = np.empty((ts.size, 3))
-    out[0] = y0
+    out = np.empty((3, ts.size))
+    out[:, 0] = y0
     eye = np.eye(3)
     m = h * a
     m2 = m @ m
@@ -176,34 +141,29 @@ def integrate_rk4_linear(
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    powers = _powers(p, LINEAR_CHUNK + 1)
-    s = len(powers) - 1
-    outer = _powers(powers[s], LINEAR_BLOCK // s)
-    c = len(outer)
-    inner, across = _lower_toeplitz(powers, s), _lower_toeplitz(outer, c)
-    carry = powers[1:].reshape(3 * s, 3)
-    for start in range(0, ts.size - 1, c * s):
-        stop = min(start + c * s, ts.size - 1)
+    squares = [p]  # P^(2^k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(squares) < min(LINEAR_BLOCK, ts.size - 1).bit_length():
+            squares.append(squares[-1] @ squares[-1])
+    finite = [np.isfinite(sq).all() for sq in squares]
+    for start in range(0, ts.size - 1, LINEAR_BLOCK):
+        stop = min(start + LINEAR_BLOCK, ts.size - 1)
         # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
         b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
-        n = stop - start
-        kicks = np.zeros((c * s, 3))  # whole chunks; the padding is dropped below
-        kicks[:n] = (q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]).T
-        bad = _zero_from_nonfinite(kicks)
+        y = out[:, start : stop + 1]
+        stages = (stop - start).bit_length()
         with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
-            chunks = kicks.reshape(c, 3 * s) @ inner.T
-            links = np.empty((c, 3))  # the block start, then each chunk's end from rest
-            links[0] = out[start]
-            links[1:] = chunks[:-1, -3:]
-            bad = min(bad, _zero_from_nonfinite(links) * s)
-            chunks += (across @ links.reshape(-1)).reshape(c, 3) @ carry.T
-        block = out[start + 1 : stop + 1]
-        block[:] = chunks.reshape(-1, 3)[:n]
-        if bad < n or not np.isfinite(block).all():
-            finite = np.isfinite(block).all(axis=1)
-            finite[bad:] = False
-            raise IntegrationError(float(ts[start + 1 + int(np.argmin(finite))]))
-    return ts, out
+            y[:, 1:] = q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]
+            if all(finite[:stages]):
+                for k in range(stages):
+                    y[:, 1 << k :] += squares[k] @ y[:, : -(1 << k)]
+            else:
+                for i in range(1, y.shape[1]):
+                    y[:, i] += p @ y[:, i - 1]
+        ok = np.isfinite(y).all(axis=0)
+        if not ok.all():
+            raise IntegrationError(float(ts[start + int(np.argmin(ok))]))
+    return ts, out.T
 
 
 def laguerre(n: int, alpha: int, y):

@@ -7,10 +7,9 @@ are not computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .units import Particle, area_from_natural, length_to_natural, require
+from .units import Particle, length_to_natural, require
 
 # 2n + |l| + 1 above 2**53 is not exact in a float, which the formulas use
 MAX_MODE_ORDER = 2**53
@@ -57,11 +56,3 @@ def transverse_velocity_sq(packet: LGPacket, particle: Particle) -> float:
     m_sigma = particle.mass_ev * length_to_natural(packet.sigma_r_m)
     return packet.mode_order / require("(m sigma_r)^2", m_sigma * m_sigma)
 
-
-def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:
-    """Mean square radius sigma_r^2 + <u_perp^2> (t - t0)^2 in m^2."""
-    from .moments import MomentState
-
-    if not math.isfinite(t_s):
-        raise ValueError("t must be finite")
-    return area_from_natural(MomentState.from_packet(packet, particle, t_s=t_s).rho_sq)

@@ -20,9 +20,9 @@ cross-checks the two and reports any mismatch instead of trusting either
 silently.  The system is linear in (u1, r1, dr1), so both
 correction_by_quadrature and verify_closed_form integrate it with the
 exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
-by matrix powers with no loop over steps or chunks; a test pins that map to
-the generic RK4 integrator.  verify_closed_form evaluates the closed form
-once, on that grid, and differentiates it there.
+by a prefix scan over blocks of steps with no loop over steps; a test pins
+that map to the generic RK4 integrator.  verify_closed_form evaluates the
+closed form once, on that grid, and differentiates it there.
 
 Everything here is in natural units (see the units module).
 """
@@ -154,7 +154,7 @@ def _closed_form(orbit: LensOrbit, kappa: float, dt):
 
 
 def _check_kappa(kappa: float) -> None:
-    if abs(kappa) > KAPPA_HARD_LIMIT:
+    if not abs(kappa) <= KAPPA_HARD_LIMIT:  # NaN too
         raise ValueError(f"|kappa| must not exceed {KAPPA_HARD_LIMIT}, got {kappa}")
 
 
@@ -217,6 +217,7 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
     This is the authoritative route.  The step must resolve the oscillation:
     step <= period / 200.
     """
+    _check_kappa(kappa)
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
     period = 2.0 * math.pi / orbit.omega0

@@ -32,10 +32,11 @@ from vortexlens.moments import (
     emittance,
     lens_state_at,
     propagate_drift,
+    rho_sq_free,
     stationary_rho_sq,
     transport_check,
 )
-from vortexlens.packet import LGPacket, rho_sq_free, transverse_velocity_sq
+from vortexlens.packet import LGPacket, transverse_velocity_sq
 from vortexlens.perturbation import ZerothOrderInputs, correction_closed_form
 from vortexlens.units import Particle
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,8 +89,8 @@ def _linear_system(rate, drive=1.0):
 def test_rk4_linear_blow_up_reported_at_same_time(drive):
     # the generic route overflows in its stages and the step map in the
     # state, so the growth per step (about 1e13) dwarfs the stage factors
-    # and both overflow in the same step; a huge drive overflows a chunk's
-    # response from rest, which must not reach the earlier chunks
+    # and both overflow in the same step; a huge drive overflows a kick,
+    # which must not reach the earlier steps
     matrix, forcing, rhs = _linear_system(1e4, drive)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as generic:
@@ -109,8 +110,8 @@ def test_rk4_linear_blow_up_raises_no_warning():
 
 
 def test_rk4_linear_overflowing_powers_are_no_blow_up():
-    # P^k of this matrix overflows within the first chunk; times a zero
-    # state it would read NaN, so the step map must stop its chunks short
+    # P^k of this matrix overflows within the first block; times a zero
+    # state it would read NaN, so the step map must not scan with it
     matrix, _, _ = _linear_system(1e4)
 
     def forcing(t):
@@ -128,10 +129,10 @@ def test_rk4_linear_overflowing_powers_are_no_blow_up():
 
 @pytest.mark.parametrize("y0", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e-300, 0.0, 0.0)])
 def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
-    # P^32 is finite but (P^32)^4 overflows, so a block holds fewer chunks.
+    # P^32 is finite but (P^32)^4 overflows, so a block runs the plain step.
     # From rest the states stay zero, not NaN; a growing state is reported
-    # where the generic route reports it, in the first block from a unit
-    # state and in the second from a tiny one, with no warning
+    # where the generic route reports it, at step 109 from a unit state and
+    # at step 216 from a tiny one, with no warning
     matrix, _, _ = _linear_system(20.0)
     m = 0.5 * matrix
     p = np.eye(3) + m + m @ m / 2.0 + m @ m @ m / 6.0 + m @ m @ m @ m / 24.0
@@ -163,7 +164,7 @@ def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
 
 @pytest.mark.parametrize("t_star", [0.37, 0.375, 2.0, 5.55, 10.3])
 def test_rk4_linear_nonfinite_forcing_reported_at_same_time(t_star):
-    # a NaN kick inside a chunk must not reach the earlier steps of that chunk
+    # a NaN kick inside a block must not reach the earlier steps of that block
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -4.0, 0.0]])
 
     def forcing(t):
@@ -198,23 +199,31 @@ def _matrices(draw):
     return a[order][:, order]
 
 
+# a small block reaches the block edges in a few steps
+_BLOCK = 48
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     _matrices(),
     st.tuples(*[st.one_of(st.floats(0.5, 1.0), st.floats(-1.0, -0.5))] * 3),
+    # the scan's edges (1, 2, 3 steps, a power of two and its neighbours) in
+    # one block, and the block edges B, B + 1 and 2B + 1 of a patched block
     st.sampled_from(
-        [1, oracle.LINEAR_CHUNK - 1, oracle.LINEAR_CHUNK, oracle.LINEAR_CHUNK + 1, oracle.LINEAR_BLOCK + 1,
-         2 * oracle.LINEAR_BLOCK + 1, 3 * oracle.LINEAR_BLOCK + 1]
+        [(n, oracle.LINEAR_BLOCK) for n in (1, 2, 3, 63, 64, 65)]
+        + [(n, _BLOCK) for n in (_BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
     ),
     st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
 # 3073 steps of 1/3073 end a rounding below 1.0, while t + h of the last step
 # reads 1.0: a route that evaluates there meets the NaN and the other does not
-@example(np.zeros((3, 3)), (1.0, 1.0, 1.0), 3 * oracle.LINEAR_BLOCK + 1, 1.0)
-def test_rk4_linear_matches_generic_rk4(matrix, y0, steps, nan_from):
+@example(np.zeros((3, 3)), (1.0, 1.0, 1.0), (3073, oracle.LINEAR_BLOCK), 1.0)
+def test_rk4_linear_matches_generic_rk4(matrix, y0, plan, nan_from):
     # the two routes round differently, by about steps * eps of the state's
     # size; a unit span and |y0| components of at least 1/2 keep every
     # component's peak comparable to that size
+    steps, block = plan
+
     def forcing(t):
         t = np.asarray(t)
         on = 1.0 if nan_from is None else np.where(t < nan_from, 1.0, math.nan)
@@ -223,17 +232,40 @@ def test_rk4_linear_matches_generic_rk4(matrix, y0, steps, nan_from):
     def rhs(t, y):
         return matrix @ y + forcing(t)
 
-    try:
-        ts_ref, ref = integrate_rk4(ODESpec(rhs, y0, 0.0, 1.0, 1.0 / steps))
-    except IntegrationError as generic:
-        with pytest.raises(IntegrationError) as linear:
-            integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
-        assert linear.value.t == generic.t
-        return
-    ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
+    with mock.patch.object(oracle, "LINEAR_BLOCK", block):
+        try:
+            ts_ref, ref = integrate_rk4(ODESpec(rhs, y0, 0.0, 1.0, 1.0 / steps))
+        except IntegrationError as generic:
+            with pytest.raises(IntegrationError) as linear:
+                integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
+            assert linear.value.t == generic.t
+            return
+        ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
     assert np.array_equal(ts, ts_ref)
     peak = np.max(np.abs(ref), axis=0)
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
+
+
+def test_rk4_linear_step_by_step_blow_up_crosses_block_edge():
+    # P^128 overflows, so blocks of 200 steps run the plain step; a tiny
+    # state grows past the float range at step 216, in the second block
+    matrix, _, _ = _linear_system(20.0)
+
+    def forcing(t):
+        return np.zeros((3, t.size))
+
+    def rhs(t, y):
+        return matrix @ y
+
+    y0 = (1e-300, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as generic:
+        integrate_rk4(ODESpec(rhs, y0, 0.0, 200.0, 0.5))
+    assert generic.value.t == 108.0
+    with warnings.catch_warnings(), mock.patch.object(oracle, "LINEAR_BLOCK", 200):
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as linear:
+            integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
+    assert linear.value.t == generic.value.t
 
 
 def test_rk4_grid_is_bounded_before_allocation():

@@ -1,8 +1,9 @@
 import pytest
 
 from vortexlens import units
+from vortexlens.moments import rho_sq_free
 from vortexlens.oracle import mode_velocity_coefficient_quadrature
-from vortexlens.packet import LGPacket, rho_sq_free, transverse_velocity_sq
+from vortexlens.packet import LGPacket, transverse_velocity_sq
 from vortexlens.units import Particle
 
 ELECTRON = Particle.electron()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ def test_kappa_bound_enforced():
         correction_closed_form(inputs, 0.5, 1.0)
     with pytest.raises(ValueError):
         correction_closed_form(inputs, 0.081, -1.0)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda orbit, kappa: correction_closed_form(orbit, kappa, period_of(orbit)),
+        lambda orbit, kappa: correction_by_quadrature(orbit, kappa, period_of(orbit), period_of(orbit) / 512),
+        lambda orbit, kappa: verify_closed_form(orbit, kappa),
+    ],
+    ids=["closed_form", "quadrature", "verify"],
+)
+def test_every_entry_point_rejects_kappa_out_of_range(entry, kappa):
+    # |kappa| <= KAPPA_HARD_LIMIT is False for NaN, which a > test lets through
+    inputs = entry_inputs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="kappa"):
+            entry(inputs, kappa)
 
 
 def nan_group_from(fraction):
