@@ -120,11 +120,11 @@ def integrate_rk4_linear(
     c, and y[:, s:] += P^s y[:, :-s] for s = 1, 2, 4, ..., the powers by
     repeated squaring, leaves every column at its state.  The scan only
     moves values forward, so the first non-finite column is the step that
-    blows up.  Where a power the block needs leaves the float range (an inf
-    power times a zero state would read NaN), the block runs the plain step
-    instead.  The grid, the input validation and the IntegrationError on a
-    non-finite state match integrate_rk4, which stays the reference for
-    this map.
+    blows up.  Where P^(2^K) leaves the float range (an inf power times a
+    zero state would read NaN), a block is scanned in windows of 2^K - 1
+    steps, each started from the last state of the one before.  The grid,
+    the input validation and the IntegrationError on a non-finite state
+    match integrate_rk4, which stays the reference for this map.
     """
     _check_plan(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
@@ -141,25 +141,25 @@ def integrate_rk4_linear(
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    squares = [p]  # P^(2^k)
+    squares = [p]  # P^(2^k), as far as they stay finite
     with np.errstate(over="ignore", invalid="ignore"):
         while len(squares) < min(LINEAR_BLOCK, ts.size - 1).bit_length():
-            squares.append(squares[-1] @ squares[-1])
-    finite = [np.isfinite(sq).all() for sq in squares]
+            square = squares[-1] @ squares[-1]
+            if not np.isfinite(square).all():
+                break
+            squares.append(square)
+    width = (1 << len(squares)) - 1  # steps one scan covers with these powers
     for start in range(0, ts.size - 1, LINEAR_BLOCK):
         stop = min(start + LINEAR_BLOCK, ts.size - 1)
         # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
         b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
         y = out[:, start : stop + 1]
-        stages = (stop - start).bit_length()
         with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
             y[:, 1:] = q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]
-            if all(finite[:stages]):
-                for k in range(stages):
-                    y[:, 1 << k :] += squares[k] @ y[:, : -(1 << k)]
-            else:
-                for i in range(1, y.shape[1]):
-                    y[:, i] += p @ y[:, i - 1]
+            for lo in range(0, stop - start, width):
+                w = y[:, lo : lo + width + 1]
+                for k in range((w.shape[1] - 1).bit_length()):
+                    w[:, 1 << k :] += squares[k] @ w[:, : -(1 << k)]
         ok = np.isfinite(y).all(axis=0)
         if not ok.all():
             raise IntegrationError(float(ts[start + int(np.argmin(ok))]))

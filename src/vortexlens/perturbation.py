@@ -20,8 +20,8 @@ cross-checks the two and reports any mismatch instead of trusting either
 silently.  The system is linear in (u1, r1, dr1), so both
 correction_by_quadrature and verify_closed_form integrate it with the
 exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
-by a prefix scan over blocks of steps with no loop over steps; a test pins
-that map to the generic RK4 integrator.  verify_closed_form evaluates the
+by a prefix scan over blocks of steps; a test pins that map to the generic
+RK4 integrator.  verify_closed_form evaluates the
 closed form once, on that grid, and differentiates it there.
 
 Everything here is in natural units (see the units module).

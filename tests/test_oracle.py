@@ -129,7 +129,7 @@ def test_rk4_linear_overflowing_powers_are_no_blow_up():
 
 @pytest.mark.parametrize("y0", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e-300, 0.0, 0.0)])
 def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
-    # P^32 is finite but (P^32)^4 overflows, so a block runs the plain step.
+    # P^32 is finite but (P^32)^4 overflows, so a block is scanned in windows.
     # From rest the states stay zero, not NaN; a growing state is reported
     # where the generic route reports it, at step 109 from a unit state and
     # at step 216 from a tiny one, with no warning
@@ -246,9 +246,9 @@ def test_rk4_linear_matches_generic_rk4(matrix, y0, plan, nan_from):
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
 
 
-def test_rk4_linear_step_by_step_blow_up_crosses_block_edge():
-    # P^128 overflows, so blocks of 200 steps run the plain step; a tiny
-    # state grows past the float range at step 216, in the second block
+def test_rk4_linear_windowed_blow_up_crosses_block_edge():
+    # P^128 overflows, so blocks of 200 steps are scanned in windows of 127;
+    # a tiny state grows past the float range at step 216, in the second block
     matrix, _, _ = _linear_system(20.0)
 
     def forcing(t):
