@@ -18,6 +18,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +112,7 @@ class Trajectory:
         return tuple(e for e in self.events if e.kind == kind)
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(NamedTuple):  # not a frozen dataclass, whose __init__ costs ~2 us per leg
     """One reachable element of a walk; times are natural offsets from entry,
     a scalar or an array for evaluate, and focal and crossing are NaN where
     there is none (see walk).  orbit is a lens's orbit, else None."""
@@ -149,7 +149,7 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     for index, element in enumerate(beamline.elements):
         with np.errstate(all="ignore"):
             if leg is not None:
-                exit_state = leg.evaluate(leg.duration).select(np.isnan(leg.crossing))
+                exit_state = leg.evaluate(leg.duration).select(alive)
                 try:
                     entry = exit_state.validated()
                 except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
@@ -175,8 +175,9 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
                 crossing = orbit.first_crossing_dt(floor, duration)
         leg = Leg(index, element, entry, duration, evaluate, focal, crossing, orbit)
         yield leg
-        if not np.count_nonzero(np.isnan(crossing)):
-            return  # every point has crossed
+        alive = np.isnan(crossing)  # the points that have not crossed go on
+        if not np.count_nonzero(alive):
+            return
 
 
 def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
@@ -260,6 +261,7 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
     Raises if t precedes the start, lies beyond the end, or falls past an
     over-focus crossing (the model stops being meaningful there).
     """
+    units.require("t", t, "finite")
     for leg in walk(beamline):
         offset = t - leg.entry.t
         if offset < 0.0:

@@ -94,24 +94,29 @@ def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:
 
 def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:
     """Free expansion over dt, a scalar or an array of offsets; exact for dt >= 0."""
-    if np.count_nonzero(dt < 0):
+    if np.count_nonzero(np.logical_not(dt >= 0)):  # NaN too; ~ on a Python bool is -2
         raise ValueError(f"dt must be non-negative, got {dt}")
     u_sq = state.u_perp_sq
-    return replace(
-        state,
+    return MomentState(  # not dataclasses.replace, which costs twice as much
         rho_sq=state.rho_sq + state.drho_sq_dt * dt + u_sq * dt * dt,
         drho_sq_dt=state.drho_sq_dt + 2.0 * u_sq * dt,
+        u_perp_sq=u_sq,
+        p_z=state.p_z,
         z=state.z + (state.p_z / particle.mass_ev) * dt,
         t=state.t + dt,
+        l=state.l,
     )
 
 
-def _per_point(function, *arrays):
-    """A math function at each point of arrays of one shape, as a float64 or an
-    array: numpy's hypot, arccos and arctan2 differ from math's in the last
-    bit, and the CSV is pinned to math's."""
-    values = map(function, *(x.ravel().tolist() for x in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)[()]
+def _per_point(function, *values):
+    """A math function at each point of values, scalars or arrays that
+    broadcast, as a float64 or an array: numpy's hypot, arccos and arctan2
+    differ from math's in the last bit, and the CSV is pinned to math's."""
+    arrays = [np.asarray(x) for x in values]
+    if len({x.shape for x in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    columns = map(function, *(x.ravel().tolist() for x in arrays))
+    return np.fromiter(columns, float, arrays[0].size).reshape(arrays[0].shape)[()]
 
 
 def stationary_rho_sq(u_perp_sq: float, l: int, omega0: float, particle: Particle) -> float:
@@ -151,7 +156,7 @@ class LensOrbit:
         omega0 = units.cyclotron_frequency_natural(lens.h0_gauss, particle)
         center = stationary_rho_sq(state.u_perp_sq, state.l, omega0, particle)
         a_cos, a_sin = state.rho_sq - center, state.drho_sq_dt / omega0
-        amplitude = _per_point(math.hypot, *np.broadcast_arrays(a_cos, a_sin))  # center - amplitude cancels
+        amplitude = _per_point(math.hypot, a_cos, a_sin)  # center - amplitude cancels
         return cls(
             entry=state,
             omega0=omega0,
@@ -194,8 +199,9 @@ class LensOrbit:
         crossing = np.where(self.rho_sq(0.0) <= threshold, 0.0, np.nan)
         dips = np.isnan(crossing) & (self.amplitude != 0.0) & (self.center - self.amplitude <= threshold)
         if np.count_nonzero(dips):
-            fields = np.broadcast_arrays(self.center, self.amplitude, self.a_cos, self.a_sin, self.omega0)
-            center, amp, a_cos, a_sin, omega0 = (x[dips] for x in fields)
+            # an array field has one entry per point; a scalar one is shared
+            fields = (self.center, self.amplitude, self.a_cos, self.a_sin, self.omega0)
+            center, amp, a_cos, a_sin, omega0 = (x[dips] if isinstance(x, np.ndarray) else x for x in fields)
             theta = _per_point(math.acos, np.minimum(np.maximum((threshold - center) / amp, -1.0), 1.0))
             phase = _per_point(math.atan2, a_sin, a_cos) % (2.0 * math.pi)  # of the maximum
             dt = (phase + theta) % (2.0 * math.pi) / omega0
@@ -214,13 +220,14 @@ def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
     the orbit's first crossing, and run samples up to and including it.
     """
     state = orbit.entry
-    return replace(
-        state,
+    return MomentState(
         rho_sq=orbit.rho_sq(dt),
         drho_sq_dt=orbit.drho_sq(dt),
+        u_perp_sq=state.u_perp_sq,
         p_z=orbit.p_z(dt),
         z=state.z + orbit.dz(dt),
         t=state.t + dt,
+        l=state.l,
     )
 
 

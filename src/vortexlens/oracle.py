@@ -243,12 +243,9 @@ def lg_quadrature(n: int, l: int, m_power: int, k_deriv: int = 0) -> float:
         raise ValueError(f"m_power must be non-negative, got {m_power}")
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        return (
-            y**m_power
-            * laguerre(n, a, y)
-            * laguerre_derivative(n, a, y, k_deriv)
-            * np.exp(-y)
-        )
+        values = laguerre(n, a, y)
+        derivative = values if k_deriv == 0 else laguerre_derivative(n, a, y, k_deriv)
+        return y**m_power * values * derivative * np.exp(-y)
 
     y_max = _cutoff(n, a)
     spec = QuadratureSpec(integrand, y_max, panels=int(math.ceil(y_max / 2.0)))

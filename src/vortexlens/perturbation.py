@@ -166,7 +166,7 @@ def correction_closed_form(orbit: LensOrbit, kappa: float, dt):
     verify_closed_form cross-checks the two routes.
     """
     _check_kappa(kappa)
-    if np.count_nonzero(dt < 0):
+    if np.count_nonzero(np.logical_not(dt >= 0)):  # NaN too
         raise ValueError(f"dt must be non-negative, got {dt}")
     return _closed_form(orbit, kappa, dt)
 

@@ -898,11 +898,15 @@ def n_prime_grids(draw):
 @example(("overfocus.json", "0:999", 1000))
 @example(("two_lens_recapture.json", "999999999998:1000000000002", 5))
 @example(("capture_transport.json", "7:7", 3))
+@example(("capture_transport.json", "-0:-0", 1))  # -0 keeps its sign
+@example(("direct_capture.json", "999999999999:999999999999", 3))  # the largest label written as digits
+@example(("overfocus.json", "999999999998:1000000000000", 3))  # 10^12 itself is 1e+12
+@example(("gradient_perturbed.json", "999:0", 1000))  # descending
 def test_n_prime_sweep_is_the_row_per_point_format(case):
     name, spec_range, steps = case
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["sweep", str(SCENARIOS / name), "--param", "n_prime", "--range", spec_range, "--steps", str(steps)])
+    with contextlib.redirect_stdout(out):  # --range=: argparse reads a separate "-0:..." as a flag
+        code = main(["sweep", str(SCENARIOS / name), "--param", "n_prime", f"--range={spec_range}", "--steps", str(steps)])
     assert code == EXIT_OK
     assert out.getvalue() == row_per_point_n_prime_sweep(name, spec_range, steps)
 

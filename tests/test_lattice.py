@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -546,6 +547,29 @@ def test_negative_offset_in_an_array_is_rejected():
     inputs = ZerothOrderInputs.from_entry_state(entry, lens, ELECTRON)
     with pytest.raises(ValueError):
         correction_closed_form(inputs, 0.05, np.array([0.0, -1.0]))
+
+
+@pytest.mark.parametrize("offset", [math.nan, np.float64(math.nan), np.array([0.0, math.nan])])
+def test_nan_offset_is_rejected_without_a_warning(offset):
+    entry = MomentState.from_packet(packet_0574(), ELECTRON, 0.43)
+    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.05)
+    orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
+    message = "dt must be non-negative, got " + ("nan" if np.ndim(offset) == 0 else "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            propagate_drift(entry, offset, ELECTRON)
+        with pytest.raises(ValueError, match=message):
+            correction_closed_form(orbit, 0.05, offset)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_state_at_rejects_a_non_finite_time(t):
+    line = Beamline((Drift(1e-9), matched_lens(MATCHED_FIELD_0622, 3e-9)), ELECTRON, packet_0574(), 0.43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            state_at(line, t)
 
 
 def reference_rows(trajectory):
