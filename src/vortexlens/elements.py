@@ -14,7 +14,6 @@ seconds); the dynamics modules convert at their own boundaries.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +26,13 @@ KAPPA_SOFT_LIMIT = 0.1
 
 class InhomogeneityWarning(UserWarning):
     """Gradient parameter large enough to strain the first-order treatment."""
+
+
+def require_kappa(name: str, kappa: float) -> float:
+    """kappa, once |kappa| is within KAPPA_HARD_LIMIT, which NaN is not."""
+    if not abs(kappa) <= KAPPA_HARD_LIMIT:
+        raise ValueError(f"|{name}| must not exceed {KAPPA_HARD_LIMIT}, got {kappa}")
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,7 @@ class LensConfig:
         units.require("length_m", self.length_m)
         units.require("duration_s", self.duration_s)
         for name, kappa in (("kappa_m", self.kappa_m), ("kappa_e", self.kappa_e)):
-            if not math.isfinite(kappa) or abs(kappa) > KAPPA_HARD_LIMIT:
-                raise ValueError(
-                    f"|{name}| must not exceed {KAPPA_HARD_LIMIT}, got {kappa}"
-                )
-            if abs(kappa) > KAPPA_SOFT_LIMIT:
+            if abs(require_kappa(name, kappa)) > KAPPA_SOFT_LIMIT:
                 warnings.warn(
                     f"{name} = {kappa} is beyond the comfortable first-order "
                     f"regime (> {KAPPA_SOFT_LIMIT})",

@@ -149,10 +149,9 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     for index, element in enumerate(beamline.elements):
         with np.errstate(all="ignore"):
             if leg is not None:
-                exit_state = leg.evaluate(leg.duration).select(alive)
                 try:
-                    entry = exit_state.validated()
-                except ValueError as exc:  # e.g. <rho^2> overflowing a long drift
+                    entry = leg.evaluate(leg.duration).select(alive).validated()
+                except ValueError as exc:  # e.g. <rho^2> overflowing a long drift, or an inf duration
                     raise BeamlineConfigError(f"beamline[{leg.index}]: exit state: {exc}") from None
             duration = units.time_to_natural(element.duration_s)
             focal = crossing = math.nan

@@ -87,15 +87,13 @@ class MomentState:
 
 def rho_sq_free(packet: LGPacket, t_s: float, particle: Particle) -> float:
     """Mean square radius sigma_r^2 + <u_perp^2> (t - t0)^2 of a free packet, in m^2."""
-    if not math.isfinite(t_s):
-        raise ValueError("t must be finite")
+    units.require("t_s", t_s, "finite")
     return units.area_from_natural(MomentState.from_packet(packet, particle, t_s=t_s).rho_sq)
 
 
 def propagate_drift(state: MomentState, dt, particle: Particle) -> MomentState:
     """Free expansion over dt, a scalar or an array of offsets; exact for dt >= 0."""
-    if np.count_nonzero(np.logical_not(dt >= 0)):  # NaN too; ~ on a Python bool is -2
-        raise ValueError(f"dt must be non-negative, got {dt}")
+    units.require("dt", dt, "non-negative")
     u_sq = state.u_perp_sq
     return MomentState(  # not dataclasses.replace, which costs twice as much
         rho_sq=state.rho_sq + state.drho_sq_dt * dt + u_sq * dt * dt,
@@ -196,6 +194,7 @@ class LensOrbit:
         theta = arccos((threshold - center) / amplitude); only the points
         that dip below the threshold after the entry are solved.
         """
+        units.require("threshold", threshold, "finite")
         crossing = np.where(self.rho_sq(0.0) <= threshold, 0.0, np.nan)
         dips = np.isnan(crossing) & (self.amplitude != 0.0) & (self.center - self.amplitude <= threshold)
         if np.count_nonzero(dips):
@@ -219,6 +218,7 @@ def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
     of offsets.  It does not check the Compton floor: a walk's Leg stops at
     the orbit's first crossing, and run samples up to and including it.
     """
+    units.require("dt", dt, "non-negative")
     state = orbit.entry
     return MomentState(
         rho_sq=orbit.rho_sq(dt),

@@ -9,6 +9,7 @@ no code with them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,13 +204,9 @@ class QuadratureSpec:
             raise ValueError("y_max, panels and order must be positive")
 
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_NODES:
-        _GL_NODES[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_NODES[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gauss_legendre_integral(spec: QuadratureSpec) -> float:

@@ -226,6 +226,25 @@ def test_overflowing_drift_is_config_error(tmp_path, capsys, command, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("index", [0, 1], ids=["drift", "lens"])
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["design", "--mode", "capture"], ["sweep", "--param", "H0_gauss", "--range", "85:86", "--steps", "3"]],
+    ids=["check", "design", "sweep"],
+)
+def test_infinite_duration_is_config_error(tmp_path, capsys, command, index):
+    # duration_ns = 1e308 is inf in natural units; the exit state of an element
+    # that is not last fails the offset's guard: one error line, no traceback
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["beamline"][index]["duration_ns"] = 1e308
+    data["beamline"].append({"type": "drift", "duration_ns": 1.0})
+    path = write_scenario(tmp_path, data)
+    assert main([command[0], path, *command[1:]]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: beamline[{index}]: exit state: dt must be non-negative, got inf\n"
+    assert captured.out == ""
+
+
 def test_overflowing_last_drift_is_config_error(tmp_path, capsys):
     # few enough samples for MAX_SAMPLES, but <rho^2> overflows to inf at the
     # drift's end, alone or before a lens; the validation of the drift's

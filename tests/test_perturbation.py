@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vortexlens import perturbation, units
-from vortexlens.elements import LensConfig
-from vortexlens.moments import MomentState, propagate_drift
+from vortexlens.elements import Drift, LensConfig
+from vortexlens.lattice import Beamline, state_at
+from vortexlens.moments import MomentState, lens_state_at, propagate_drift, rho_sq_free
 from vortexlens.oracle import ODESpec, integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
@@ -244,6 +246,98 @@ def test_every_entry_point_rejects_kappa_out_of_range(entry, kappa):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="kappa"):
             entry(inputs, kappa)
+
+
+# the guard property's lens: E0 = 25 MV/m, kappa = 0.081, and the packet at its waist
+GUARD_PACKET = LGPacket(0, -4, 0.622e-6)
+GUARD_WAIST = MomentState.from_packet(GUARD_PACKET, ELECTRON, p0_ev=0.43)
+GUARD_ORBIT = entry_inputs(e0=25e6)
+GUARD_PERIOD = period_of(GUARD_ORBIT)
+GUARD_LINE = Beamline((Drift(1e-9), gradient_lens(e0=25e6)), ELECTRON, GUARD_PACKET, 0.43)
+# any float a caller can pass: NaN, +-inf, subnormals, +-0 and +-1e308
+ANY_FLOAT = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
+
+
+def capped(bound):
+    """Any offset, its finite draws within bound: the formulas do not check the
+    states they build (walk and run validate them), and an offset far past any
+    lens leaves the float range; the RK4 routes take a few periods."""
+    return st.floats(-bound, bound) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def state_numbers(state, start):
+    """The fields of a state, which must not precede start."""
+    assert state.t >= start.t, f"a state at t = {state.t}, before the entry at {start.t}"
+    return [state.rho_sq, state.drho_sq_dt, state.u_perp_sq, state.p_z, state.z, state.t]
+
+
+def crossing_numbers(threshold):
+    dt = GUARD_ORBIT.first_crossing_dt(threshold, 2.0 * GUARD_PERIOD)  # the whole orbit
+    if math.isnan(dt):  # no crossing, so the orbit stays above the threshold
+        assert threshold < GUARD_ORBIT.center - GUARD_ORBIT.amplitude, f"no crossing of {threshold}"
+        return []
+    return [dt]
+
+
+def verdict_numbers(check):
+    # a span so short that the peak or h^2 underflows makes a ratio inf, never NaN
+    assert not np.isnan([check.max_mismatch_over_peak, check.max_ode_residual_over_drive]).any()
+    return [check.tolerance, check.worst_time, *check.groups_at_worst_time]
+
+
+# entry point: (the names its ValueError may start with, draws, the numbers of a call)
+GUARDED = {
+    "propagate_drift": (
+        ("dt",), capped(1e6 * GUARD_PERIOD),
+        lambda x: state_numbers(propagate_drift(GUARD_WAIST, x, ELECTRON), GUARD_WAIST),
+    ),
+    "lens_state_at": (
+        ("dt",), capped(1e6 * GUARD_PERIOD),
+        lambda x: state_numbers(lens_state_at(GUARD_ORBIT, x), GUARD_ORBIT.entry),
+    ),
+    "correction_closed_form": (
+        ("dt",), capped(1e6 * GUARD_PERIOD), lambda x: [correction_closed_form(GUARD_ORBIT, 0.081, x)],
+    ),
+    "correction_by_quadrature": (
+        ("dt",), capped(4.0 * GUARD_PERIOD),
+        lambda x: [correction_by_quadrature(GUARD_ORBIT, 0.081, x, GUARD_PERIOD / 512).rho_sq_1],
+    ),
+    "verify_closed_form n_periods": (
+        ("n_periods",), capped(4.0), lambda x: verdict_numbers(verify_closed_form(GUARD_ORBIT, 0.081, x)),
+    ),
+    "verify_closed_form tolerance": (
+        ("tolerance",), ANY_FLOAT, lambda x: verdict_numbers(verify_closed_form(GUARD_ORBIT, 0.081, 1.0, x)),
+    ),
+    "first_crossing_dt": (("threshold",), ANY_FLOAT, crossing_numbers),
+    # a finite time whose radius overflows fails the state's own check
+    "rho_sq_free": (("t_s", "rho_sq"), ANY_FLOAT, lambda x: [rho_sq_free(GUARD_PACKET, x, ELECTRON)]),
+    "state_at": (("t",), ANY_FLOAT, lambda x: state_numbers(state_at(GUARD_LINE, x), GUARD_WAIST)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of([st.tuples(st.just(name), draws) for name, (_, draws, _) in GUARDED.items()]))
+@example(case=("lens_state_at", math.inf))
+@example(case=("correction_closed_form", math.inf))
+@example(case=("lens_state_at", math.nan))
+@example(case=("lens_state_at", -GUARD_PERIOD))
+@example(case=("propagate_drift", math.inf))
+@example(case=("verify_closed_form tolerance", math.nan))
+@example(case=("first_crossing_dt", math.nan))
+@example(case=("correction_by_quadrature", math.nan))
+@example(case=("verify_closed_form n_periods", 5e-324))  # a step whose square underflows
+@example(case=("verify_closed_form n_periods", 1.3e-163))  # noise over a subnormal peak
+def test_guarded_entry_point_returns_finite_values_or_names_its_argument(case):
+    name, value = case
+    names, _, numbers_of = GUARDED[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            numbers = numbers_of(value)
+        except ValueError as exc:
+            assert str(exc).split()[0] in names, f"{name}({value!r}): {exc}"
+            return
+    assert np.isfinite(numbers).all(), f"{name}({value!r}) gave {numbers}"
 
 
 def nan_group_from(fraction):
