@@ -87,28 +87,25 @@ class Scenario:
     sample_dt_ns: float
     csv_path: str | None
     raw: dict
+    launch: MomentState  # the validated launch state, which every walk of this scenario starts from
 
     def beamline(self) -> Beamline:
-        return Beamline(self.elements, self.particle, self.packet, self.p0_ev)
+        return Beamline(self.elements, self.particle, self.packet, self.p0_ev, self.launch)
 
 
 _KINDS = {float: "a number", int: "an integer", str: "a string", dict: "an object", list: "an array"}
 
 
-def _need(mapping: dict, key: str, kind, path: str):
-    """mapping[key] once it is of kind (a JSON integer counts as a number)."""
+def _need(mapping: dict, key: str, kind, path: str, default=...):
+    """mapping[key] once it is of kind (a JSON integer counts as a number); default if key is missing."""
     if key not in mapping:
-        raise ScenarioError(f"{path}.{key}: required field is missing")
+        if default is ...:
+            raise ScenarioError(f"{path}.{key}: required field is missing")
+        return default
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ScenarioError(f"{path}.{key}: expected {_KINDS[kind]}, got {value!r}")
     return float(value) if kind is float else value
-
-
-def _optional(mapping: dict, key: str, kind, path: str, default):
-    if key not in mapping:
-        return default
-    return _need(mapping, key, kind, path)
 
 
 def _sample_dt(value: float, source: str) -> float:
@@ -121,9 +118,9 @@ def _sample_dt(value: float, source: str) -> float:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; ScenarioError names the bad field."""
     try:  # open(), not pathlib: Path interns each part, and freed interned strings churn that table
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
-    except OSError as exc:
+        with open(path, "rb") as file:  # and decode: a text-mode file costs more than the read
+            text = file.read().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -144,24 +141,21 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"particle: {exc}") from exc
 
-    packet_block = _need(raw, "packet", dict, "scenario")
-    try:
-        packet = LGPacket(
-            n=_need(packet_block, "n", int, "packet"),
-            l=_need(packet_block, "l", int, "packet"),
-            sigma_r_m=_need(packet_block, "sigma_r_um", float, "packet") * 1e-6,
-            focus_time_s=_optional(packet_block, "focus_time_ns", float, "packet", 0.0) * 1e-9,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"packet: {exc}") from exc
-
     p0_ev = _need(raw, "p0_eV", float, "scenario")
     if not abs(p0_ev) < particle.mass_ev:
         raise ScenarioError(
             f"scenario.p0_eV: need a finite |p0_eV| < mass_eV = {particle.mass_ev}, got {p0_ev}"
         )
-    try:  # the launch state in natural units, as the walk builds it
-        MomentState.from_packet(packet, particle, p0_ev)
+
+    packet_block = _need(raw, "packet", dict, "scenario")
+    try:  # the packet, and its launch state in natural units
+        packet = LGPacket(
+            n=_need(packet_block, "n", int, "packet"),
+            l=_need(packet_block, "l", int, "packet"),
+            sigma_r_m=_need(packet_block, "sigma_r_um", float, "packet") * 1e-6,
+            focus_time_s=_need(packet_block, "focus_time_ns", float, "packet", 0.0) * 1e-9,
+        )
+        launch = MomentState.from_packet(packet, particle, p0_ev)
     except ValueError as exc:
         raise ScenarioError(f"packet: {exc}") from exc
 
@@ -184,15 +178,15 @@ def load_scenario(path: str | Path) -> Scenario:
                         h0_gauss=_need(item, "H0_gauss", float, path_i),
                         duration_s=_need(item, "duration_ns", float, path_i) * 1e-9,
                         length_m=_need(item, "length_m", float, path_i),
-                        e0_v_per_m=_optional(item, "E0_V_per_m", float, path_i, 0.0),
-                        kappa_m=_optional(item, "kappa_M", float, path_i, 0.0),
-                        kappa_e=_optional(item, "kappa_E", float, path_i, 0.0),
+                        e0_v_per_m=_need(item, "E0_V_per_m", float, path_i, 0.0),
+                        kappa_m=_need(item, "kappa_M", float, path_i, 0.0),
+                        kappa_e=_need(item, "kappa_E", float, path_i, 0.0),
                     )
                 )
                 elements[-1].kappa  # the gradient model has one kappa
                 omega0 = units.cyclotron_frequency_natural(elements[-1].h0_gauss, particle)
                 units.require("omega0 * omega0", omega0 * omega0)  # the lens orbit divides by it
-                n_prime = _optional(item, "n_prime", int, path_i, 0)
+                n_prime = _need(item, "n_prime", int, path_i, 0)
                 if n_prime < 0:
                     raise ScenarioError(f"{path_i}.n_prime: must be non-negative, got {n_prime}")
                 n_primes.append(n_prime)
@@ -203,8 +197,8 @@ def load_scenario(path: str | Path) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{path_i}: {exc}") from exc
 
-    output_block = _optional(raw, "output", dict, "scenario", {})
-    sample_dt_ns = _optional(output_block, "sample_dt_ns", float, "output", 0.05)
+    output_block = _need(raw, "output", dict, "scenario", {})
+    sample_dt_ns = _need(output_block, "sample_dt_ns", float, "output", 0.05)
     sample_dt_ns = _sample_dt(sample_dt_ns, "output.sample_dt_ns")
     csv_path = output_block.get("csv_path")  # null: no path
     if csv_path is not None:
@@ -219,6 +213,7 @@ def load_scenario(path: str | Path) -> Scenario:
         sample_dt_ns=sample_dt_ns,
         csv_path=csv_path,
         raw=raw,
+        launch=launch,
     )
 
 
@@ -414,6 +409,7 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # a grid point past the float range fails as a sweep point
 def _sweep_values(spec_range: str, steps: int) -> np.ndarray:
     try:
         lo_text, hi_text = spec_range.split(":", 1)
@@ -426,22 +422,21 @@ def _sweep_values(spec_range: str, steps: int) -> np.ndarray:
         raise ScenarioError(f"--steps: at most MAX_SAMPLES = {MAX_SAMPLES} grid points, got {steps}")
     if steps == 1 or lo == hi:
         return np.array([lo])
-    with np.errstate(all="ignore"):  # a grid point past the float range fails as a sweep point
-        return lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    return lo + (hi - lo) * np.arange(steps) / (steps - 1)
 
 
 def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:
-    """The scenario's beamline with the swept field set to value, a grid point
-    or the whole grid as an array; n_prime leaves the beamline as it is."""
-    elements, packet = list(scenario.elements), scenario.packet
+    """The scenario's beamline with the swept field set to value, a grid point or the whole
+    grid as an array; n_prime leaves it as it is, and only sigma_r_um builds a new launch state."""
+    elements, packet, launch = list(scenario.elements), scenario.packet, scenario.launch
     if param == "H0_gauss":
         lens_index = next(i for i, e in enumerate(elements) if isinstance(e, LensConfig))
         elements[lens_index] = dc_replace(elements[lens_index], h0_gauss=value)
     elif param == "sigma_r_um":
-        packet = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s)
+        packet, launch = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s), None
     elif param == "t1_ns":
         elements[0] = Drift(duration_s=value * 1e-9)
-    return Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev)
+    return Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev, launch)
 
 
 def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> int:
@@ -482,9 +477,9 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     rho2_min = units.area_from_natural(report.rho_sq_min) * 1e12
     if np.ndim(report.transportable) == 0:  # one verdict for the whole grid (n_prime): format it once
         tail = ",%s,%.12g\n" % ("true" if report.transportable else "false", rho2_min)
-        # %.12g writes a whole number up to 10^12 - 1 with its sign bit clear as its
-        # digits, which %d of the integer writes at half the cost; tail holds no %
-        whole = np.all((values == np.floor(values)) & (values <= 999_999_999_999) & ~np.signbit(values))
+        # %.12g writes a whole number (checked above) up to 10^12 - 1, sign bit clear (not -0), as its digits,
+        # as %d does at half the cost (tail holds no %); a ufunc reduce skips .any()'s Python wrapper
+        whole = not np.logical_or.reduce(np.signbit(values) | (values > 999_999_999_999))
         labels = values.astype(np.int64) if whole else values
         sys.stdout.write(header + (("%d" if whole else "%.12g") + tail) * len(values) % tuple(labels.tolist()))
         return EXIT_OK
@@ -540,12 +535,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", dest="spec_range", required=True, help="a:b (--range=a:b when a is negative)")
     p.add_argument("--steps", type=int, required=True)
 
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv); an argv that starts with a command goes to that command's parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # an option before the command, -h, no command or an unknown one
+        return parser.parse_args(argv)
+    # the parser the top level would hand the rest to, with the top-level options at their defaults
+    return command.parse_args(argv[1:], argparse.Namespace(strict=False, sample_dt_ns=None, command=argv[0]))
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         scenario = load_scenario(args.scenario)
         if args.sample_dt_ns is not None:
             scenario = dc_replace(scenario, sample_dt_ns=_sample_dt(args.sample_dt_ns, "--sample-dt-ns"))

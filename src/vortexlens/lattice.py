@@ -72,12 +72,14 @@ class NoCaptureFieldError(RuntimeError):
 
 @dataclass(frozen=True)
 class Beamline:
-    """Ordered elements traversed by one packet with entry momentum p0."""
+    """Ordered elements traversed by one packet with entry momentum p0; launch, the
+    validated state at t = 0 that every walk starts from, is built here unless given."""
 
     elements: tuple[Drift | LensConfig, ...]
     particle: Particle
     packet: LGPacket
     p0_ev: float = 0.0
+    launch: MomentState | None = None
 
     def __post_init__(self) -> None:
         if len(self.elements) == 0:
@@ -85,6 +87,8 @@ class Beamline:
         for element in self.elements:
             if not isinstance(element, (Drift, LensConfig)):
                 raise BeamlineConfigError(f"unsupported element type: {element!r}")
+        if self.launch is None:
+            object.__setattr__(self, "launch", MomentState.from_packet(self.packet, self.particle, self.p0_ev))
 
     @property
     def duration_s(self) -> float:
@@ -144,7 +148,7 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
     """
     particle = beamline.particle
     floor = compton_floor(particle)
-    entry = MomentState.from_packet(beamline.packet, particle, beamline.p0_ev, t_s=0.0)
+    entry = beamline.launch
     leg = None
     for index, element in enumerate(beamline.elements):
         with np.errstate(all="ignore"):
@@ -174,7 +178,7 @@ def walk(beamline: Beamline) -> Iterator[Leg]:
                 crossing = orbit.first_crossing_dt(floor, duration)
         leg = Leg(index, element, entry, duration, evaluate, focal, crossing, orbit)
         yield leg
-        alive = np.isnan(crossing)  # the points that have not crossed go on
+        alive = crossing != crossing  # NaN: the points that have not crossed go on
         if not np.count_nonzero(alive):
             return
 
@@ -236,11 +240,9 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         try:
             with np.errstate(all="ignore"):  # an offset past the float range fails validation
                 state = leg.evaluate(offsets)
-                if gradient is not None:
-                    block["rho_sq_corr1"] = correction_closed_form(*gradient, offsets)
             state.validated()
             if gradient is not None:
-                units.require("rho_sq_corr1", block["rho_sq_corr1"], "finite")
+                block["rho_sq_corr1"] = correction_closed_form(*gradient, offsets)
         except ValueError as exc:
             raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None
         for name in STATE_FIELDS:

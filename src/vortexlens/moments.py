@@ -53,16 +53,16 @@ class MomentState:
         """This state, once every field is finite and rho_sq and u_perp_sq are
         positive; a field is a scalar or an array with one entry per point.
         The formulas do not check the states they build."""
-        for name in ("rho_sq", "u_perp_sq", "drho_sq_dt", "p_z", "z", "t"):
-            must = "positive" if name in ("rho_sq", "u_perp_sq") else "finite"
+        for name, must in (("rho_sq", "positive"), ("u_perp_sq", "positive"), ("drho_sq_dt", "finite"),
+                           ("p_z", "finite"), ("z", "finite"), ("t", "finite")):
             units.require(name, getattr(self, name), must)
         return self
 
     def select(self, keep) -> "MomentState":
-        """The points where keep, a boolean or an array of them, holds; scalar fields are shared."""
-        arrays = {k: v for k, v in vars(self).items() if isinstance(v, np.ndarray)}
-        if not arrays:
+        """The points where keep, an array of booleans, holds (a scalar keep is true: every point)."""
+        if not isinstance(keep, np.ndarray):  # an array keep comes with array fields
             return self
+        arrays = {k: v for k, v in vars(self).items() if isinstance(v, np.ndarray)}
         keep = np.broadcast_to(keep, np.broadcast_shapes(*(v.shape for v in arrays.values())))
         return replace(self, **{k: v[keep] for k, v in arrays.items()})
 
@@ -110,6 +110,8 @@ def _per_point(function, *values):
     """A math function at each point of values, scalars or arrays that
     broadcast, as a float64 or an array: numpy's hypot, arccos and arctan2
     differ from math's in the last bit, and the CSV is pinned to math's."""
+    if not any(isinstance(x, np.ndarray) for x in values):  # one point: the function, called once
+        return np.float64(function(*values))
     arrays = [np.asarray(x) for x in values]
     if len({x.shape for x in arrays}) > 1:
         arrays = np.broadcast_arrays(*arrays)
@@ -281,6 +283,7 @@ class TransportReport:
     transportable_solved_form: bool
 
 
+@np.errstate(all="ignore")  # as a decorator it costs half of a with block
 def transport_check(orbit: LensOrbit, n: int = 0, n_prime: int = 0) -> TransportReport:
     """Evaluate matching and transport conditions for a lens orbit's entry.
 
@@ -298,13 +301,12 @@ def transport_check(orbit: LensOrbit, n: int = 0, n_prime: int = 0) -> Transport
     rho_sq_min = orbit.center - orbit.amplitude
     required = matching_ratio(n, state.l, n_prime)
     rho_h_sq = 4.0 / (orbit.mass * orbit.omega0)
-    with np.errstate(all="ignore"):
-        solved = orbit.center > (
-            0.5 * state.rho_sq
-            + state.drho_sq_dt * state.drho_sq_dt / (2.0 * (orbit.omega0 * orbit.omega0) * state.rho_sq)
-        )
-        actual = np.divide(rho_h_sq, free_waist_rho_sq(state))
-        matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
+    solved = orbit.center > (
+        0.5 * state.rho_sq
+        + state.drho_sq_dt * state.drho_sq_dt / (2.0 * (orbit.omega0 * orbit.omega0) * state.rho_sq)
+    )
+    actual = np.divide(rho_h_sq, free_waist_rho_sq(state))
+    matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
     return TransportReport(
         rho_sq_st=orbit.center,
         rho_sq_min=rho_sq_min,

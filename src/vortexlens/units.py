@@ -18,7 +18,6 @@ numbers are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,9 @@ HBAR_EV_S = REDUCED_PLANCK_JS / ELEMENTARY_CHARGE_C   # 6.582119565e-16 eV s
 HBARC_EV_M = HBAR_EV_S * LIGHT_SPEED_M_PER_S          # 1.973269803e-7 eV m
 GAUSS_PER_TESLA = 1.0e4
 
-_BOUNDS = {"positive": (operator.gt, 0.0), "non-negative": (operator.ge, 0.0), "subluminal": (operator.lt, 1.0),
-           "finite": (None, None)}
+# kind: the open interval (lo, hi) a value must lie in (NaN never does; -5e-324 < x for every x >= 0)
+_BOUNDS = {"positive": (0.0, math.inf), "non-negative": (-5e-324, math.inf), "subluminal": (-math.inf, 1.0),
+           "finite": (-math.inf, math.inf)}
 
 
 def require(name: str, value, must: str = "positive"):
@@ -43,15 +43,13 @@ def require(name: str, value, must: str = "positive"):
     "subluminal" (a squared velocity below c^2 = 1) or only "finite".  value is
     a scalar or an array with one entry per point; the ValueError names the
     first entry that fails."""
-    bound, limit = _BOUNDS[must]
+    lo, hi = _BOUNDS[must]
     if isinstance(value, np.ndarray):
-        ok = np.isfinite(value)
-        if bound is not None:
-            ok &= bound(value, limit)
+        ok = np.isfinite(value) if must == "finite" else (lo < value) & (value < hi)  # one pass where one will do
         if ok.all():
             return value
         value = value.flat[np.argmin(ok)]
-    elif math.isfinite(value) and (bound is None or bound(value, limit)):
+    elif lo < value < hi:
         return value
     raise ValueError(f"{name} must be {must}, got {value}")
 

@@ -27,7 +27,7 @@ from vortexlens.cli import (
     serialize_scenario,
 )
 from vortexlens.lattice import EVENT_OVERFOCUS, EVENT_RELATIVISTIC, solve_matching, walk
-from vortexlens.moments import LensOrbit, transport_check
+from vortexlens.moments import LensOrbit, MomentState, transport_check
 from vortexlens.packet import LGPacket
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -147,6 +147,27 @@ def test_schema_errors(tmp_path, capsys):
 
     path = write_scenario(tmp_path, scenario_dict(schema_version=2))
     assert main(["propagate", path]) == EXIT_SCHEMA
+
+
+def test_scenario_that_is_not_utf8_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(scenario_dict()).replace('"drift"', '"dr\xe9ft"').encode("latin-1"))
+    assert main(["check", str(path)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read scenario: 'utf-8' codec can't decode byte 0xe9")
+    assert captured.err.count("\n") == 1
+
+
+def test_scenario_text_is_decoded_as_utf8(tmp_path, capsys):
+    data = scenario_dict()
+    data["note"] = "\u00e9\u03c3"  # unknown keys ride along in raw
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(data, ensure_ascii=False, indent=2).replace("\n", "\r\n").encode("utf-8"))
+    assert load_scenario(path).raw == data
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(data).encode())  # a byte-order mark is not JSON
+    assert main(["check", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
 
 
 @pytest.mark.parametrize("p0_ev", [float("nan"), float("inf"), 1e30, -510998.95])
@@ -620,20 +641,20 @@ def test_sweep_steps_over_cap_is_schema_error(capsys, monkeypatch):
 CAPTURE = str(SCENARIOS / "capture_transport.json")
 
 
-@pytest.mark.parametrize(
-    "argv, fragment",
-    [
-        (["sweep", CAPTURE, "--param", "H0_gauss", "--range", "80:90", "--steps", "abc"], "--steps"),
-        (["propagate"], "scenario"),
-        (["--sample-dt-ns", "x", "propagate", CAPTURE], "--sample-dt-ns"),
-        (["sweep", CAPTURE, "--param", "t1_ns", "--range", "-0:2", "--steps", "3"], "--range"),
-        (["design", CAPTURE], "--mode"),
-        (["design", CAPTURE, "--mode", "nowhere"], "--mode"),
-        ([], "command"),
-        (["no-such-command", CAPTURE], "no-such-command"),
-        (["check", CAPTURE, "extra"], "extra"),
-    ],
-)
+USAGE_ERRORS = [
+    (["sweep", CAPTURE, "--param", "H0_gauss", "--range", "80:90", "--steps", "abc"], "--steps"),
+    (["propagate"], "scenario"),
+    (["--sample-dt-ns", "x", "propagate", CAPTURE], "--sample-dt-ns"),
+    (["sweep", CAPTURE, "--param", "t1_ns", "--range", "-0:2", "--steps", "3"], "--range"),
+    (["design", CAPTURE], "--mode"),
+    (["design", CAPTURE, "--mode", "nowhere"], "--mode"),
+    ([], "command"),
+    (["no-such-command", CAPTURE], "no-such-command"),
+    (["check", CAPTURE, "extra"], "extra"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", USAGE_ERRORS)
 def test_usage_error_exits_1_with_one_error_line(capsys, argv, fragment):
     assert main(argv) == EXIT_SCHEMA  # not argparse's 2, which is EXIT_OVERFOCUS here
     captured = capsys.readouterr()
@@ -650,6 +671,47 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: vortexlens")
+
+
+COMMANDS = [
+    ["propagate", CAPTURE],
+    ["propagate", CAPTURE, "-o", "-"],
+    ["check", CAPTURE],
+    ["design", CAPTURE, "--mode", "matching-field"],
+    ["design", CAPTURE, "--mode", "capture", "--emit-scenario", "designed.json"],
+    ["sweep", CAPTURE, "--param", "n_prime", "--range", "0:999", "--steps", "1000"],
+    ["sweep", CAPTURE, "--param", "t1_ns", "--range=-1:2", "--steps", "3"],
+]
+GLOBAL_OPTIONS = [[], ["--strict"], ["--sample-dt-ns", "0.01"], ["--strict", "--sample-dt-ns", "1e-3"]]
+
+
+def parsed_or_error(parse, argv):
+    try:
+        return parse(argv)
+    except ScenarioError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in USAGE_ERRORS] + [options + command for command in COMMANDS for options in GLOBAL_OPTIONS],
+)
+def test_the_direct_route_parses_as_the_top_level_parser(argv):
+    expected = parsed_or_error(cli.build_parser().parse_args, argv)
+    assert parsed_or_error(cli.parse_argv, argv) == expected
+    if not isinstance(expected, str):
+        assert vars(expected)["command"] == next(a for a in argv if a in cli.build_parser().commands)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["propagate", "--help"], ["sweep", "-h"], ["check", CAPTURE, "-h"]])
+def test_the_direct_route_prints_the_same_help(capsys, argv):
+    texts = []
+    for parse in (cli.build_parser().parse_args, cli.parse_argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: vortexlens")
 
 
 def test_negative_range_start_after_an_equals_sign_reaches_the_sweep(capsys):
@@ -879,6 +941,35 @@ def test_sweep_walks_once(capsys, monkeypatch, param):
     assert len(capsys.readouterr().out.splitlines()) == 1001
     assert calls["walk"] == 1
     assert calls["transport_check"] <= 1
+
+
+@pytest.mark.parametrize(
+    "command, launches",
+    [
+        (["propagate", "-o", "-"], 1),
+        (["check"], 1),
+        (["design", "--mode", "matching-field"], 1),
+        (["design", "--mode", "capture"], 1),
+        (["sweep", "--param", "n_prime", "--range", "0:3", "--steps", "4"], 1),
+        (["sweep", "--param", "H0_gauss", "--range", "50:150", "--steps", "101"], 1),
+        (["sweep", "--param", "t1_ns", "--range", "0.1:1.0", "--steps", "101"], 1),
+        # the scalar launch state at load, then the swept one of the array walk
+        (["sweep", "--param", "sigma_r_um", "--range", "0.3:1.0", "--steps", "101"], 2),
+    ],
+)
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_one_launch_state_per_command(capsys, monkeypatch, name, command, launches):
+    from_packet = MomentState.from_packet.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return from_packet(cls, *args, **kwargs)
+
+    monkeypatch.setattr(MomentState, "from_packet", classmethod(counted))
+    assert main([command[0], str(SCENARIOS / name), *command[1:]]) in (EXIT_OK, EXIT_OVERFOCUS, EXIT_CHECK_FAILED)
+    assert capsys.readouterr().err == ""
+    assert len(calls) == launches
 
 
 def row_per_point_n_prime_sweep(name, spec_range, steps):

@@ -726,3 +726,50 @@ def test_an_array_walk_goes_on_with_the_points_that_have_not_crossed():
                 assert got == pytest.approx(getattr(expected, name), rel=1e-13)
     # once every point has crossed, the walk ends as a scalar walk does
     assert len(list(walk(line(fields[crossed])))) == 2
+
+
+@st.composite
+def launched_lines(draw):
+    """A packet launched a random time from its focus into one to three elements:
+    drifts, and lenses whose field is within 3x of matched."""
+    packet = LGPacket(
+        draw(st.integers(0, 2)), draw(st.integers(-6, 6)), draw(st.floats(0.3, 1.0)) * 1e-6,
+        focus_time_s=draw(st.floats(-3e-9, 3e-9)),
+    )
+    matched = solve_matching(packet, 0, ELECTRON)
+    elements = [
+        Drift(draw(st.floats(0.1e-9, 3e-9))) if draw(st.booleans()) else LensConfig(
+            h0_gauss=matched * draw(st.floats(0.3, 3.0)),
+            duration_s=draw(st.floats(0.1e-9, 5e-9)),
+            length_m=0.1,
+            e0_v_per_m=draw(st.sampled_from([0.0, 1e5, 25e6])),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return tuple(elements), packet, draw(st.floats(0.0, 1.0))
+
+
+def leg_bits(leg):
+    """A leg's numbers as bytes, so that equal legs are bitwise equal (NaN included)."""
+    orbit = () if leg.orbit is None else (*astuple(leg.orbit.entry), *astuple(leg.orbit)[1:])
+    exit_state = astuple(leg.evaluate(leg.duration))
+    numbers = (*astuple(leg.entry), leg.duration, leg.focal, leg.crossing, *exit_state, *orbit)
+    return leg.index, leg.element, np.array(numbers, dtype=float).tobytes()
+
+
+def walk_bits(line):
+    try:
+        return [leg_bits(leg) for leg in walk(line)]
+    except BeamlineConfigError as exc:  # a lens may leave a drift after it to fall to zero radius
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(launched_lines())
+def test_a_walk_from_the_carried_launch_state_is_the_walk_that_builds_it(case):
+    elements, packet, p0_ev = case
+    launch = MomentState.from_packet(packet, ELECTRON, p0_ev)  # as load_scenario carries it
+    carried = Beamline(elements, ELECTRON, packet, p0_ev, launch)
+    built = Beamline(elements, ELECTRON, packet, p0_ev)
+    assert carried.launch is launch and built.launch is not launch
+    assert walk_bits(carried) == walk_bits(built)

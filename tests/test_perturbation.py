@@ -295,8 +295,9 @@ GUARDED = {
         ("dt",), capped(1e6 * GUARD_PERIOD),
         lambda x: state_numbers(lens_state_at(GUARD_ORBIT, x), GUARD_ORBIT.entry),
     ),
+    # any float: a finite offset whose correction leaves the float range names it
     "correction_closed_form": (
-        ("dt",), capped(1e6 * GUARD_PERIOD), lambda x: [correction_closed_form(GUARD_ORBIT, 0.081, x)],
+        ("dt", "rho_sq_corr1"), ANY_FLOAT, lambda x: [correction_closed_form(GUARD_ORBIT, 0.081, x)],
     ),
     "correction_by_quadrature": (
         ("dt",), capped(4.0 * GUARD_PERIOD),
@@ -319,6 +320,8 @@ GUARDED = {
 @given(case=st.one_of([st.tuples(st.just(name), draws) for name, (_, draws, _) in GUARDED.items()]))
 @example(case=("lens_state_at", math.inf))
 @example(case=("correction_closed_form", math.inf))
+@example(case=("correction_closed_form", 1e150))  # a numpy overflow
+@example(case=("correction_closed_form", 1e300))  # dt**2 would raise OverflowError
 @example(case=("lens_state_at", math.nan))
 @example(case=("lens_state_at", -GUARD_PERIOD))
 @example(case=("propagate_drift", math.inf))
