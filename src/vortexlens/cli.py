@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
@@ -105,7 +106,10 @@ def _need(mapping: dict, key: str, kind, path: str, default=...):
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ScenarioError(f"{path}.{key}: expected {_KINDS[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:  # a JSON integer past the float range
+        raise ScenarioError(f"{path}.{key}: {len(str(abs(value)))}-digit integer is out of the float range") from None
 
 
 def _sample_dt(value: float, source: str) -> float:
@@ -124,7 +128,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() reads, which json does not place
+        if not isinstance(exc, json.JSONDecodeError):
+            at = re.search(r"\d{%d}" % (sys.get_int_max_str_digits() + 1), text).start()
+            exc = json.JSONDecodeError(f"integer of more than {sys.get_int_max_str_digits()} digits", text, at)
         raise ScenarioError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("top level: expected an object")

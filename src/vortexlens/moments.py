@@ -169,15 +169,23 @@ class LensOrbit:
             length=units.length_to_natural(lens.length_m),
         )
 
-    def rho_sq(self, dt):
-        """<rho^2> at dt, a scalar or an array of offsets."""
-        w = self.omega0 * dt
-        return self.center + self.a_cos * np.cos(w) + self.a_sin * np.sin(w)
+    def phase(self, dt):
+        """(cos, sin) of omega0 dt for offsets dt, read by rho_sq and drho_sq; a read-only array's pair is kept."""
+        key, pair = getattr(self, "_phase", (None, None))
+        if dt is not key:
+            w = self.omega0 * dt
+            pair = np.cos(w), np.sin(w)
+            if isinstance(dt, np.ndarray) and not dt.flags.writeable:
+                object.__setattr__(self, "_phase", (dt, pair))
+        return pair
 
-    def drho_sq(self, dt):
-        """d<rho^2>/dt at dt, a scalar or an array of offsets."""
-        w = self.omega0 * dt
-        return self.omega0 * (-self.a_cos * np.sin(w) + self.a_sin * np.cos(w))
+    def rho_sq(self, phase):
+        """<rho^2> at the offsets dt of phase = self.phase(dt)."""
+        return self.center + self.a_cos * phase[0] + self.a_sin * phase[1]
+
+    def drho_sq(self, phase):
+        """d<rho^2>/dt at the offsets dt of phase = self.phase(dt)."""
+        return self.omega0 * (-self.a_cos * phase[1] + self.a_sin * phase[0])
 
     def p_z(self, dt):
         return self.entry.p_z + self.force * dt
@@ -197,7 +205,7 @@ class LensOrbit:
         that dip below the threshold after the entry are solved.
         """
         units.require("threshold", threshold, "finite")
-        crossing = np.where(self.rho_sq(0.0) <= threshold, 0.0, np.nan)
+        crossing = np.where(self.rho_sq(self.phase(0.0)) <= threshold, 0.0, np.nan)
         dips = np.isnan(crossing) & (self.amplitude != 0.0) & (self.center - self.amplitude <= threshold)
         if np.count_nonzero(dips):
             # an array field has one entry per point; a scalar one is shared
@@ -221,10 +229,10 @@ def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
     the orbit's first crossing, and run samples up to and including it.
     """
     units.require("dt", dt, "non-negative")
-    state = orbit.entry
+    state, phase = orbit.entry, orbit.phase(dt)
     return MomentState(
-        rho_sq=orbit.rho_sq(dt),
-        drho_sq_dt=orbit.drho_sq(dt),
+        rho_sq=orbit.rho_sq(phase),
+        drho_sq_dt=orbit.drho_sq(phase),
         u_perp_sq=state.u_perp_sq,
         p_z=orbit.p_z(dt),
         z=state.z + orbit.dz(dt),

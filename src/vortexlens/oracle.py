@@ -142,13 +142,12 @@ def integrate_rk4_linear(
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    squares = [p]  # P^(2^k), as far as they stay finite
+    squares = [p]  # P^(2^k), kept up to the first that leaves the float range
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(squares) < min(LINEAR_BLOCK, ts.size - 1).bit_length():
-            square = squares[-1] @ squares[-1]
-            if not np.isfinite(square).all():
-                break
-            squares.append(square)
+        for _ in range(1, min(LINEAR_BLOCK, ts.size - 1).bit_length()):
+            squares.append(squares[-1] @ squares[-1])
+    finite = np.logical_and.accumulate(np.isfinite(squares).all(axis=(1, 2))[1:])
+    squares = squares[: 1 + np.count_nonzero(finite)]
     width = (1 << len(squares)) - 1  # steps one scan covers with these powers
     for start in range(0, ts.size - 1, LINEAR_BLOCK):
         stop = min(start + LINEAR_BLOCK, ts.size - 1)

@@ -21,8 +21,8 @@ silently.  The system is linear in (u1, r1, dr1), so both
 correction_by_quadrature and verify_closed_form integrate it with the
 exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
 by a prefix scan over blocks of steps; a test pins that map to the generic
-RK4 integrator.  verify_closed_form evaluates the
-closed form once, on that grid, and differentiates it there.
+RK4 integrator.  verify_closed_form evaluates the closed form once, on that
+grid, with the forcing's cos/sin there, and differentiates it there.
 
 Everything here is in natural units (see the units module).
 """
@@ -115,14 +115,14 @@ class ZerothOrderInputs:
         return LensOrbit.from_entry(state, lens, particle)
 
 
-def closed_form_groups(orbit: LensOrbit, kappa: float, dt) -> tuple:
+def closed_form_groups(orbit: LensOrbit, kappa: float, dt, phase) -> tuple:
     """The five closed-form groups of <rho^2>^(1), individually.
 
     Two sine groups, a cosine group, a cosine-times-dt group and a secular
     polynomial; their sum is the correction.  Exposed separately so a failed
     cross-check can report which group disagrees.  dt is a scalar or an
-    array of times.  The powers of w are numpy's: inf or 0 past the float
-    range, where Python's raise.
+    array of times and phase its pair orbit.phase(dt).  The powers of w are
+    numpy's: inf or 0 past the float range, where Python's raise.
     """
     a_in = orbit.entry.rho_sq
     a_st = orbit.center
@@ -132,9 +132,7 @@ def closed_form_groups(orbit: LensOrbit, kappa: float, dt) -> tuple:
     w = np.float64(orbit.omega0)
     ll = orbit.length
     m = orbit.mass
-    phase = w * dt
-    sin_w = np.sin(phase)
-    cos_w = np.cos(phase)
+    cos_w, sin_w = phase
     gap, w3 = a_in - a_st, w**3  # scalars, each computed once (dt-wide terms stay inline: fewer temporaries)
     return (
         -(kappa * sin_w / (2.0 * ll * m * w))
@@ -150,8 +148,8 @@ def closed_form_groups(orbit: LensOrbit, kappa: float, dt) -> tuple:
     )
 
 
-def _closed_form(orbit: LensOrbit, kappa: float, dt):
-    g1, g2, g3, g4, g5 = closed_form_groups(orbit, kappa, dt)
+def _closed_form(orbit: LensOrbit, kappa: float, dt, phase):
+    g1, g2, g3, g4, g5 = closed_form_groups(orbit, kappa, dt, phase)
     return g1 + g2 + g3 + g4 + g5
 
 
@@ -165,21 +163,21 @@ def correction_closed_form(orbit: LensOrbit, kappa: float, dt):
     """
     require_kappa("kappa", kappa)
     units.require("dt", dt, "non-negative")
-    return units.require("rho_sq_corr1", _closed_form(orbit, kappa, dt), "finite")
+    return units.require("rho_sq_corr1", _closed_form(orbit, kappa, dt, orbit.phase(dt)), "finite")
 
 
-def _gradient_forcing(orbit: LensOrbit, kappa: float, t):
+def _gradient_forcing(orbit: LensOrbit, kappa: float, t, phase):
     """Gradient terms of the driven system at t past the lens entry.
 
     Returns (du1/dt, drive), where drive is the right-hand side of
     r1'' + w^2 r1 = 2 u1 + drive without its 2 u1 term.  t is a scalar or
-    an array of times.
+    an array of times and phase its pair orbit.phase(t).
     """
     w = orbit.omega0
     m = orbit.mass
     l = orbit.entry.l
     ll = orbit.length
-    rho0 = orbit.rho_sq(t)
+    rho0 = orbit.rho_sq(phase)
     z0 = orbit.dz(t)
     du1 = (kappa * w / (m * m * ll)) * (l + 0.5 * m * w * rho0) * orbit.p_z(t)
     drive = (
@@ -191,21 +189,30 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t):
 
 
 def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
-    """(ts, states, drive): the driven first-order system, state (u1, r1, dr1),
-    from rest at the lens entry to t_end by the exact RK4 step map, and the
-    drive at ts[1:], kept from the forcing the map evaluates on each block:
-    its even half-steps are ts[start:stop + 1], ts[start] ending the block before."""
+    """(ts, states, drive, cos, sin): the driven first-order system, state (u1, r1, dr1),
+    from rest at the lens entry to t_end by the exact RK4 step map, and the drive and
+    phase pair at ts[1:], kept from the forcing the map evaluates on each block: its
+    even half-steps are ts[start:stop + 1], ts[start] ending the block before.  The
+    forcing takes one cos/sin per grid point; a midpoint's pair is the one before it
+    turned by the half step d, cos(a + d) = cos a cos d - sin a sin d, within a few ulp."""
     w = orbit.omega0
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
-    drives = [np.empty(0)]  # none on a one-point grid
+    kept = [(np.empty(0),) * 3]  # none on a one-point grid
 
     def forcing(t: np.ndarray) -> np.ndarray:
-        du1, drive = _gradient_forcing(orbit, kappa, t)
-        drives.append(drive[2::2])
-        return np.array([du1, np.zeros_like(t), drive])
+        cos, sin = orbit.phase(t[::2])
+        cos_d, sin_d = orbit.phase(t[1] - t[0])
+        phase = np.empty((2, t.size))
+        phase[0, ::2], phase[1, ::2] = cos, sin
+        phase[0, 1::2], phase[1, 1::2] = cos[:-1] * cos_d - sin[:-1] * sin_d, sin[:-1] * cos_d + cos[:-1] * sin_d
+        du1, drive = _gradient_forcing(orbit, kappa, t, phase)
+        kept.append((drive[2::2], cos[1:], sin[1:]))
+        b = np.empty((3, t.size))
+        b[0], b[1], b[2] = du1, 0.0, drive
+        return b
 
     ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
-    return ts, states, np.concatenate(drives)
+    return (ts, states, *map(np.concatenate, zip(*kept)))
 
 
 def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:
@@ -222,13 +229,13 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
             f"step {step} too coarse; need <= period/{MIN_STEPS_PER_PERIOD} = "
             f"{period / MIN_STEPS_PER_PERIOD}"
         )
-    _, states, _ = _integrate_linear(orbit, kappa, dt, step)
+    _, states, *_ = _integrate_linear(orbit, kappa, dt, step)
     u1, r1, _ = states[-1].tolist()
     return CorrectionState(
         rho_sq_1=r1,
         u_perp_sq_1=u1,
         kappa=kappa,
-        validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(dt)),
+        validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(orbit.phase(dt))),
         assumptions=approximation_ledger(),
     )
 
@@ -278,7 +285,7 @@ def verify_closed_form(
     units.require("tolerance", tolerance, "non-negative")
     period = 2.0 * math.pi / orbit.omega0
     t_end = n_periods * period
-    ts, states, forced = _integrate_linear(orbit, kappa, t_end, period / 2048.0)
+    ts, states, forced, *grid_phase = _integrate_linear(orbit, kappa, t_end, period / 2048.0)
     u1s = states[:, 0]
     r1_num = states[:, 1]
     peak = float(np.max(np.abs(r1_num)))
@@ -290,7 +297,9 @@ def verify_closed_form(
     # entry and two past the end; no residual at the entry, where D is not kept
     w = orbit.omega0
     h = ts[1] if ts.size > 1 else 0.0  # a one-point grid has no residual
-    closed = _closed_form(orbit, kappa, h * np.arange(-1, ts.size + 2))
+    dt = h * np.arange(-1, ts.size + 2)
+    ends = orbit.phase(dt[[0, 1, -2, -1]])  # ts[1:] has the forcing's phase: (h/2)(2j) rounds as h j
+    closed = _closed_form(orbit, kappa, dt, [np.concatenate((e[:2], g, e[2:])) for e, g in zip(ends, grid_phase)])
     drive = forced + 2.0 * u1s[1:]
     r1 = closed[2:-2]  # at ts[1:]
     # on a span so short that the peak or h * h underflows, rounding noise over
@@ -312,5 +321,5 @@ def verify_closed_form(
         tolerance=tolerance,
         consistent=consistent,
         worst_time=float(ts[worst]),
-        groups_at_worst_time=closed_form_groups(orbit, kappa, float(ts[worst])),
+        groups_at_worst_time=closed_form_groups(orbit, kappa, float(ts[worst]), orbit.phase(float(ts[worst]))),
     )

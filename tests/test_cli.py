@@ -414,6 +414,28 @@ def test_positive_charge_with_l_mirrors_negative_charge_with_minus_l(tmp_path, c
         assert positive == negative, command
 
 
+@pytest.mark.parametrize(
+    "key, literal, message",
+    [
+        # float() of a JSON integer past the float range raised OverflowError
+        ("H0_gauss", "1" + "0" * 400, "beamline[1].H0_gauss: 401-digit integer is out of the float range"),
+        # json.loads raised a ValueError with no position past int()'s digit limit
+        ("n_prime", "1" + "0" * 5000, None),
+    ],
+)
+def test_integer_literal_too_large_is_one_schema_error(tmp_path, capsys, key, literal, message):
+    data = scenario_dict()
+    data["beamline"][1][key] = "@"
+    text = json.dumps(data).replace('"@"', literal)
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    if message is None:
+        limit = sys.get_int_max_str_digits()
+        message = f"line 1, column {text.index(literal) + 1}: integer of more than {limit} digits"
+    assert main(["check", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_typed_fields_name_the_expected_kind(tmp_path, capsys):
     cases = [
         (scenario_dict(particle=[]), "error: scenario.particle: expected an object, got []\n"),

@@ -9,7 +9,7 @@ from vortexlens import perturbation, units
 from vortexlens.elements import Drift, LensConfig
 from vortexlens.lattice import Beamline, state_at
 from vortexlens.moments import MomentState, lens_state_at, propagate_drift, rho_sq_free
-from vortexlens.oracle import ODESpec, integrate_rk4
+from vortexlens.oracle import LINEAR_BLOCK, ODESpec, integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
     APPROXIMATIONS,
@@ -123,7 +123,7 @@ def system_rhs(inputs, kappa):
 
     def rhs(t, y):
         u1, r1, dr1 = y
-        du1, drive = perturbation._gradient_forcing(inputs, kappa, t)
+        du1, drive = perturbation._gradient_forcing(inputs, kappa, t, inputs.phase(t))
         return np.array([du1, dr1, 2.0 * u1 + drive - w * w * r1])
 
     return rhs
@@ -137,7 +137,7 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
     inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
     t_end, step = 4.0 * period, period / 2048.0
-    ts, states, _ = perturbation._integrate_linear(inputs, kappa, t_end, step)
+    ts, states, *_ = perturbation._integrate_linear(inputs, kappa, t_end, step)
     ts_ref, ref = integrate_rk4(
         ODESpec(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
     )
@@ -151,8 +151,46 @@ def test_integrated_drive_is_the_forcing_at_the_grid_points(n_periods):
     # verify_closed_form reads the drive off the forcing the step map evaluates
     inputs = entry_inputs(e0=25e6)
     period = period_of(inputs)
-    ts, _, drive = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
-    assert np.array_equal(drive, perturbation._gradient_forcing(inputs, 0.081, ts[1:])[1])
+    ts, _, drive, *_ = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
+    assert np.array_equal(drive, perturbation._gradient_forcing(inputs, 0.081, ts[1:], inputs.phase(ts[1:]))[1])
+
+
+@pytest.mark.parametrize("n_periods", [0.3, 4.0, 5.0, 50.0])
+def test_forcing_phase_is_one_cos_sin_per_grid_point(monkeypatch, n_periods):
+    # the grid points (even half-steps) take np.cos/np.sin of omega0 t; the midpoints
+    # turn them by the half step, within a few ulp of the phase omega0 t
+    inputs = entry_inputs(e0=25e6)
+    period = period_of(inputs)
+    gradient_forcing = perturbation._gradient_forcing
+    seen = []
+    monkeypatch.setattr(
+        perturbation, "_gradient_forcing", lambda *args: seen.append(args) or gradient_forcing(*args)
+    )
+    ts, *_ = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
+    assert len(seen) == math.ceil((ts.size - 1) / LINEAR_BLOCK)
+    bound = 4 * np.finfo(float).eps * max(1.0, 2.0 * math.pi * n_periods)
+    for _, _, t, (cos, sin) in seen:
+        want_cos, want_sin = np.cos(inputs.omega0 * t), np.sin(inputs.omega0 * t)
+        assert np.array_equal(cos[::2], want_cos[::2]) and np.array_equal(sin[::2], want_sin[::2])
+        assert np.max(np.abs(cos - want_cos)) <= bound and np.max(np.abs(sin - want_sin)) <= bound
+
+
+@pytest.mark.parametrize(
+    "e0, kappa, n_periods",
+    [(0.0, 0.081, 4.0), (0.0, -0.081, 4.0), (25e6, 0.081, 4.0), (25e6, -0.081, 4.0), (25e6, 0.081, 5.0)],
+)
+def test_closed_form_reads_the_phase_of_the_forcing_bit_for_bit(monkeypatch, e0, kappa, n_periods):
+    # verify_closed_form takes cos and sin at the grid points off the forcing's
+    # even half-steps; 5 periods span two blocks of the step map
+    inputs = entry_inputs(e0=e0)
+    period = period_of(inputs)
+    ts, *_ = perturbation._integrate_linear(inputs, kappa, n_periods * period, period / 2048.0)
+    dt = ts[1] * np.arange(-1, ts.size + 2)
+    closed_form = perturbation._closed_form
+    seen = []
+    monkeypatch.setattr(perturbation, "_closed_form", lambda *args: seen.append(closed_form(*args)) or seen[-1])
+    verify_closed_form(inputs, kappa, n_periods=n_periods)
+    assert np.array_equal(seen[0], closed_form(inputs, kappa, dt, inputs.phase(dt)))
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, math.nan])
@@ -160,8 +198,8 @@ def test_closed_form_check_flags_a_wrong_group(monkeypatch, factor):
     inputs = entry_inputs(e0=25e6)
     groups = perturbation.closed_form_groups
 
-    def third_group_off(inputs, kappa, dt):
-        g = list(groups(inputs, kappa, dt))
+    def third_group_off(*args):
+        g = list(groups(*args))
         g[2] = g[2] * factor
         return tuple(g)
 
@@ -207,7 +245,7 @@ def test_validity_horizon_flag():
     late = correction_by_quadrature(inputs, 0.081, 6.0 * period, period / 512)
     assert not early.validity_exceeded
     assert late.validity_exceeded
-    assert abs(late.rho_sq_1) > 0.3 * abs(inputs.rho_sq(6.0 * period))
+    assert abs(late.rho_sq_1) > 0.3 * abs(inputs.rho_sq(inputs.phase(6.0 * period)))
 
 
 def test_closed_form_agrees_with_quadrature_pointwise():
@@ -347,8 +385,8 @@ def nan_group_from(fraction):
     """closed_form_groups with its third group NaN past fraction of a one-period grid."""
     groups = perturbation.closed_form_groups
 
-    def third_group_nan(inputs, kappa, dt):
-        g = list(groups(inputs, kappa, dt))
+    def third_group_nan(inputs, kappa, dt, phase):
+        g = list(groups(inputs, kappa, dt, phase))
         g[2] = np.where(np.asarray(dt) >= fraction * period_of(inputs), math.nan, g[2])
         return tuple(g)
 
@@ -365,8 +403,8 @@ def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_f
         monkeypatch.setattr(perturbation, "closed_form_groups", nan_group_from(nan_from))
     check = verify_closed_form(inputs, kappa, n_periods=1.0)
     period = period_of(inputs)
-    ts, states, _ = perturbation._integrate_linear(inputs, kappa, period, period / 2048.0)
+    ts, states, *_ = perturbation._integrate_linear(inputs, kappa, period, period / 2048.0)
     r1 = states[:, 1]
-    mismatch = np.max(np.abs(perturbation._closed_form(inputs, kappa, ts) - r1)) / np.max(np.abs(r1))
+    mismatch = np.max(np.abs(perturbation._closed_form(inputs, kappa, ts, inputs.phase(ts)) - r1)) / np.max(np.abs(r1))
     assert np.array_equal(check.max_mismatch_over_peak, mismatch, equal_nan=True)
     assert check.consistent == (nan_from is None)
