@@ -106,10 +106,9 @@ def _need(mapping: dict, key: str, kind, path: str, default=...):
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ScenarioError(f"{path}.{key}: expected {_KINDS[kind]}, got {value!r}")
-    try:
-        return float(value) if kind is float else value
-    except OverflowError:  # a JSON integer past the float range
-        raise ScenarioError(f"{path}.{key}: {len(str(abs(value)))}-digit integer is out of the float range") from None
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:  # float() would overflow
+        raise ScenarioError(f"{path}.{key}: {len(str(abs(value)))}-digit integer is out of the float range")
+    return float(value) if kind is float else value
 
 
 def _sample_dt(value: float, source: str) -> float:
@@ -129,9 +128,10 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() reads, which json does not place
-        if not isinstance(exc, json.JSONDecodeError):
-            at = re.search(r"\d{%d}" % (sys.get_int_max_str_digits() + 1), text).start()
-            exc = json.JSONDecodeError(f"integer of more than {sys.get_int_max_str_digits()} digits", text, at)
+        if not isinstance(exc, json.JSONDecodeError):  # the first such number token, strings skipped
+            limit = sys.get_int_max_str_digits()
+            scan = re.finditer(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])(-?\d{%d,})(?![\d.eE])' % (limit + 1), text)
+            exc = json.JSONDecodeError(f"integer over {limit} digits", text, next(m.start() for m in scan if m[1]))
         raise ScenarioError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("top level: expected an object")

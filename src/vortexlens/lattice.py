@@ -219,7 +219,6 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             k = round(x / dt_sample)
             keep[k] &= abs(k * dt_sample - x) > GRID_ROUNDING * (entry.t + x)
         offsets = np.unique(np.append(grid[keep], extra))
-        offsets.flags.writeable = False  # so that a lens leg's state and correction share its phase pair
         block = np.zeros(offsets.size, SAMPLE_DTYPE)
         block["rho_sq_corr1"] = np.nan
         if not math.isnan(leg.focal):

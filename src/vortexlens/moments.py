@@ -170,22 +170,17 @@ class LensOrbit:
         )
 
     def phase(self, dt):
-        """(cos, sin) of omega0 dt for offsets dt, read by rho_sq and drho_sq; a read-only array's pair is kept."""
-        key, pair = getattr(self, "_phase", (None, None))
-        if dt is not key:
-            w = self.omega0 * dt
-            pair = np.cos(w), np.sin(w)
-            if isinstance(dt, np.ndarray) and not dt.flags.writeable:
-                object.__setattr__(self, "_phase", (dt, pair))
-        return pair
+        """(cos, sin) of omega0 dt, the one pair the lens formulas read."""
+        w = self.omega0 * dt
+        return np.cos(w), np.sin(w)
 
-    def rho_sq(self, phase):
-        """<rho^2> at the offsets dt of phase = self.phase(dt)."""
-        return self.center + self.a_cos * phase[0] + self.a_sin * phase[1]
+    def rho_sq(self, cos, sin):
+        """<rho^2> at the offsets dt of (cos, sin) = self.phase(dt)."""
+        return self.center + self.a_cos * cos + self.a_sin * sin
 
-    def drho_sq(self, phase):
-        """d<rho^2>/dt at the offsets dt of phase = self.phase(dt)."""
-        return self.omega0 * (-self.a_cos * phase[1] + self.a_sin * phase[0])
+    def drho_sq(self, cos, sin):
+        """d<rho^2>/dt at the offsets dt of (cos, sin) = self.phase(dt)."""
+        return self.omega0 * (-self.a_cos * sin + self.a_sin * cos)
 
     def p_z(self, dt):
         return self.entry.p_z + self.force * dt
@@ -205,7 +200,7 @@ class LensOrbit:
         that dip below the threshold after the entry are solved.
         """
         units.require("threshold", threshold, "finite")
-        crossing = np.where(self.rho_sq(self.phase(0.0)) <= threshold, 0.0, np.nan)
+        crossing = np.where(self.rho_sq(*self.phase(0.0)) <= threshold, 0.0, np.nan)
         dips = np.isnan(crossing) & (self.amplitude != 0.0) & (self.center - self.amplitude <= threshold)
         if np.count_nonzero(dips):
             # an array field has one entry per point; a scalar one is shared
@@ -231,8 +226,8 @@ def lens_state_at(orbit: LensOrbit, dt) -> MomentState:
     units.require("dt", dt, "non-negative")
     state, phase = orbit.entry, orbit.phase(dt)
     return MomentState(
-        rho_sq=orbit.rho_sq(phase),
-        drho_sq_dt=orbit.drho_sq(phase),
+        rho_sq=orbit.rho_sq(*phase),
+        drho_sq_dt=orbit.drho_sq(*phase),
         u_perp_sq=state.u_perp_sq,
         p_z=orbit.p_z(dt),
         z=state.z + orbit.dz(dt),

@@ -177,7 +177,7 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t, phase):
     m = orbit.mass
     l = orbit.entry.l
     ll = orbit.length
-    rho0 = orbit.rho_sq(phase)
+    rho0 = orbit.rho_sq(*phase)
     z0 = orbit.dz(t)
     du1 = (kappa * w / (m * m * ll)) * (l + 0.5 * m * w * rho0) * orbit.p_z(t)
     drive = (
@@ -189,25 +189,22 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t, phase):
 
 
 def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
-    """(ts, states, drive, cos, sin): the driven first-order system, state (u1, r1, dr1),
-    from rest at the lens entry to t_end by the exact RK4 step map, and the drive and
-    phase pair at ts[1:], kept from the forcing the map evaluates on each block: its
-    even half-steps are ts[start:stop + 1], ts[start] ending the block before.  The
-    forcing takes one cos/sin per grid point; a midpoint's pair is the one before it
-    turned by the half step d, cos(a + d) = cos a cos d - sin a sin d, within a few ulp."""
+    """(ts, states, drive, cos, sin): the driven first-order system, state (u1, r1, dr1), from rest at
+    the lens entry to t_end by the exact RK4 step map, and the drive and phase pair at ts[1:], kept from
+    the forcing at each block's even half-steps.  A midpoint's pair is the grid pair before it turned by
+    the half step: within 4 eps max(1, omega0 t) of np.cos/np.sin, the rounding of omega0 t itself."""
     w = orbit.omega0
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
     kept = [(np.empty(0),) * 3]  # none on a one-point grid
 
     def forcing(t: np.ndarray) -> np.ndarray:
+        b = np.empty((3, t.size))  # its first two rows hold the phase pair until the forcing is built
         cos, sin = orbit.phase(t[::2])
         cos_d, sin_d = orbit.phase(t[1] - t[0])
-        phase = np.empty((2, t.size))
-        phase[0, ::2], phase[1, ::2] = cos, sin
-        phase[0, 1::2], phase[1, 1::2] = cos[:-1] * cos_d - sin[:-1] * sin_d, sin[:-1] * cos_d + cos[:-1] * sin_d
-        du1, drive = _gradient_forcing(orbit, kappa, t, phase)
+        b[0, ::2], b[1, ::2] = cos, sin
+        b[0, 1::2], b[1, 1::2] = cos[:-1] * cos_d - sin[:-1] * sin_d, sin[:-1] * cos_d + cos[:-1] * sin_d
+        du1, drive = _gradient_forcing(orbit, kappa, t, b[:2])
         kept.append((drive[2::2], cos[1:], sin[1:]))
-        b = np.empty((3, t.size))
         b[0], b[1], b[2] = du1, 0.0, drive
         return b
 
@@ -235,7 +232,7 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
         rho_sq_1=r1,
         u_perp_sq_1=u1,
         kappa=kappa,
-        validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(orbit.phase(dt))),
+        validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(*orbit.phase(dt))),
         assumptions=approximation_ledger(),
     )
 

@@ -144,7 +144,7 @@ def test_criterion_05_closed_form_versus_rk4():
     ts, ys = integrate_rk4(
         ODESpec(lens_rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, 5 * period, period / 1000)
     )
-    closed = np.array([orbit.rho_sq(orbit.phase(t)) for t in ts])
+    closed = np.array([orbit.rho_sq(*orbit.phase(t)) for t in ts])
     lens_err = float(np.max(np.abs(closed - ys[:, 0]) / np.abs(closed)))
     assert lens_err <= 1e-8
 
@@ -347,8 +347,8 @@ def test_criterion_10_conservation_suite():
         dt = k * 2.0 * math.pi / orbit.omega0
         worst_periodicity = max(
             worst_periodicity,
-            abs(orbit.rho_sq(orbit.phase(dt)) / entry.rho_sq - 1.0),
-            abs((orbit.drho_sq(orbit.phase(dt)) - entry.drho_sq_dt) / (entry.rho_sq * orbit.omega0)),
+            abs(orbit.rho_sq(*orbit.phase(dt)) / entry.rho_sq - 1.0),
+            abs((orbit.drho_sq(*orbit.phase(dt)) - entry.drho_sq_dt) / (entry.rho_sq * orbit.omega0)),
         )
     assert worst_periodicity <= 1e-12
     _report(10, f"OAM and <u^2> bitwise constant; emittance drift {eps_drift:.1e} "

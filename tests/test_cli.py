@@ -414,24 +414,36 @@ def test_positive_charge_with_l_mirrors_negative_charge_with_minus_l(tmp_path, c
         assert positive == negative, command
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: None)()  # Python 3.10.7 and later
+# JSON members before the integer, with digit runs past the limit that json reads: a string, a fraction, an exponent
+_DECOYS = f'"note": "see {"7" * 5001}", "fraction": 0.{"1" * 5001}, "exponent": 1e{"0" * 5000}1, '
+
+
 @pytest.mark.parametrize(
-    "key, literal, message",
+    "key, literal, decoys, message",
     [
         # float() of a JSON integer past the float range raised OverflowError
-        ("H0_gauss", "1" + "0" * 400, "beamline[1].H0_gauss: 401-digit integer is out of the float range"),
+        pytest.param(
+            "H0_gauss", "1" + "0" * 400, "", "beamline[1].H0_gauss: 401-digit integer is out of the float range",
+            id="float_range",
+        ),
         # json.loads raised a ValueError with no position past int()'s digit limit
-        ("n_prime", "1" + "0" * 5000, None),
+        *(
+            pytest.param("n_prime", "-1" + "0" * 5000, decoys, None, id=name, marks=pytest.mark.skipif(
+                _DIGIT_LIMIT is None, reason="int() has no digit limit before Python 3.10.7"
+            ))
+            for name, decoys in (("digit_limit", ""), ("digit_limit_after_decoys", _DECOYS))
+        ),
     ],
 )
-def test_integer_literal_too_large_is_one_schema_error(tmp_path, capsys, key, literal, message):
+def test_integer_literal_too_large_is_one_schema_error(tmp_path, capsys, key, literal, decoys, message):
     data = scenario_dict()
     data["beamline"][1][key] = "@"
-    text = json.dumps(data).replace('"@"', literal)
+    text = "{" + decoys + json.dumps(data)[1:].replace('"@"', literal)
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
     if message is None:
-        limit = sys.get_int_max_str_digits()
-        message = f"line 1, column {text.index(literal) + 1}: integer of more than {limit} digits"
+        message = f"line 1, column {text.index(literal) + 1}: integer over {_DIGIT_LIMIT} digits"
     assert main(["check", str(path)]) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"error: {message}\n"
 
