@@ -18,13 +18,14 @@ import functools
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
 from . import units
-from .elements import Drift, LensConfig
+from .elements import Drift, InhomogeneityWarning, LensConfig, require_kappa
 from .lattice import (
     Beamline,
     BeamlineConfigError,
@@ -186,16 +187,22 @@ def load_scenario(path: str | Path) -> Scenario:
                         duration_s=_need(item, "duration_ns", float, path_i) * 1e-9,
                         length_m=_need(item, "length_m", float, path_i),
                         e0_v_per_m=_need(item, "E0_V_per_m", float, path_i, 0.0),
-                        kappa_m=_need(item, "kappa_M", float, path_i, 0.0),
-                        kappa_e=_need(item, "kappa_E", float, path_i, 0.0),
+                        kappa=_need(item, "kappa_M", float, path_i, 0.0),
                     )
                 )
-                elements[-1].kappa  # the gradient model has one kappa
+                kappa_e = require_kappa("kappa_e", _need(item, "kappa_E", float, path_i, 0.0))
+                if kappa_e != elements[-1].kappa:  # the gradient model has one kappa
+                    raise ValueError(
+                        f"kappa is only defined for kappa_m == kappa_e (got {elements[-1].kappa} and {kappa_e})"
+                    )
                 omega0 = units.cyclotron_frequency_natural(elements[-1].h0_gauss, particle)
                 units.require("omega0 * omega0", omega0 * omega0)  # the lens orbit divides by it
                 n_prime = _need(item, "n_prime", int, path_i, 0)
                 if n_prime < 0:
                     raise ScenarioError(f"{path_i}.n_prime: must be non-negative, got {n_prime}")
+                if n_prime > 2**1000:  # so the matching ratio 4(2n'+|l|+l+1)/(2n+|l|+1) stays a float
+                    digits = len(str(n_prime))
+                    raise ScenarioError(f"{path_i}.n_prime: must not exceed 2**1000, got a {digits}-digit integer")
                 n_primes.append(n_prime)
             else:
                 raise ScenarioError(f"{path_i}.type: unknown element type {kind!r}")
@@ -322,7 +329,7 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool, source
     return exit_code
 
 
-def _check_report(scenario: Scenario) -> tuple[list[str], bool]:
+def cmd_check(scenario: Scenario) -> int:
     lines: list[str] = []
     all_ok = True
     lens_legs = [leg for leg in walk(scenario.beamline()) if leg.orbit is not None]
@@ -348,11 +355,6 @@ def _check_report(scenario: Scenario) -> tuple[list[str], bool]:
     if not lens_legs:
         lines.append("lenses: none")
     lines.append(f"all_pass: {str(all_ok).lower()}")
-    return lines, all_ok
-
-
-def cmd_check(scenario: Scenario) -> int:
-    lines, all_ok = _check_report(scenario)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -438,7 +440,9 @@ def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:
     elements, packet, launch = list(scenario.elements), scenario.packet, scenario.launch
     if param == "H0_gauss":
         lens_index = next(i for i, e in enumerate(elements) if isinstance(e, LensConfig))
-        elements[lens_index] = dc_replace(elements[lens_index], h0_gauss=value)
+        with warnings.catch_warnings():  # its kappa warned once, at load
+            warnings.simplefilter("ignore", InhomogeneityWarning)
+            elements[lens_index] = dc_replace(elements[lens_index], h0_gauss=value)
     elif param == "sigma_r_um":
         packet, launch = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s), None
     elif param == "t1_ns":

@@ -1,8 +1,8 @@
 """Beamline elements: drifts and axisymmetric electromagnetic lenses.
 
 A lens combines a uniform accelerating field E0 and a uniform solenoid field
-H0 with first-order axial gradients parameterized by the dimensionless
-kappa_M = L H1 / H0 and kappa_E = L E1 / E0.  The linearized fields are
+H0 with first-order axial gradients set by one dimensionless parameter,
+kappa = L H1 / H0 = L E1 / E0.  The linearized fields are
 
     E_rho = -E1 rho / 2,   E_z = E0 + E1 z,
     H_rho = -H1 rho / 2,   H_z = H0 + H1 z,
@@ -58,46 +58,34 @@ class LensConfig:
     duration_s: float
     length_m: float
     e0_v_per_m: float = 0.0
-    kappa_m: float = 0.0
-    kappa_e: float = 0.0
+    kappa: float = 0.0
 
     def __post_init__(self) -> None:
         units.require("h0_gauss", self.h0_gauss)
         units.require("e0_v_per_m", self.e0_v_per_m, "non-negative")  # a magnitude
         units.require("length_m", self.length_m)
         units.require("duration_s", self.duration_s)
-        for name, kappa in (("kappa_m", self.kappa_m), ("kappa_e", self.kappa_e)):
-            if abs(require_kappa(name, kappa)) > KAPPA_SOFT_LIMIT:
-                warnings.warn(
-                    f"{name} = {kappa} is beyond the comfortable first-order "
-                    f"regime (> {KAPPA_SOFT_LIMIT})",
-                    InhomogeneityWarning,
-                    stacklevel=3,
-                )
+        if abs(require_kappa("kappa", self.kappa)) > KAPPA_SOFT_LIMIT:
+            warnings.warn(
+                f"kappa = {self.kappa} is beyond the comfortable first-order "
+                f"regime (> {KAPPA_SOFT_LIMIT})",
+                InhomogeneityWarning,
+                stacklevel=3,
+            )
 
     @property
     def is_homogeneous(self) -> bool:
-        return self.kappa_m == 0.0 and self.kappa_e == 0.0
-
-    @property
-    def kappa(self) -> float:
-        """Common gradient parameter; defined only when kappa_m == kappa_e."""
-        if self.kappa_m != self.kappa_e:
-            raise ValueError(
-                "kappa is only defined for kappa_m == kappa_e "
-                f"(got {self.kappa_m} and {self.kappa_e})"
-            )
-        return self.kappa_m
+        return self.kappa == 0.0
 
     @property
     def e1_v_per_m2(self) -> float:
         """Axial gradient of E_z in V/m^2."""
-        return self.kappa_e * self.e0_v_per_m / self.length_m
+        return self.kappa * self.e0_v_per_m / self.length_m
 
     @property
     def h1_gauss_per_m(self) -> float:
         """Axial gradient of H_z in gauss/m."""
-        return self.kappa_m * self.h0_gauss / self.length_m
+        return self.kappa * self.h0_gauss / self.length_m
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,7 @@ class ZerothOrderInputs:
 
     @staticmethod
     def from_entry_state(state: MomentState, lens: LensConfig, particle: Particle) -> LensOrbit:
-        """The lens orbit at a lens entry.  The gradient model assumes a single
-        kappa, so a lens with kappa_m != kappa_e is rejected, not guessed at."""
-        lens.kappa  # raises on mixed gradients
+        """The lens orbit at a lens entry."""
         return LensOrbit.from_entry(state, lens, particle)
 
 

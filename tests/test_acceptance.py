@@ -276,8 +276,7 @@ def test_criterion_09_perturbation_correction():
             duration_s=20e-9,
             length_m=0.1,
             e0_v_per_m=e0,
-            kappa_m=0.081,
-            kappa_e=0.081,
+            kappa=0.081,
         )
         inputs = ZerothOrderInputs.from_entry_state(entry, lens, ELECTRON)
         period = 2.0 * math.pi / inputs.omega0
@@ -365,8 +364,7 @@ def test_criterion_11_maxwell_residuals():
             duration_s=5e-9,
             length_m=0.1,
             e0_v_per_m=25e6,
-            kappa_m=kappa,
-            kappa_e=kappa,
+            kappa=kappa,
         )
         for _ in range(10):
             rho = rng.uniform(0.05, 0.9) * lens.length_m

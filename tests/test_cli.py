@@ -26,6 +26,7 @@ from vortexlens.cli import (
     main,
     serialize_scenario,
 )
+from vortexlens.elements import InhomogeneityWarning
 from vortexlens.lattice import EVENT_OVERFOCUS, EVENT_RELATIVISTIC, solve_matching, walk
 from vortexlens.moments import LensOrbit, MomentState, transport_check
 from vortexlens.packet import LGPacket
@@ -340,6 +341,38 @@ def test_value_out_of_the_natural_float_range_is_schema_error(
     assert captured.out == ""
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+KAPPA_VALUES = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([math.nan, math.inf, -math.inf, 0.3, -0.3, -0.0]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(KAPPA_VALUES, KAPPA_VALUES)
+@example(0.05, 0.05)
+@example(0.15, 0.15)
+@example(-0.0, 0.0)
+@example(0.05, 0.02)
+@example(math.nan, math.nan)
+@example(0.3, 0.05)
+@example(0.05, -0.3)
+def test_the_kappa_pair_loads_when_equal_and_in_range(tmp_path, kappa_m, kappa_e):
+    data = scenario_dict()
+    data["beamline"][1].update(kappa_M=kappa_m, kappa_E=kappa_e)
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InhomogeneityWarning)
+        if not abs(kappa_m) <= 0.2:  # NaN is out of range too
+            message = f"beamline[1]: |kappa| must not exceed 0.2, got {kappa_m}"
+        elif not abs(kappa_e) <= 0.2:
+            message = f"beamline[1]: |kappa_e| must not exceed 0.2, got {kappa_e}"
+        elif kappa_m != kappa_e:
+            message = f"beamline[1]: kappa is only defined for kappa_m == kappa_e (got {kappa_m} and {kappa_e})"
+        else:
+            assert load_scenario(path).elements[1].kappa == kappa_m
+            return
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(path)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -780,6 +813,32 @@ def test_negative_n_prime_is_schema_error(tmp_path, capsys, command):
     assert captured.err == "error: beamline[1].n_prime: must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["check"], EXIT_CHECK_FAILED),
+        (["sweep", "--param", "n_prime", "--range", "0:3", "--steps", "4"], EXIT_OK),
+        (["sweep", "--param", "H0_gauss", "--range", "50:150", "--steps", "5"], EXIT_OK),
+        (["design", "--mode", "matching-field"], EXIT_OK),
+    ],
+)
+def test_n_prime_past_2_to_the_1000_is_schema_error(tmp_path, capsys, command, code):
+    # the matching ratio 4 (2n'+|l|+l+1)/(2n+|l|+1) must stay a finite float:
+    # float() of it overflowed in transport_check on a 401-digit n_prime
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    for n_prime, digits in ((10**400, 401), (2**1000 + 1, 302)):
+        data["beamline"][1]["n_prime"] = n_prime
+        path = write_scenario(tmp_path, data)
+        assert main([command[0], path, *command[1:]]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: beamline[1].n_prime: must not exceed 2**1000, got a {digits}-digit integer\n"
+    data["beamline"][1]["n_prime"] = 2**1000  # the bound itself gives the command's verdict
+    path = write_scenario(tmp_path, data)
+    assert main([command[0], path, *command[1:]]) == code
+    assert capsys.readouterr().err == ""
+
+
 def test_scenario_serialize_round_trip():
     scenario = load_scenario(SCENARIOS / "capture_transport.json")
     once = serialize_scenario(scenario.raw)
@@ -884,6 +943,30 @@ def test_gradient_scenario_fills_correction_column(tmp_path):
     assert any(float(r[8]) != 0.0 for r in lens_rows[1:])
     drift_rows = [r for r in rows if int(r[1]) == 0]
     assert all(r[8] == "" for r in drift_rows)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["propagate", "-o", "t.csv"],
+        ["design", "--mode", "matching-field"],
+        ["design", "--mode", "capture"],
+        *(["sweep", "--param", param, "--range", spec_range, "--steps", "5"]
+          for param, spec_range in zip(cli.SWEEP_PARAMS, ("50:150", "0.3:1.0", "0.1:1.0", "0:4"))),
+    ],
+)
+def test_a_lens_past_the_soft_kappa_limit_warns_once_per_command(tmp_path, capsys, monkeypatch, command):
+    data = json.loads((SCENARIOS / "gradient_perturbed.json").read_text(encoding="utf-8"))
+    data["beamline"][1].update(kappa_M=0.15, kappa_E=0.15)
+    path = write_scenario(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command[0], path, *command[1:]]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert [w.category for w in caught] == [InhomogeneityWarning]
+    assert str(caught[0].message) == "kappa = 0.15 is beyond the comfortable first-order regime (> 0.1)"
+    assert capsys.readouterr().err == ""
 
 
 def swept_field(data, lens, param):

@@ -39,14 +39,11 @@ def test_lens_validation_and_kappa_limits():
         _lens(h0_gauss=-5.0)
     with pytest.raises(ValueError):
         _lens(e0_v_per_m=-1.0)
-    with pytest.raises(ValueError):
-        _lens(kappa_m=0.25)
+    with pytest.raises(ValueError, match=r"^\|kappa\| must not exceed 0.2, got 0.25$"):
+        _lens(kappa=0.25)
     with pytest.warns(InhomogeneityWarning):
-        _lens(kappa_m=0.15, kappa_e=0.15)
-    lens = _lens(kappa_m=0.05, kappa_e=0.08)
-    with pytest.raises(ValueError):
-        lens.kappa
-    assert _lens(kappa_m=0.05, kappa_e=0.05).kappa == 0.05
+        _lens(kappa=0.15)
+    assert _lens(kappa=0.05).kappa == 0.05
 
 
 def test_fields_homogeneous():
@@ -58,9 +55,9 @@ def test_fields_homogeneous():
 
 
 def test_fields_linear_laws():
-    lens = _lens(kappa_m=0.081, kappa_e=0.081, e0_v_per_m=1e6)
+    lens = _lens(kappa=0.081, e0_v_per_m=1e6)
     assert fields_at(lens, 0.0, lens.length_m).h_z == pytest.approx(1.081 * 85.0, rel=1e-12)
-    lens2 = _lens(kappa_m=0.1, kappa_e=0.1, e0_v_per_m=2e6)
+    lens2 = _lens(kappa=0.1, e0_v_per_m=2e6)
     sample = fields_at(lens2, lens2.length_m / 2, 0.0)
     assert sample.e_rho == pytest.approx(-0.025 * 2e6, rel=1e-12)
 
@@ -80,7 +77,7 @@ def test_maxwell_residuals_homogeneous_exact_zero():
 def test_maxwell_residuals_with_gradients():
     rng = np.random.default_rng(7)
     for kappa in (0.01, 0.081):
-        lens = _lens(kappa_m=kappa, kappa_e=kappa, e0_v_per_m=25e6)
+        lens = _lens(kappa=kappa, e0_v_per_m=25e6)
         for _ in range(10):
             rho = rng.uniform(0.05, 0.9) * lens.length_m
             z = rng.uniform(-0.9, 0.9) * lens.length_m
@@ -98,7 +95,7 @@ def test_potentials_reproduce_fields():
     # E = -grad(phi) and H = curl(A) by central differences; the potentials
     # are quadratic so the stencil is exact up to rounding
     rng = np.random.default_rng(11)
-    lens = _lens(kappa_m=0.081, kappa_e=0.081, e0_v_per_m=25e6)
+    lens = _lens(kappa=0.081, e0_v_per_m=25e6)
     h = lens.length_m / 16
     for _ in range(10):
         rho = rng.uniform(0.1, 0.8) * lens.length_m

@@ -334,7 +334,7 @@ def test_state_at_matches_run_samples():
 
 def test_gradient_lens_carries_corrections():
     lens = LensConfig(
-        h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.05
+        h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa=0.05
     )
     line = Beamline((Drift(1e-9), lens), ELECTRON, LGPacket(0, -4, 0.622e-6), 0.43)
     traj = run(line, 0.2e-9)
@@ -380,8 +380,7 @@ def valid_lines(draw):
                 duration_s=draw(st.floats(0.2, 3.0)) * period_s,
                 length_m=0.1,
                 e0_v_per_m=draw(st.sampled_from([0.0, 1e5])),
-                kappa_m=kappa,
-                kappa_e=kappa,
+                kappa=kappa,
             )
         )
     p0_ev = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.2, 1.0)))
@@ -543,7 +542,7 @@ def test_negative_offset_in_an_array_is_rejected():
     entry = MomentState.from_packet(packet_0574(), ELECTRON, 0.43)
     with pytest.raises(ValueError):
         propagate_drift(entry, np.array([0.0, 1.0, -1.0]), ELECTRON)
-    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.05)
+    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa=0.05)
     inputs = ZerothOrderInputs.from_entry_state(entry, lens, ELECTRON)
     with pytest.raises(ValueError):
         correction_closed_form(inputs, 0.05, np.array([0.0, -1.0]))
@@ -552,7 +551,7 @@ def test_negative_offset_in_an_array_is_rejected():
 @pytest.mark.parametrize("offset", [math.nan, np.float64(math.nan), np.array([0.0, math.nan])])
 def test_nan_offset_is_rejected_without_a_warning(offset):
     entry = MomentState.from_packet(packet_0574(), ELECTRON, 0.43)
-    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.05)
+    lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa=0.05)
     orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
     message = "dt must be non-negative, got " + ("nan" if np.ndim(offset) == 0 else "")
     with warnings.catch_warnings():

@@ -26,7 +26,7 @@ ELECTRON = Particle.electron()
 
 def gradient_lens(kappa=0.081, h0=85.0, e0=0.0):
     return LensConfig(
-        h0_gauss=h0, duration_s=20e-9, length_m=0.1, e0_v_per_m=e0, kappa_m=kappa, kappa_e=kappa
+        h0_gauss=h0, duration_s=20e-9, length_m=0.1, e0_v_per_m=e0, kappa=kappa
     )
 
 
@@ -39,16 +39,6 @@ def entry_inputs(e0=0.0, p0=0.43, sigma=0.622e-6, t1_ns=1.0, kappa=0.081):
 
 def period_of(inputs):
     return 2.0 * math.pi / inputs.omega0
-
-
-def test_mixed_gradients_rejected():
-    packet = LGPacket(0, -4, 0.622e-6)
-    state = MomentState.from_packet(packet, ELECTRON, p0_ev=0.43)
-    lens = LensConfig(
-        h0_gauss=85.0, duration_s=5e-9, length_m=0.1, kappa_m=0.05, kappa_e=0.02
-    )
-    with pytest.raises(ValueError):
-        ZerothOrderInputs.from_entry_state(state, lens, ELECTRON)
 
 
 def test_zero_kappa_gives_zero_correction():
