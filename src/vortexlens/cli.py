@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import units
-from .elements import Drift, InhomogeneityWarning, LensConfig, require_kappa
+from .elements import KAPPA_HARD_LIMIT, Drift, InhomogeneityWarning, LensConfig, require_kappa
 from .lattice import (
     Beamline,
     BeamlineConfigError,
@@ -141,11 +141,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version}")
 
     particle_block = _need(raw, "particle", dict, "scenario")
+    mass_ev = _need(particle_block, "mass_eV", float, "particle")  # a field's own error names its path
+    charge_sign = _need(particle_block, "charge_sign", int, "particle")
     try:
-        particle = Particle(
-            mass_ev=_need(particle_block, "mass_eV", float, "particle"),
-            charge_sign=_need(particle_block, "charge_sign", int, "particle"),
-        )
+        particle = Particle(mass_ev, charge_sign)
     except ValueError as exc:
         raise ScenarioError(f"particle: {exc}") from exc
 
@@ -156,13 +155,12 @@ def load_scenario(path: str | Path) -> Scenario:
         )
 
     packet_block = _need(raw, "packet", dict, "scenario")
+    n = _need(packet_block, "n", int, "packet")
+    l = _need(packet_block, "l", int, "packet")
+    sigma_r_um = _need(packet_block, "sigma_r_um", float, "packet")
+    focus_time_ns = _need(packet_block, "focus_time_ns", float, "packet", 0.0)
     try:  # the packet, and its launch state in natural units
-        packet = LGPacket(
-            n=_need(packet_block, "n", int, "packet"),
-            l=_need(packet_block, "l", int, "packet"),
-            sigma_r_m=_need(packet_block, "sigma_r_um", float, "packet") * 1e-6,
-            focus_time_s=_need(packet_block, "focus_time_ns", float, "packet", 0.0) * 1e-9,
-        )
+        packet = LGPacket(n, l, sigma_r_um * 1e-6, focus_time_ns * 1e-9)
         launch = MomentState.from_packet(packet, particle, p0_ev)
     except ValueError as exc:
         raise ScenarioError(f"packet: {exc}") from exc
@@ -181,22 +179,21 @@ def load_scenario(path: str | Path) -> Scenario:
             if kind == "drift":
                 elements.append(Drift(duration_s=_need(item, "duration_ns", float, path_i) * 1e-9))
             elif kind == "lens":
+                kappa = _need(item, "kappa_M", float, path_i, 0.0)
+                kappa_e = _need(item, "kappa_E", float, path_i, 0.0)
+                if kappa_e != kappa and abs(kappa) <= KAPPA_HARD_LIMIT:  # one kappa, checked before the lens warns
+                    require_kappa("kappa_e", kappa_e)
+                    raise ValueError(f"kappa is only defined for kappa_m == kappa_e (got {kappa} and {kappa_e})")
                 elements.append(
                     LensConfig(
                         h0_gauss=_need(item, "H0_gauss", float, path_i),
                         duration_s=_need(item, "duration_ns", float, path_i) * 1e-9,
                         length_m=_need(item, "length_m", float, path_i),
                         e0_v_per_m=_need(item, "E0_V_per_m", float, path_i, 0.0),
-                        kappa=_need(item, "kappa_M", float, path_i, 0.0),
+                        kappa=kappa,
                     )
                 )
-                kappa_e = require_kappa("kappa_e", _need(item, "kappa_E", float, path_i, 0.0))
-                if kappa_e != elements[-1].kappa:  # the gradient model has one kappa
-                    raise ValueError(
-                        f"kappa is only defined for kappa_m == kappa_e (got {elements[-1].kappa} and {kappa_e})"
-                    )
-                omega0 = units.cyclotron_frequency_natural(elements[-1].h0_gauss, particle)
-                units.require("omega0 * omega0", omega0 * omega0)  # the lens orbit divides by it
+                units.cyclotron_frequency_natural(elements[-1].h0_gauss, particle)  # a field a lens can use
                 n_prime = _need(item, "n_prime", int, path_i, 0)
                 if n_prime < 0:
                     raise ScenarioError(f"{path_i}.n_prime: must be non-negative, got {n_prime}")

@@ -32,9 +32,10 @@ from .moments import (
     lens_state_at,
     matching_ratio,
     propagate_drift,
+    stationary_rho_sq,
     waist_dt,
 )
-from .packet import LGPacket
+from .packet import LGPacket, transverse_velocity_sq
 from .perturbation import correction_closed_form
 from .units import Particle
 
@@ -295,11 +296,14 @@ def design_direct_capture(state: MomentState, particle: Particle, length_m: floa
     b = 2.0 * state.l / m
     disc = b * b + 8.0 * state.rho_sq * state.u_perp_sq
     omega = (-b + math.sqrt(disc)) / (2.0 * state.rho_sq)
-    if not omega > 0.0:
-        raise NoCaptureFieldError("no positive cyclotron frequency fits this state")
-    h0_gauss = units.field_from_cyclotron_natural(omega, particle)
-    duration_s = 3.0 * 2.0 * math.pi / units.cyclotron_frequency(h0_gauss, particle)
-    return LensConfig(h0_gauss=h0_gauss, duration_s=duration_s, length_m=length_m)
+    try:  # a field a lens can use: omega0 and omega0^2 are positive, and the orbit of this state builds
+        h0_gauss = units.field_from_cyclotron_natural(omega, particle)
+        duration_s = 3.0 * 2.0 * math.pi / units.cyclotron_frequency(h0_gauss, particle)
+        lens = LensConfig(h0_gauss=h0_gauss, duration_s=duration_s, length_m=length_m)
+        LensOrbit.from_entry(state, lens, particle)
+    except ValueError as exc:
+        raise NoCaptureFieldError(f"no cyclotron frequency a lens can use fits this state: {exc}") from None
+    return lens
 
 
 def solve_matching(packet: LGPacket, n_prime: int, particle: Particle) -> float:
@@ -307,15 +311,19 @@ def solve_matching(packet: LGPacket, n_prime: int, particle: Particle) -> float:
 
     Inverts rho_H^2(H0) / sigma_r^2 = 4 (2n'+|l|+l'+1) / (2n+|l|+1), with
     l' = particle.model_l(l), through rho_H^2 = 4 hbar / (|q| H0); closed
-    form, no iteration.  A waist so small or so large that the field leaves
-    the float range raises NoCaptureFieldError.
+    form, no iteration.  Raises NoCaptureFieldError where the field, its
+    omega0^2 or the lens orbit of the packet's waist leaves the float range.
     """
     ratio = matching_ratio(packet.n, particle.model_l(packet.l), n_prime)
     try:
         rho_h_sq_m2 = float(ratio) * packet.sigma_r_m**2
         h_tesla = 4.0 * units.REDUCED_PLANCK_JS / (units.ELEMENTARY_CHARGE_C * rho_h_sq_m2)
-        return units.require("H0_gauss", h_tesla * units.GAUSS_PER_TESLA)
-    except (ArithmeticError, ValueError):  # rho_H^2 underflows to 0 or overflows, or H0 does
+        h0_gauss = h_tesla * units.GAUSS_PER_TESLA
+        omega0 = units.cyclotron_frequency_natural(h0_gauss, particle)
+        u_sq = transverse_velocity_sq(packet, particle)  # the lens orbit of the packet's waist has this center
+        units.require("rho_sq_st", stationary_rho_sq(u_sq, particle.model_l(packet.l), omega0, particle), "finite")
+        return h0_gauss
+    except (ArithmeticError, ValueError):  # rho_H^2 underflows to 0 or overflows, or H0, omega0^2 or the orbit does
         raise NoCaptureFieldError(
             f"the matching field for sigma_r_m = {packet.sigma_r_m} is out of the float range"
         ) from None

@@ -30,34 +30,18 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class ODESpec:
-    """First-order system y' = rhs(t, y) with a fixed-step integration plan."""
+def _time_grid(t0: float, t_end: float, step: float) -> tuple[np.ndarray, float]:
+    """Uniform grid from t0 to t_end with the largest step not exceeding step.
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    y0: tuple[float, ...]
-    t0: float
-    t_end: float
-    step: float
-
-    def __post_init__(self) -> None:
-        _check_plan(self.t0, self.t_end, self.step)
-
-
-def _check_plan(t0: float, t_end: float, step: float) -> None:
+    Checks the plan of both integrators; over MAX_STEPS steps raises before
+    the grid is allocated.
+    """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError("t0 and t_end must be finite")
     if not step > 0:
         raise ValueError("step must be positive")
     if t_end < t0:
         raise ValueError("t_end must not precede t0")
-
-
-def _time_grid(t0: float, t_end: float, step: float) -> tuple[np.ndarray, float]:
-    """Uniform grid from t0 to t_end with the largest step not exceeding step.
-
-    Over MAX_STEPS steps raises before the grid is allocated.
-    """
     span = t_end - t0
     if span == 0.0:
         return np.array([t0]), 0.0
@@ -69,21 +53,26 @@ def _time_grid(t0: float, t_end: float, step: float) -> tuple[np.ndarray, float]
     return t0 + h * np.arange(n + 1), h
 
 
-def integrate_rk4(spec: ODESpec) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fourth-order fixed-step integration, sampled at every step.
+def integrate_rk4(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    y0: tuple[float, ...],
+    t0: float,
+    t_end: float,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fourth-order fixed-step integration of y' = rhs(t, y), sampled at every step.
 
     The span is subdivided uniformly with the largest step not exceeding
-    spec.step, so the final sample lands exactly on t_end.  Returns arrays
+    step, so the final sample lands exactly on t_end.  Returns arrays
     (times, states) of shapes (n+1,) and (n+1, dim).
     """
-    y = np.asarray(spec.y0, dtype=float)
-    ts, h = _time_grid(spec.t0, spec.t_end, spec.step)
+    ts, h = _time_grid(t0, t_end, step)
+    y = np.asarray(y0, dtype=float)
     out = np.empty((ts.size, y.size))
     out[0] = y
-    rhs = spec.rhs
     for i in range(1, ts.size):
         # stages at the times integrate_rk4_linear uses; t + h can miss ts[i] by an ulp
-        mid = spec.t0 + (0.5 * h) * (2 * i - 1)
+        mid = t0 + (0.5 * h) * (2 * i - 1)
         k1 = rhs(ts[i - 1], y)
         k2 = rhs(mid, y + (0.5 * h) * k1)
         k3 = rhs(mid, y + (0.5 * h) * k2)
@@ -127,11 +116,10 @@ def integrate_rk4_linear(
     the input validation and the IntegrationError on a non-finite state
     match integrate_rk4, which stays the reference for this map.
     """
-    _check_plan(t0, t_end, step)
+    ts, h = _time_grid(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
     if a.shape != (3, 3) or len(y0) != 3:
         raise ValueError("integrate_rk4_linear needs a 3x3 matrix and a 3-component state")
-    ts, h = _time_grid(t0, t_end, step)
     out = np.empty((3, ts.size))
     out[:, 0] = y0
     eye = np.eye(3)
@@ -224,6 +212,15 @@ def _cutoff(n: int, l_abs: int) -> float:
     return max(80.0, 20.0 + 10.0 * (n + l_abs))
 
 
+def _laguerre_integral(n: int, l: int, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
+    """integrand, an exp(-y)-damped product of L_n^{|l|}, integrated over [0, _cutoff(n, |l|)]
+    in panels of width 2 or less; n and |l| are guarded against factorial overflow."""
+    if n < 0 or n > MAX_LAGUERRE_INDEX or abs(l) > MAX_LAGUERRE_INDEX:
+        raise ValueError(f"indices out of guarded range: n={n}, l={l}")
+    y_max = _cutoff(n, abs(l))
+    return gauss_legendre_integral(QuadratureSpec(integrand, y_max, panels=int(math.ceil(y_max / 2.0))))
+
+
 def lg_quadrature(n: int, l: int, m_power: int, k_deriv: int = 0) -> float:
     """Laguerre moment integral by numerical quadrature.
 
@@ -233,8 +230,6 @@ def lg_quadrature(n: int, l: int, m_power: int, k_deriv: int = 0) -> float:
     weight integrable (m_power >= 0).
     """
     a = abs(l)
-    if n < 0 or n > MAX_LAGUERRE_INDEX or a > MAX_LAGUERRE_INDEX:
-        raise ValueError(f"indices out of guarded range: n={n}, l={l}")
     if m_power < 0:
         raise ValueError(f"m_power must be non-negative, got {m_power}")
 
@@ -243,9 +238,7 @@ def lg_quadrature(n: int, l: int, m_power: int, k_deriv: int = 0) -> float:
         derivative = values if k_deriv == 0 else laguerre_derivative(n, a, y, k_deriv)
         return y**m_power * values * derivative * np.exp(-y)
 
-    y_max = _cutoff(n, a)
-    spec = QuadratureSpec(integrand, y_max, panels=int(math.ceil(y_max / 2.0)))
-    return gauss_legendre_integral(spec)
+    return _laguerre_integral(n, l, integrand)
 
 
 def y_moment_exact(n: int, l_abs: int) -> int:
@@ -267,8 +260,6 @@ def mode_velocity_coefficient_quadrature(n: int, l: int) -> float:
     profile (radial plus centrifugal pieces) with no algebraic reduction.
     """
     a = abs(l)
-    if n < 0 or n > MAX_LAGUERRE_INDEX or a > MAX_LAGUERRE_INDEX:
-        raise ValueError(f"indices out of guarded range: n={n}, l={l}")
 
     def integrand(y: np.ndarray) -> np.ndarray:
         lag = laguerre(n, a, y)
@@ -280,10 +271,7 @@ def mode_velocity_coefficient_quadrature(n: int, l: int) -> float:
         # a = 0: the centrifugal term vanishes and grad carries a factor y
         return (radial / y) * np.exp(-y)
 
-    y_max = _cutoff(n, a)
-    spec = QuadratureSpec(integrand, y_max, panels=int(math.ceil(y_max / 2.0)))
-    norm = lg_quadrature(n, a, a, 0)
-    return gauss_legendre_integral(spec) / norm
+    return _laguerre_integral(n, l, integrand) / lg_quadrature(n, a, a, 0)
 
 
 def mode_velocity_coefficient_moments(n: int, l: int) -> float:

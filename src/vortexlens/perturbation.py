@@ -99,7 +99,6 @@ class CorrectionState:
 
     rho_sq_1: float
     u_perp_sq_1: float
-    kappa: float
     validity_exceeded: bool
     assumptions: tuple[Assumption, ...]
 
@@ -229,7 +228,6 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
     return CorrectionState(
         rho_sq_1=r1,
         u_perp_sq_1=u1,
-        kappa=kappa,
         validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(*orbit.phase(dt))),
         assumptions=approximation_ledger(),
     )

@@ -126,8 +126,11 @@ def cyclotron_frequency(h0_gauss: float, particle: Particle) -> float:
 
 
 def cyclotron_frequency_natural(h0_gauss: float, particle: Particle) -> float:
-    """Cyclotron frequency as a natural-unit energy (eV)."""
-    return cyclotron_frequency(h0_gauss, particle) * HBAR_EV_S
+    """Cyclotron frequency as a natural-unit energy (eV), once its square is
+    positive: the rule for a field a lens can use, since the lens orbit divides by it."""
+    omega0 = cyclotron_frequency(h0_gauss, particle) * HBAR_EV_S
+    require("omega0 * omega0", omega0 * omega0)
+    return omega0
 
 
 def field_from_cyclotron_natural(omega0_ev: float, particle: Particle) -> float:

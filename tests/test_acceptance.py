@@ -31,7 +31,6 @@ from vortexlens.moments import (
     transport_check,
 )
 from vortexlens.oracle import (
-    ODESpec,
     integrate_rk4,
     lg_quadrature,
     mode_velocity_coefficient_moments,
@@ -141,9 +140,7 @@ def test_criterion_05_closed_form_versus_rk4():
         )
 
     period = 2.0 * math.pi / omega0
-    ts, ys = integrate_rk4(
-        ODESpec(lens_rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, 5 * period, period / 1000)
-    )
+    ts, ys = integrate_rk4(lens_rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, 5 * period, period / 1000)
     closed = np.array([orbit.rho_sq(*orbit.phase(t)) for t in ts])
     lens_err = float(np.max(np.abs(closed - ys[:, 0]) / np.abs(closed)))
     assert lens_err <= 1e-8
@@ -152,7 +149,7 @@ def test_criterion_05_closed_form_versus_rk4():
         return np.array([y[1], 2.0 * entry.u_perp_sq])
 
     span = units.time_to_natural(5e-9)
-    ts, ys = integrate_rk4(ODESpec(free_rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, span, span / 500))
+    ts, ys = integrate_rk4(free_rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, span, span / 500)
     free = entry.rho_sq + entry.drho_sq_dt * ts + entry.u_perp_sq * ts**2
     free_err = float(np.max(np.abs(ys[:, 0] - free) / free))
     assert free_err <= 1e-12
@@ -369,7 +366,7 @@ def test_criterion_11_maxwell_residuals():
         for _ in range(10):
             rho = rng.uniform(0.05, 0.9) * lens.length_m
             z = rng.uniform(-0.9, 0.9) * lens.length_m
-            worst = max(worst, maxwell_residual(lens, rho, z).max_abs)
+            worst = max(worst, maxwell_residual(lens, rho, z))
     assert worst <= 1e-12
     _report(11, f"divergence and curl residuals <= {worst:.1e} (<= 1e-12) at 10 "
                 "random probe points per lens")

@@ -343,6 +343,29 @@ def test_value_out_of_the_natural_float_range_is_schema_error(
         load_scenario(path)
 
 
+BLOCK_KEYS = (("particle", "mass_eV", "a number"), ("particle", "charge_sign", "an integer"),
+              ("packet", "n", "an integer"), ("packet", "l", "an integer"), ("packet", "sigma_r_um", "a number"),
+              ("packet", "focus_time_ns", "a number"))
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [pytest.param(block, key, ..., f"{block}.{key}: required field is missing", id=f"{block}.{key}-missing")
+     for block, key, _ in BLOCK_KEYS if key != "focus_time_ns"]  # optional: a missing focus time is 0
+    + [pytest.param(block, key, "x", f"{block}.{key}: expected {kind}, got 'x'", id=f"{block}.{key}-mistyped")
+       for block, key, kind in BLOCK_KEYS],
+)
+def test_a_particle_or_packet_field_error_names_its_path_once(tmp_path, capsys, block, key, value, message):
+    data = scenario_dict()
+    if value is ...:
+        del data[block][key]
+    else:
+        data[block][key] = value
+    path = write_scenario(tmp_path, data)
+    assert main(["check", path]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 KAPPA_VALUES = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([math.nan, math.inf, -math.inf, 0.3, -0.3, -0.0]))
 
 
@@ -355,12 +378,14 @@ KAPPA_VALUES = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([math.nan, math.i
 @example(math.nan, math.nan)
 @example(0.3, 0.05)
 @example(0.05, -0.3)
+@example(0.15, 0.05)
+@example(-0.15, 0.2)
 def test_the_kappa_pair_loads_when_equal_and_in_range(tmp_path, kappa_m, kappa_e):
     data = scenario_dict()
     data["beamline"][1].update(kappa_M=kappa_m, kappa_E=kappa_e)
     path = write_scenario(tmp_path, data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", InhomogeneityWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         if not abs(kappa_m) <= 0.2:  # NaN is out of range too
             message = f"beamline[1]: |kappa| must not exceed 0.2, got {kappa_m}"
         elif not abs(kappa_e) <= 0.2:
@@ -369,10 +394,13 @@ def test_the_kappa_pair_loads_when_equal_and_in_range(tmp_path, kappa_m, kappa_e
             message = f"beamline[1]: kappa is only defined for kappa_m == kappa_e (got {kappa_m} and {kappa_e})"
         else:
             assert load_scenario(path).elements[1].kappa == kappa_m
+            # the lens that loads warns once past the soft limit
+            assert [w.category for w in caught] == [InhomogeneityWarning] * (abs(kappa_m) > 0.1)
             return
         with pytest.raises(ScenarioError) as excinfo:
             load_scenario(path)
     assert str(excinfo.value) == message
+    assert caught == []  # no warning about a lens that is rejected
 
 
 @pytest.mark.parametrize(
@@ -398,24 +426,60 @@ def test_free_waist_that_cancels_to_zero_fails_the_match(tmp_path, capsys, block
 
 
 @pytest.mark.parametrize(
-    "n_prime, code", [(0, EXIT_OK), (10**24, EXIT_OK), (10**30, EXIT_DESIGN), (10**40, EXIT_DESIGN)]
+    "n_prime, code", [(0, EXIT_DESIGN), (10**24, EXIT_DESIGN), (10**30, EXIT_DESIGN), (10**40, EXIT_DESIGN)]
 )
 def test_matching_field_out_of_the_float_range_is_design_failure(tmp_path, capsys, n_prime, code):
-    # a 1e140 m waist: rho_H^2 = ratio * sigma_r^2 overflows once n_prime, and
-    # with it the ratio, is large enough (a waist that small that it would
-    # underflow makes the packet superluminal, which load rejects)
+    # a 1e140 m waist: the field's omega0^2 underflows to 0 at every n_prime, and
+    # rho_H^2 = ratio * sigma_r^2 overflows once n_prime, and with it the ratio,
+    # is large enough (a waist that small that it would underflow makes the
+    # packet superluminal, which load rejects)
     data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
     data["packet"]["sigma_r_um"] = 1e146
     data["beamline"][1]["n_prime"] = n_prime
     path = write_scenario(tmp_path, data)
     assert main(["design", path, "--mode", "matching-field"]) == code
     captured = capsys.readouterr()
-    if code == EXIT_OK:
-        field = float(captured.out.splitlines()[-1].removeprefix("H0_gauss: "))
-        assert 0.0 < field < math.inf and captured.err == ""
-    else:
-        assert captured.err.startswith("design: the matching field for sigma_r_m = ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err.startswith("design: the matching field for sigma_r_m = ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+# the widest waist whose matching field (n_prime 0) a lens can use; a float wider, omega0 * omega0 underflows
+USABLE_EDGE_UM = 4.923487084420574e77
+
+
+@pytest.mark.parametrize(
+    "sigma_r_um, code",
+    [(1e77, EXIT_OK), (USABLE_EDGE_UM, EXIT_OK), (math.nextafter(USABLE_EDGE_UM, math.inf), EXIT_DESIGN),
+     (1e78, EXIT_DESIGN)],
+)
+def test_matching_field_is_one_a_lens_can_use(tmp_path, capsys, sigma_r_um, code):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["packet"]["sigma_r_um"] = sigma_r_um
+    path = write_scenario(tmp_path, data)
+    assert main(["design", path, "--mode", "matching-field"]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_DESIGN:
+        assert captured.err == f"design: the matching field for sigma_r_m = {sigma_r_um * 1e-6} is out of the float range\n"
+        return
+    assert captured.err == ""
+    data["beamline"][1]["H0_gauss"] = float(captured.out.splitlines()[-1].removeprefix("H0_gauss: "))
+    path = write_scenario(tmp_path, data)  # the field, written into the lens, loads and walks
+    assert main(["check", path]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("sigma_r_um", [1e146, 1e120])
+def test_capture_field_no_lens_can_use_is_design_failure(tmp_path, capsys, sigma_r_um):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["packet"]["sigma_r_um"] = sigma_r_um
+    path = write_scenario(tmp_path, data)
+    emitted = tmp_path / "designed.json"
+    assert main(["design", path, "--mode", "capture", "--emit-scenario", str(emitted)]) == EXIT_DESIGN
+    captured = capsys.readouterr()
+    assert captured.out == "" and not emitted.exists()
+    assert captured.err == (
+        "design: no cyclotron frequency a lens can use fits this state: omega0 * omega0 must be positive, got 0.0\n"
+    )
 
 
 MIRROR_COMMANDS = (
@@ -819,7 +883,8 @@ def test_negative_n_prime_is_schema_error(tmp_path, capsys, command):
         (["check"], EXIT_CHECK_FAILED),
         (["sweep", "--param", "n_prime", "--range", "0:3", "--steps", "4"], EXIT_OK),
         (["sweep", "--param", "H0_gauss", "--range", "50:150", "--steps", "5"], EXIT_OK),
-        (["design", "--mode", "matching-field"], EXIT_OK),
+        # at 2**1000 the matching field's omega0 * omega0 underflows: no lens can use it
+        (["design", "--mode", "matching-field"], EXIT_DESIGN),
     ],
 )
 def test_n_prime_past_2_to_the_1000_is_schema_error(tmp_path, capsys, command, code):
@@ -836,7 +901,11 @@ def test_n_prime_past_2_to_the_1000_is_schema_error(tmp_path, capsys, command, c
     data["beamline"][1]["n_prime"] = 2**1000  # the bound itself gives the command's verdict
     path = write_scenario(tmp_path, data)
     assert main([command[0], path, *command[1:]]) == code
-    assert capsys.readouterr().err == ""
+    err = capsys.readouterr().err
+    if code == EXIT_DESIGN:
+        assert err == "design: the matching field for sigma_r_m = 6.219999999999999e-07 is out of the float range\n"
+    else:
+        assert err == ""
 
 
 def test_scenario_serialize_round_trip():

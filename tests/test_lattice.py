@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from vortexlens import units
 from vortexlens.cli import CSV_COLUMNS, load_scenario, trajectory_rows
@@ -18,6 +18,7 @@ from vortexlens.lattice import (
     STATE_FIELDS,
     Beamline,
     BeamlineConfigError,
+    NoCaptureFieldError,
     Trajectory,
     design_direct_capture,
     entry_states,
@@ -286,6 +287,60 @@ def test_solve_matching_golden_pairings():
     assert solve_matching(packet_0574(), 0, ELECTRON) == pytest.approx(
         MATCHED_FIELD_0574, rel=1e-12
     )
+
+
+# a waist from 1e-3 um to 1e200 um, log-uniform; past about 5e147 um (m sigma_r)^2 overflows
+WAIST_UM = st.floats(-3.0, 200.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WAIST_UM, st.integers(0, 2**1000), st.integers(-6, 6))
+@example(4.923487084420574e77, 0, -4)  # the widest waist whose matching field a lens can use
+@example(4.923487084420575e77, 0, -4)  # the next float: omega0 * omega0 underflows
+@example(1e146, 0, -4)
+@example(1.0, 2**509, -4)
+@example(1.0, 2**512, -4)  # omega0 * omega0 > 0, but the center of the waist's orbit overflows
+def test_a_matching_field_is_one_a_lens_can_use(sigma_r_um, n_prime, l):
+    packet = LGPacket(0, l, sigma_r_um * 1e-6)
+    try:
+        field = solve_matching(packet, n_prime, ELECTRON)
+    except NoCaptureFieldError:
+        return
+    lens = LensConfig(h0_gauss=field, duration_s=1e-9, length_m=0.1)
+    orbit = LensOrbit.from_entry(MomentState.from_packet(packet, ELECTRON, 0.43), lens, ELECTRON)
+    assert math.isfinite(orbit.center) and math.isfinite(orbit.amplitude)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WAIST_UM, st.integers(-6, 6))
+@example(6.641789373952156e77, -4)  # the widest waist whose capture field a lens can use
+@example(6.641789373952158e77, -4)  # the next float: omega0 * omega0 underflows
+@example(1e146, -4)
+@example(1.0, 6)
+def test_a_capture_field_is_one_a_lens_can_use(sigma_r_um, l):
+    packet = LGPacket(0, l, sigma_r_um * 1e-6)  # focus_time 0: the launch state is a waist
+    try:
+        state = MomentState.from_packet(packet, ELECTRON, 0.43)
+    except ValueError:  # load rejects the packet, so no design starts from it
+        assert sigma_r_um > 1e147
+        return
+    try:
+        lens = design_direct_capture(state, ELECTRON)
+    except NoCaptureFieldError:
+        return
+    orbit = LensOrbit.from_entry(state, lens, ELECTRON)
+    assert math.isfinite(orbit.center) and math.isfinite(orbit.amplitude)
+
+
+def test_the_capture_field_edge_is_pinned_on_both_sides():
+    # the matching field's edge is pinned through the CLI, in tests/test_cli.py
+    def launch(sigma_r_um):
+        return MomentState.from_packet(LGPacket(0, -4, sigma_r_um * 1e-6), ELECTRON, 0.43)
+
+    edge = 6.641789373952156e77
+    assert design_direct_capture(launch(edge), ELECTRON).h0_gauss > 0.0
+    with pytest.raises(NoCaptureFieldError, match=r"omega0 \* omega0 must be positive, got 0.0"):
+        design_direct_capture(launch(math.nextafter(edge, math.inf)), ELECTRON)
 
 
 def test_solve_matching_reproduces_requested_ratio():

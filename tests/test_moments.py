@@ -23,7 +23,7 @@ from vortexlens.moments import (
     transport_check,
     waist_dt,
 )
-from vortexlens.oracle import ODESpec, integrate_rk4
+from vortexlens.oracle import integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.units import Particle
 
@@ -117,9 +117,7 @@ def test_lens_closed_form_matches_rk4():
         )
 
     period = 2.0 * math.pi / omega0
-    ts, ys = integrate_rk4(
-        ODESpec(rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, 5 * period, period / 1000)
-    )
+    ts, ys = integrate_rk4(rhs, (entry.rho_sq, entry.drho_sq_dt), 0.0, 5 * period, period / 1000)
     orbit = LensOrbit.from_entry(entry, lens, ELECTRON)
     closed = np.array([orbit.rho_sq(*orbit.phase(t)) for t in ts])
     assert np.max(np.abs(closed - ys[:, 0]) / np.abs(closed)) < 1e-8

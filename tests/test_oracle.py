@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from vortexlens import oracle
 from vortexlens.oracle import (
     IntegrationError,
-    ODESpec,
     generating_product_coefficient,
     integrate_rk4,
     integrate_rk4_linear,
@@ -31,7 +30,7 @@ def test_rk4_exact_on_quadratic_system():
     def rhs(t, y):
         return np.array([y[1], 2.0 * u0, 0.0])
 
-    ts, ys = integrate_rk4(ODESpec(rhs, (1.0, 0.3, u0), 0.0, 10.0, 0.25))
+    ts, ys = integrate_rk4(rhs, (1.0, 0.3, u0), 0.0, 10.0, 0.25)
     exact = 1.0 + 0.3 * ts + u0 * ts**2
     assert np.max(np.abs(ys[:, 0] - exact) / exact) < 1e-13
 
@@ -43,7 +42,7 @@ def test_rk4_harmonic_oscillator_energy_drift():
         return np.array([y[1], -w * w * y[0]])
 
     period = 2.0 * math.pi / w
-    ts, ys = integrate_rk4(ODESpec(rhs, (1.0, 0.0), 0.0, 10.0 * period, period / 1000))
+    ts, ys = integrate_rk4(rhs, (1.0, 0.0), 0.0, 10.0 * period, period / 1000)
     energy = 0.5 * ys[:, 1] ** 2 + 0.5 * w * w * ys[:, 0] ** 2
     assert np.max(np.abs(energy / energy[0] - 1.0)) < 1e-8
 
@@ -57,7 +56,7 @@ def test_rk4_fourth_order_convergence():
     period = 2.0 * math.pi / w
 
     def final_error(step):
-        ts, ys = integrate_rk4(ODESpec(rhs, (1.0, 0.0), 0.0, period, step))
+        ts, ys = integrate_rk4(rhs, (1.0, 0.0), 0.0, period, step)
         return abs(ys[-1, 0] - 1.0)
 
     ratio = final_error(period / 200) / final_error(period / 400)
@@ -70,7 +69,7 @@ def test_rk4_reports_nonfinite_state():
             return y * y
 
     with pytest.raises(IntegrationError):
-        integrate_rk4(ODESpec(rhs, (1.0,), 0.0, 10.0, 0.05))
+        integrate_rk4(rhs, (1.0,), 0.0, 10.0, 0.05)
 
 
 def _linear_system(rate, drive=1.0):
@@ -94,7 +93,7 @@ def test_rk4_linear_blow_up_reported_at_same_time(drive):
     matrix, forcing, rhs = _linear_system(1e4, drive)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as generic:
-            integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5))
+            integrate_rk4(rhs, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
         with pytest.raises(IntegrationError) as linear:
             integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
     assert linear.value.t == generic.value.t
@@ -120,7 +119,7 @@ def test_rk4_linear_overflowing_powers_are_no_blow_up():
     def rhs(t, y):
         return matrix @ y
 
-    ts_ref, ref = integrate_rk4(ODESpec(rhs, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5))
+    ts_ref, ref = integrate_rk4(rhs, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5)
     ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5)
     assert np.array_equal(ts, ts_ref)
     assert np.array_equal(states, ref)
@@ -149,14 +148,14 @@ def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if not any(y0):
-            ts_ref, ref = integrate_rk4(ODESpec(rhs, y0, 0.0, 200.0, 0.5))
+            ts_ref, ref = integrate_rk4(rhs, y0, 0.0, 200.0, 0.5)
             ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
             assert np.array_equal(ts, ts_ref)
             assert np.array_equal(states, ref)
             assert not np.any(states)
             return
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as generic:
-            integrate_rk4(ODESpec(rhs, y0, 0.0, 200.0, 0.5))
+            integrate_rk4(rhs, y0, 0.0, 200.0, 0.5)
         with pytest.raises(IntegrationError) as linear:
             integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
     assert linear.value.t == generic.value.t
@@ -175,7 +174,7 @@ def test_rk4_linear_nonfinite_forcing_reported_at_same_time(t_star):
         return matrix @ y + forcing(t)
 
     with pytest.raises(IntegrationError) as generic:
-        integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01))
+        integrate_rk4(rhs, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01)
     with pytest.raises(IntegrationError) as linear:
         integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01)
     assert linear.value.t == generic.value.t
@@ -234,7 +233,7 @@ def test_rk4_linear_matches_generic_rk4(matrix, y0, plan, nan_from):
 
     with mock.patch.object(oracle, "LINEAR_BLOCK", block):
         try:
-            ts_ref, ref = integrate_rk4(ODESpec(rhs, y0, 0.0, 1.0, 1.0 / steps))
+            ts_ref, ref = integrate_rk4(rhs, y0, 0.0, 1.0, 1.0 / steps)
         except IntegrationError as generic:
             with pytest.raises(IntegrationError) as linear:
                 integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
@@ -259,7 +258,7 @@ def test_rk4_linear_windowed_blow_up_crosses_block_edge():
 
     y0 = (1e-300, 0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as generic:
-        integrate_rk4(ODESpec(rhs, y0, 0.0, 200.0, 0.5))
+        integrate_rk4(rhs, y0, 0.0, 200.0, 0.5)
     assert generic.value.t == 108.0
     with warnings.catch_warnings(), mock.patch.object(oracle, "LINEAR_BLOCK", 200):
         warnings.simplefilter("error")
@@ -276,7 +275,7 @@ def test_rk4_grid_is_bounded_before_allocation():
     with pytest.raises(ValueError, match=message):
         integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 1e13, 1.0)
     with pytest.raises(ValueError, match=message):
-        integrate_rk4(ODESpec(rhs, (1.0, 0.0, 0.0), 0.0, 1.0, 1e-320))
+        integrate_rk4(rhs, (1.0, 0.0, 0.0), 0.0, 1.0, 1e-320)
     ts, _ = oracle._time_grid(0.0, float(oracle.MAX_STEPS), 1.0)
     assert ts.size == oracle.MAX_STEPS + 1
 
@@ -293,11 +292,12 @@ def test_rk4_grid_is_bounded_before_allocation():
 )
 def test_rk4_rejects_bad_plan(t0, t_end, step, y0):
     matrix, forcing, rhs = _linear_system(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as linear:
         integrate_rk4_linear(matrix, forcing, y0, t0, t_end, step)
     if len(y0) == 3:
-        with pytest.raises(ValueError):
-            integrate_rk4(ODESpec(rhs, y0, t0, t_end, step))
+        with pytest.raises(ValueError) as generic:
+            integrate_rk4(rhs, y0, t0, t_end, step)
+        assert str(generic.value) == str(linear.value)  # one plan check serves both
 
 
 def test_laguerre_recurrence_against_explicit_polynomial():

@@ -9,7 +9,7 @@ from vortexlens import perturbation, units
 from vortexlens.elements import Drift, LensConfig
 from vortexlens.lattice import Beamline, state_at
 from vortexlens.moments import MomentState, lens_state_at, propagate_drift, rho_sq_free
-from vortexlens.oracle import LINEAR_BLOCK, ODESpec, integrate_rk4
+from vortexlens.oracle import LINEAR_BLOCK, integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
     APPROXIMATIONS,
@@ -128,9 +128,7 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
     period = period_of(inputs)
     t_end, step = 4.0 * period, period / 2048.0
     ts, states, *_ = perturbation._integrate_linear(inputs, kappa, t_end, step)
-    ts_ref, ref = integrate_rk4(
-        ODESpec(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
-    )
+    ts_ref, ref = integrate_rk4(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
     assert np.array_equal(ts, ts_ref)
     peak = np.max(np.abs(ref), axis=0)
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
