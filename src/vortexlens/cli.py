@@ -456,9 +456,10 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     if param == "t1_ns" and not isinstance(scenario.elements[0], Drift):
         raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
     if param == "n_prime":  # it labels the target level; the transport verdict does not read it
-        bad = values[~(np.isfinite(values) & (values == np.floor(values)) & (values >= 0))]
-        if bad.size:
-            raise ScenarioError(f"sweep point n_prime={_fmt(bad[0])}: n_prime must be a non-negative integer")
+        bad = values[~(np.isfinite(values) & (values == np.floor(values)) & (values >= 0) & (values <= 2.0**1000))]
+        if bad.size:  # the bound load_scenario puts on a lens's n_prime
+            rule = "must not exceed 2**1000" if 2.0**1000 < bad[0] < np.inf else "must be a non-negative integer"
+            raise ScenarioError(f"sweep point n_prime={_fmt(bad[0])}: n_prime {rule}")
 
     def transport(value):
         # walking the whole line makes a defect downstream of the lens exit 1;

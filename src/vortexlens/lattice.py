@@ -323,10 +323,11 @@ def solve_matching(packet: LGPacket, n_prime: int, particle: Particle) -> float:
         u_sq = transverse_velocity_sq(packet, particle)  # the lens orbit of the packet's waist has this center
         units.require("rho_sq_st", stationary_rho_sq(u_sq, particle.model_l(packet.l), omega0, particle), "finite")
         return h0_gauss
-    except (ArithmeticError, ValueError):  # rho_H^2 underflows to 0 or overflows, or H0, omega0^2 or the orbit does
-        raise NoCaptureFieldError(
-            f"the matching field for sigma_r_m = {packet.sigma_r_m} is out of the float range"
-        ) from None
+    except ArithmeticError:  # rho_H^2 underflows to 0
+        cause = "out of the float range"
+    except ValueError as exc:  # H0, omega0^2 or the orbit leaves the float range: name which
+        cause = f"one no lens can use: {exc}"
+    raise NoCaptureFieldError(f"the matching field for sigma_r_m = {packet.sigma_r_m} is {cause}")
 
 
 def entry_states(beamline: Beamline) -> tuple[tuple[int, MomentState], ...]:

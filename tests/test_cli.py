@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import subprocess
 import sys
 import warnings
 from dataclasses import replace as dc_replace
@@ -459,7 +458,10 @@ def test_matching_field_is_one_a_lens_can_use(tmp_path, capsys, sigma_r_um, code
     assert main(["design", path, "--mode", "matching-field"]) == code
     captured = capsys.readouterr()
     if code == EXIT_DESIGN:
-        assert captured.err == f"design: the matching field for sigma_r_m = {sigma_r_um * 1e-6} is out of the float range\n"
+        assert captured.err == (
+            f"design: the matching field for sigma_r_m = {sigma_r_um * 1e-6} is one no lens can use: "
+            "omega0 * omega0 must be positive, got 0.0\n"
+        )
         return
     assert captured.err == ""
     data["beamline"][1]["H0_gauss"] = float(captured.out.splitlines()[-1].removeprefix("H0_gauss: "))
@@ -740,6 +742,7 @@ def test_sweep_sigma_and_n_prime(tmp_path, capsys):
         ("t1_ns", "0:2", "0"),
         ("H0_gauss", "nan:nan", "nan"),
         ("n_prime", "-2:0", "-2"),
+        ("n_prime", "0:2e302", "1e+302"),  # past the 2**1000 that load_scenario allows a lens
     ],
 )
 def test_sweep_invalid_point_is_schema_error(tmp_path, capsys, param, spec_range, value):
@@ -850,15 +853,6 @@ def test_negative_range_start_after_an_equals_sign_reaches_the_sweep(capsys):
     assert capsys.readouterr().err.startswith("error: sweep point t1_ns=-1: ")
 
 
-def test_usage_error_in_a_fresh_process_exits_1():
-    proc = subprocess.run(
-        [sys.executable, "-m", "vortexlens.cli", "propagate"], capture_output=True, text=True
-    )
-    assert proc.returncode == EXIT_SCHEMA
-    assert proc.stdout == ""
-    assert proc.stderr == "error: the following arguments are required: scenario\n"
-
-
 @pytest.mark.parametrize(
     "command",
     [
@@ -903,7 +897,10 @@ def test_n_prime_past_2_to_the_1000_is_schema_error(tmp_path, capsys, command, c
     assert main([command[0], path, *command[1:]]) == code
     err = capsys.readouterr().err
     if code == EXIT_DESIGN:
-        assert err == "design: the matching field for sigma_r_m = 6.219999999999999e-07 is out of the float range\n"
+        assert err == (
+            "design: the matching field for sigma_r_m = 6.219999999999999e-07 is one no lens can use: "
+            "omega0 * omega0 must be positive, got 0.0\n"
+        )
     else:
         assert err == ""
 
@@ -956,25 +953,6 @@ def test_sample_dt_override(tmp_path):
     main(["--sample-dt-ns", "0.5", "propagate", str(SCENARIOS / "capture_transport.json"), "-o", str(out)])
     n_coarse = len(out.read_text().splitlines())
     assert n_coarse < n_default
-
-
-def test_console_invocation_round_trip(tmp_path):
-    out = tmp_path / "cli.csv"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "vortexlens.cli",
-            "propagate",
-            str(SCENARIOS / "capture_transport.json"),
-            "-o",
-            str(out),
-        ],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == EXIT_OK
-    assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
 def test_shipped_direct_capture_scenario_holds_radius(tmp_path):

@@ -343,6 +343,19 @@ def test_the_capture_field_edge_is_pinned_on_both_sides():
         design_direct_capture(launch(math.nextafter(edge, math.inf)), ELECTRON)
 
 
+@pytest.mark.parametrize(
+    "sigma_r_um, cause",
+    [
+        (1e-164, "out of the float range"),  # rho_H^2 underflows to 0: load rejects so narrow a waist
+        (1e78, "one no lens can use: omega0 * omega0 must be positive, got 0.0"),
+    ],
+)
+def test_solve_matching_names_why_no_field_is_designed(sigma_r_um, cause):
+    with pytest.raises(NoCaptureFieldError) as exc:
+        solve_matching(LGPacket(0, -4, sigma_r_um * 1e-6), 0, ELECTRON)
+    assert str(exc.value) == f"the matching field for sigma_r_m = {sigma_r_um * 1e-6} is {cause}"
+
+
 def test_solve_matching_reproduces_requested_ratio():
     from vortexlens.moments import matching_ratio
 
