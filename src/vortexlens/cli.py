@@ -428,7 +428,10 @@ def _sweep_values(spec_range: str, steps: int) -> np.ndarray:
         raise ScenarioError(f"--steps: at most MAX_SAMPLES = {MAX_SAMPLES} grid points, got {steps}")
     if steps == 1 or lo == hi:
         return np.array([lo])
-    return lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    values = lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    if not np.isfinite(hi - lo):  # an infinite span times k = 0 is NaN; that point is lo
+        values[0] = lo
+    return values
 
 
 def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:

@@ -206,7 +206,8 @@ def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float)
         return b
 
     ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
-    return (ts, states, *map(np.concatenate, zip(*kept)))
+    # one block's views are read in place; only more blocks are joined
+    return (ts, states, *(kept[-1] if len(kept) <= 2 else map(np.concatenate, zip(*kept))))
 
 
 def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:

@@ -743,6 +743,8 @@ def test_sweep_sigma_and_n_prime(tmp_path, capsys):
         ("H0_gauss", "nan:nan", "nan"),
         ("n_prime", "-2:0", "-2"),
         ("n_prime", "0:2e302", "1e+302"),  # past the 2**1000 that load_scenario allows a lens
+        ("H0_gauss", "50:inf", "inf"),  # an infinite span: the k = 0 point is lo, not inf * 0
+        ("n_prime", "0:inf", "inf"),
     ],
 )
 def test_sweep_invalid_point_is_schema_error(tmp_path, capsys, param, spec_range, value):

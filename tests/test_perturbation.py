@@ -1,5 +1,11 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,13 +140,16 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
 
 
-@pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0])
+@pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0, 5.0])
 def test_integrated_drive_is_the_forcing_at_the_grid_points(n_periods):
-    # verify_closed_form reads the drive off the forcing the step map evaluates
+    # verify_closed_form reads the drive off the forcing the step map evaluates; a one-block
+    # span returns the forcing's own drive and phase views, and only more blocks are joined
     inputs = entry_inputs(e0=25e6)
     period = period_of(inputs)
-    ts, _, drive, *_ = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
+    ts, _, drive, *phase = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
     assert np.array_equal(drive, perturbation._gradient_forcing(inputs, 0.081, ts[1:], inputs.phase(ts[1:]))[1])
+    one_block = 1 <= ts.size - 1 <= LINEAR_BLOCK
+    assert [a.base is not None for a in (drive, *phase)] == [one_block] * 3
 
 
 @pytest.mark.parametrize("n_periods", [0.3, 4.0, 5.0, 50.0])
@@ -397,3 +406,35 @@ def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_f
     mismatch = np.max(np.abs(perturbation._closed_form(inputs, kappa, ts, inputs.phase(ts)) - r1)) / np.max(np.abs(r1))
     assert np.array_equal(check.max_mismatch_over_peak, mismatch, equal_nan=True)
     assert check.consistent == (nan_from is None)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator hint is a glibc mallopt")
+def test_verify_closed_form_does_not_fault_the_heap_in_again():
+    # a fresh interpreter: the package's import keeps 2 MiB of freed heap top, so
+    # each 4-period call's 16,385-point temporaries land on pages the last call
+    # mapped (hundreds of faults a call without it); at 50 periods the arrays
+    # outgrow the pad, and the pinned mmap threshold keeps them off a fresh mmap
+    # each call (about 2,000 faults a call either way, 5,000 with the pad alone)
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        sys.path.insert(0, sys.argv[1])
+        from test_perturbation import entry_inputs
+        from vortexlens.perturbation import verify_closed_form
+        inputs = entry_inputs()
+        for n_periods, calls in ((4.0, 20), (50.0, 10)):
+            for _ in range(2):
+                verify_closed_form(inputs, 0.081, n_periods)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(calls):
+                verify_closed_form(inputs, 0.081, n_periods)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls)
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent)], env=env, capture_output=True, text=True, check=True
+    )
+    short, long = map(float, run.stdout.split())
+    assert short < 32
+    assert long < 3200
