@@ -29,7 +29,6 @@ from .elements import KAPPA_HARD_LIMIT, Drift, InhomogeneityWarning, LensConfig,
 from .lattice import (
     Beamline,
     BeamlineConfigError,
-    EVENT_OVERFOCUS,
     EVENT_RELATIVISTIC,
     FLAG_NAMES,
     MAX_SAMPLES,
@@ -311,9 +310,10 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool, source
     trajectory = run(scenario.beamline(), scenario.sample_dt_ns * 1e-9)
     exit_code = EXIT_OK
     if strict:
+        # never after an over-focus event: a relativistic event is at the launch or inside a lens at
+        # or before its horizon, and that horizon is the over-focus crossing that ends the walk
         rel = trajectory.events_of(EVENT_RELATIVISTIC)
-        over = trajectory.events_of(EVENT_OVERFOCUS)
-        if rel and (not over or rel[0].t <= over[0].t):
+        if rel:
             trajectory = _truncate_at_event(trajectory, rel[0].t)
             exit_code = EXIT_RELATIVISTIC
     if exit_code == EXIT_OK and not trajectory.completed:

@@ -126,34 +126,21 @@ def maxwell_residual(lens: LensConfig, rho_m: float, z_m: float) -> float:
         raise ValueError("rho must be positive for the cylindrical divergence")
     length = lens.length_m
     h = length / 8.0
-
-    def div_curl(component_rho, component_z):
-        def d_rho(f, r, z):
-            return (f(r + h, z) - f(r - h, z)) / (2.0 * h)
-
-        def d_z(f, r, z):
-            return (f(r, z + h) - f(r, z - h)) / (2.0 * h)
-
-        rho_term = d_rho(lambda r, z: r * component_rho(r, z), rho_m, z_m) / rho_m
-        div = rho_term + d_z(component_z, rho_m, z_m)
-        curl_phi = d_z(component_rho, rho_m, z_m) - d_rho(component_z, rho_m, z_m)
-        return div, curl_phi
-
-    div_e, curl_e = div_curl(
-        lambda r, z: fields_at(lens, r, z).e_rho,
-        lambda r, z: fields_at(lens, r, z).e_z,
-    )
-    div_h, curl_h = div_curl(
-        lambda r, z: fields_at(lens, r, z).h_rho,
-        lambda r, z: fields_at(lens, r, z).h_z,
-    )
-
-    e_scale = abs(lens.e0_v_per_m) + abs(lens.e1_v_per_m2) * length
-    h_scale = abs(lens.h0_gauss) + abs(lens.h1_gauss_per_m) * length
-    e_scale = e_scale if e_scale > 0 else 1.0
-    h_scale = h_scale if h_scale > 0 else 1.0
-    return max(abs(div_e * length / e_scale), abs(div_h * length / h_scale),
-               abs(curl_e * length / e_scale), abs(curl_h * length / h_scale))
+    r_plus, r_minus = rho_m + h, rho_m - h
+    at = [fields_at(lens, r, z) for r, z in ((r_plus, z_m), (r_minus, z_m), (rho_m, z_m + h), (rho_m, z_m - h))]
+    divs, curls = [], []
+    for f0, f1, parts in (
+        (lens.e0_v_per_m, lens.e1_v_per_m2, [(s.e_rho, s.e_z) for s in at]),
+        (lens.h0_gauss, lens.h1_gauss_per_m, [(s.h_rho, s.h_z) for s in at]),
+    ):
+        (rho_rp, z_rp), (rho_rm, z_rm), (rho_zp, z_zp), (rho_zm, z_zm) = parts
+        scale = abs(f0) + abs(f1) * length
+        scale = scale if scale > 0 else 1.0
+        div = (r_plus * rho_rp - r_minus * rho_rm) / (2.0 * h) / rho_m + (z_zp - z_zm) / (2.0 * h)
+        curl_phi = (rho_zp - rho_zm) / (2.0 * h) - (z_rp - z_rm) / (2.0 * h)
+        divs.append(abs(div * length / scale))
+        curls.append(abs(curl_phi * length / scale))
+    return max(*divs, *curls)  # div E, div H, curl E, curl H: on a NaN, max's result depends on the order
 
 
 def potentials_at(lens: LensConfig, rho_m: float, z_m: float) -> tuple[float, float]:

@@ -204,7 +204,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     events: list[TrajectoryEvent] = []
     relativistic_seen = False
     for leg in walk(beamline):
-        index, element, entry, crossing = leg.index, leg.element, leg.entry, leg.crossing
+        index, element, entry, crossing, orbit = leg.index, leg.element, leg.entry, leg.crossing, leg.orbit
         crossed = not math.isnan(crossing)
         if index > 0:
             events.append(TrajectoryEvent(entry.t, EVENT_BOUNDARY, index))
@@ -228,22 +228,17 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         if crossed:
             events.append(TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index))
             block["flag_bits"][offsets == crossing] |= FLAG_OVERFOCUS
-        gradient = None
-        if isinstance(element, LensConfig):
-            force = units.accelerating_force_natural(element.e0_v_per_m)
-            if not relativistic_seen and force > 0.0:
-                cross_rel = (bound * mass - entry.p_z) / force
-                if 0.0 <= cross_rel <= horizon:
-                    events.append(TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index))
-                    relativistic_seen = True
-            if not element.is_homogeneous:
-                gradient = leg.orbit, element.kappa
+        if orbit is not None and not relativistic_seen and orbit.force > 0.0:  # a lens
+            cross_rel = (bound * mass - entry.p_z) / orbit.force
+            if 0.0 <= cross_rel <= horizon:
+                events.append(TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index))
+                relativistic_seen = True
         try:
             with np.errstate(all="ignore"):  # an offset past the float range fails validation
                 state = leg.evaluate(offsets)
             state.validated()
-            if gradient is not None:
-                block["rho_sq_corr1"] = correction_closed_form(*gradient, offsets)
+            if orbit is not None and not element.is_homogeneous:
+                block["rho_sq_corr1"] = correction_closed_form(orbit, element.kappa, offsets)
         except ValueError as exc:
             raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None
         for name in STATE_FIELDS:
@@ -277,15 +272,17 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
 
 
 FOCAL_SLOPE_TOLERANCE = 1e-9
+# length_m of a designed capture lens: it only normalizes gradients, which that lens has none of
+CAPTURE_LENS_LENGTH_M = 0.1
 
 
-def design_direct_capture(state: MomentState, particle: Particle, length_m: float = 0.1) -> LensConfig:
+def design_direct_capture(state: MomentState, particle: Particle) -> LensConfig:
     """Solenoid field that captures a focal-point state with no oscillation.
 
     Solves R_st(omega) = <rho^2>_in, a quadratic in omega, taking the
     positive root; placed at a waist (slope zero within tolerance) the
     resulting lens holds <rho^2> constant.  The lens lasts three cyclotron
-    periods and has no accelerating field.
+    periods, has no accelerating field and is CAPTURE_LENS_LENGTH_M long.
     """
     slope_scale = 2.0 * math.sqrt(state.rho_sq * state.u_perp_sq)
     if abs(state.drho_sq_dt) > FOCAL_SLOPE_TOLERANCE * slope_scale:
@@ -299,7 +296,7 @@ def design_direct_capture(state: MomentState, particle: Particle, length_m: floa
     try:  # a field a lens can use: omega0 and omega0^2 are positive, and the orbit of this state builds
         h0_gauss = units.field_from_cyclotron_natural(omega, particle)
         duration_s = 3.0 * 2.0 * math.pi / units.cyclotron_frequency(h0_gauss, particle)
-        lens = LensConfig(h0_gauss=h0_gauss, duration_s=duration_s, length_m=length_m)
+        lens = LensConfig(h0_gauss=h0_gauss, duration_s=duration_s, length_m=CAPTURE_LENS_LENGTH_M)
         LensOrbit.from_entry(state, lens, particle)
     except ValueError as exc:
         raise NoCaptureFieldError(f"no cyclotron frequency a lens can use fits this state: {exc}") from None

@@ -104,17 +104,18 @@ def integrate_rk4_linear(
     P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = (I + M + M^2/2 + M^3/4)/6,
     Qm = (4I + 2M + M^2/2)/6 and Q1 = I/6.  forcing maps an array of times
     to b as an array of shape (3, len(times)); it is evaluated once per block
-    of up to LINEAR_BLOCK steps.  Each block is a prefix scan of the map
+    of up to LINEAR_BLOCK steps.  Each block starts from the last state of
+    the one before and is a prefix scan of the map
     (Blelloch, "Prefix sums and their applications", 1990) with no loop over
     steps: column 0 holds the block's start state and columns 1..n the kicks
     c, and y[:, s:] += P^s y[:, :-s] for s = 1, 2, 4, ..., the powers by
     repeated squaring, leaves every column at its state.  The scan only
     moves values forward, so the first non-finite column is the step that
-    blows up.  Where P^(2^K) leaves the float range (an inf power times a
-    zero state would read NaN), a block is scanned in windows of 2^K - 1
-    steps, each started from the last state of the one before.  The grid,
-    the input validation and the IntegrationError on a non-finite state
-    match integrate_rk4, which stays the reference for this map.
+    blows up.  Where P^(2^K) is the first square to leave the float range
+    (an inf power times a zero state would read NaN), blocks are cut to
+    2^K - 1 steps, the most that P, ..., P^(2^(K-1)) scan.  The grid, the
+    input validation and the IntegrationError on a non-finite state match
+    integrate_rk4, which stays the reference for this map.
     """
     ts, h = _time_grid(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
@@ -130,24 +131,23 @@ def integrate_rk4_linear(
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    squares = [p]  # P^(2^k), kept up to the first that leaves the float range
+    squares = [p]  # P^(2^k), stopping before the first that leaves the float range
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1, min(LINEAR_BLOCK, ts.size - 1).bit_length()):
-            squares.append(squares[-1] @ squares[-1])
-    finite = np.logical_and.accumulate(np.isfinite(squares).all(axis=(1, 2))[1:])
-    squares = squares[: 1 + np.count_nonzero(finite)]
-    width = (1 << len(squares)) - 1  # steps one scan covers with these powers
-    for start in range(0, ts.size - 1, LINEAR_BLOCK):
-        stop = min(start + LINEAR_BLOCK, ts.size - 1)
+            square = squares[-1] @ squares[-1]
+            if not np.isfinite(square).all():
+                break
+            squares.append(square)
+    block = min(LINEAR_BLOCK, (1 << len(squares)) - 1)  # no more steps than these powers scan
+    for start in range(0, ts.size - 1, block):
+        stop = min(start + block, ts.size - 1)
         # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
         b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
         y = out[:, start : stop + 1]
         with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
             y[:, 1:] = q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]
-            for lo in range(0, stop - start, width):
-                w = y[:, lo : lo + width + 1]
-                for k in range((w.shape[1] - 1).bit_length()):
-                    w[:, 1 << k :] += squares[k] @ w[:, : -(1 << k)]
+            for k in range((stop - start).bit_length()):
+                y[:, 1 << k :] += squares[k] @ y[:, : -(1 << k)]
         ok = np.isfinite(y).all(axis=0)
         if not ok.all():
             raise IntegrationError(float(ts[start + int(np.argmin(ok))]))

@@ -83,11 +83,6 @@ APPROXIMATIONS: tuple[Assumption, ...] = (
 )
 
 
-def approximation_ledger() -> tuple[Assumption, ...]:
-    """Machine-readable list of the closures behind every correction result."""
-    return APPROXIMATIONS
-
-
 @dataclass(frozen=True)
 class CorrectionState:
     """First-order corrections at a fixed time past the lens entry.
@@ -230,7 +225,7 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
         rho_sq_1=r1,
         u_perp_sq_1=u1,
         validity_exceeded=abs(r1) > VALIDITY_FRACTION * abs(orbit.rho_sq(*orbit.phase(dt))),
-        assumptions=approximation_ledger(),
+        assumptions=APPROXIMATIONS,
     )
 
 

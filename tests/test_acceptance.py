@@ -40,8 +40,8 @@ from vortexlens.oracle import (
 )
 from vortexlens.packet import LGPacket, transverse_velocity_sq
 from vortexlens.perturbation import (
+    APPROXIMATIONS,
     ZerothOrderInputs,
-    approximation_ledger,
     correction_by_quadrature,
     correction_closed_form,
     verify_closed_form,
@@ -243,7 +243,7 @@ def test_criterion_08_direct_capture_closure():
     assert abs(state.rho_sq / rho_target - 1.0) <= 0.02
 
     # the designed capture field reproduces the quoted 97.8 G within 2%
-    lens = design_direct_capture(state, ELECTRON, length_m=0.1)
+    lens = design_direct_capture(state, ELECTRON)
     assert abs(lens.h0_gauss / 97.8 - 1.0) <= 0.02
 
     # three periods of propagation hold the radius constant to 1e-12
@@ -300,7 +300,7 @@ def test_criterion_09_perturbation_correction():
         # corrections always carry the three-entry assumption ledger
         state = correction_by_quadrature(inputs, 0.081, period, period / 512)
         assert len(state.assumptions) == 3
-    assert len(approximation_ledger()) == 3
+    assert len(APPROXIMATIONS) == 3
     _report(9, "correction exactly linear in kappa, vanishing value and slope at "
                "entry; closed form satisfies the driven system to < 1e-6 of the "
                "drive at kappa = +/-0.081, 85 G, 0.622 um, 0.43 eV")

@@ -801,6 +801,67 @@ def test_usage_error_exits_1_with_one_error_line(capsys, argv, fragment):
     assert fragment in lines[0]
 
 
+LENS = scenario_dict()["beamline"][1]
+ONLY_DRIFTS = [{"type": "drift", "duration_ns": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "data, command, code, out, err",
+    [
+        ([scenario_dict()], ["check"], EXIT_SCHEMA, "", "error: top level: expected an object\n"),
+        (scenario_dict(beamline=[3]), ["check"], EXIT_SCHEMA, "", "error: beamline[0]: expected an object\n"),
+        (
+            scenario_dict(beamline=[{"type": "quad"}]),
+            ["check"],
+            EXIT_SCHEMA,
+            "",
+            "error: beamline[0].type: unknown element type 'quad'\n",
+        ),
+        (
+            scenario_dict(particle={"mass_eV": 510998.95, "charge_sign": 2}),
+            ["check"],
+            EXIT_SCHEMA,
+            "",
+            "error: particle: charge_sign must be -1 or +1, got 2\n",
+        ),
+        (
+            scenario_dict(),
+            ["sweep", "--param", "H0_gauss", "--range", "5", "--steps", "3"],
+            EXIT_SCHEMA,
+            "",
+            "error: --range: expected a:b, got '5'\n",
+        ),
+        (
+            scenario_dict(),
+            ["sweep", "--param", "H0_gauss", "--range", "80:90", "--steps", "0"],
+            EXIT_SCHEMA,
+            "",
+            "error: --steps: must be >= 1\n",
+        ),
+        (
+            scenario_dict(beamline=ONLY_DRIFTS),
+            ["sweep", "--param", "H0_gauss", "--range", "80:90", "--steps", "3"],
+            EXIT_SCHEMA,
+            "",
+            "error: beamline: sweep needs at least one lens\n",
+        ),
+        (
+            scenario_dict(beamline=[LENS]),
+            ["sweep", "--param", "t1_ns", "--range", "0.5:1", "--steps", "3"],
+            EXIT_SCHEMA,
+            "",
+            "error: beamline[0]: t1_ns sweep needs a leading drift\n",
+        ),
+        (scenario_dict(beamline=ONLY_DRIFTS), ["check"], EXIT_OK, "lenses: none\nall_pass: true\n", ""),
+    ],
+    ids=["array", "element", "type", "charge", "range", "steps", "sweep-no-lens", "t1-no-drift", "check-no-lens"],
+)
+def test_scenario_and_sweep_guards_give_their_exact_output(tmp_path, capsys, data, command, code, out, err):
+    path = write_scenario(tmp_path, data)
+    assert main([command[0], path, *command[1:]]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["propagate", "--help"], ["sweep", "-h"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

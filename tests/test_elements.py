@@ -84,6 +84,11 @@ def test_maxwell_residuals_with_gradients():
             assert maxwell_residual(lens, rho, z) < 1e-12
 
 
+def test_maxwell_residual_needs_a_positive_radius():
+    with pytest.raises(ValueError, match=r"^rho must be positive for the cylindrical divergence$"):
+        maxwell_residual(_lens(kappa=0.05), 0.0, 0.01)
+
+
 def test_potentials_golden():
     assert potentials_at(_lens(e0_v_per_m=25e6), 0.0, 0.0) == (0.0, 0.0)
     lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=2.0, e0_v_per_m=25e6)
@@ -143,6 +148,12 @@ def test_landau_energy():
     positron = Particle.positron()
     for l in range(-5, 6):
         assert landau_energy(lens, 1, l, positron) == landau_energy(lens, 1, -l, ELECTRON)
+
+
+@pytest.mark.parametrize("level", [landau_rho_sq_st, landau_energy])
+def test_landau_level_needs_a_non_negative_n_prime(level):
+    with pytest.raises(ValueError, match=r"^n_prime must be non-negative, got -1$"):
+        level(_lens(), -1, -4, ELECTRON)
 
 
 def test_landau_rho_sq_cyclotron_identity():

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import astuple, replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from vortexlens import units
-from vortexlens.cli import CSV_COLUMNS, load_scenario, trajectory_rows
+from vortexlens.cli import CSV_COLUMNS, EXIT_RELATIVISTIC, load_scenario, main, trajectory_rows
 from vortexlens.elements import Drift, LensConfig
 from vortexlens.lattice import (
     FLAG_FOCAL,
@@ -20,6 +21,7 @@ from vortexlens.lattice import (
     BeamlineConfigError,
     NoCaptureFieldError,
     Trajectory,
+    TrajectoryEvent,
     design_direct_capture,
     entry_states,
     run,
@@ -228,7 +230,7 @@ def test_direct_capture_closure():
     t_focal = focal[0].t
     assert units.time_from_natural(t_focal) * 1e9 == pytest.approx(CAPTURE_FOCAL_NS, rel=1e-12)
     state = state_at(line, t_focal)
-    lens = design_direct_capture(state, ELECTRON, length_m=0.1)
+    lens = design_direct_capture(state, ELECTRON)
     assert lens.h0_gauss == pytest.approx(CAPTURE_FIELD_G, rel=1e-12)
     # three periods of constancy
     period = units.time_to_natural(2 * math.pi / units.cyclotron_frequency(lens.h0_gauss, ELECTRON))
@@ -426,6 +428,30 @@ def test_relativistic_event_in_accelerating_lens():
     assert all(s.t >= rel[0].t for s in flagged)
     bound_p = 0.1 * ELECTRON.mass_ev
     assert all(s.p_z > bound_p for s in flagged)
+
+
+def test_state_at_just_past_the_overfocus_crossing_raises():
+    scenario = load_scenario(SCENARIOS / "overfocus.json")
+    line = scenario.beamline()
+    (over,) = run(line, scenario.sample_dt_ns * 1e-9).events_of("overfocus")
+    t = math.nextafter(over.t, math.inf)
+    with pytest.raises(ValueError) as exc:
+        state_at(line, t)
+    assert str(exc.value) == f"t = {t} lies beyond the over-focus crossing at {over.t}"
+
+
+def test_relativistic_launch_is_one_event_and_strict_propagate_keeps_only_its_row(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["p0_eV"] = 0.2 * data["particle"]["mass_eV"]
+    path = tmp_path / "relativistic.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    scenario = load_scenario(path)
+    traj = run(scenario.beamline(), scenario.sample_dt_ns * 1e-9)
+    assert traj.events_of("relativistic_warning") == (TrajectoryEvent(0.0, "relativistic_warning", 0),)
+    assert main(["--strict", "propagate", str(path)]) == EXIT_RELATIVISTIC
+    header, launch = trajectory_rows(traj)[:2]
+    assert header == ",".join(CSV_COLUMNS) and launch.startswith("0,0,")
+    assert capsys.readouterr() == (f"{header}\n{launch}\n", "")
 
 
 @st.composite

@@ -27,6 +27,11 @@ def test_packet_validation():
         LGPacket(2**52, 0, 1e-6)
 
 
+def test_packet_l_must_be_an_integer():
+    with pytest.raises(ValueError, match=r"^l must be an integer, got 1\.5$"):
+        LGPacket(0, 1.5, 1e-6)
+
+
 def test_transverse_velocity_sq_values():
     ground = LGPacket(0, 0, 0.574e-6)
     sigma_nat = units.length_to_natural(ground.sigma_r_m)

@@ -20,7 +20,6 @@ from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
     APPROXIMATIONS,
     ZerothOrderInputs,
-    approximation_ledger,
     correction_by_quadrature,
     correction_closed_form,
     verify_closed_form,
@@ -223,8 +222,8 @@ def test_correction_state_carries_assumptions():
     period = period_of(inputs)
     state = correction_by_quadrature(inputs, 0.081, 0.5 * period, period / 512)
     assert state.assumptions == APPROXIMATIONS
-    assert len(approximation_ledger()) == 3
-    keys = {a.key for a in approximation_ledger()}
+    assert len(APPROXIMATIONS) == 3
+    keys = {a.key for a in APPROXIMATIONS}
     assert keys == {
         "cyclotron-radius-split",
         "radius-momentum-sq-factorization",
