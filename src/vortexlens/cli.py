@@ -232,18 +232,15 @@ def serialize_scenario(raw: dict) -> str:
     return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def trajectory_rows(trajectory: Trajectory) -> list[str]:
     """The CSV header, then one row per sample, each number as format(x, ".12g").
 
     Rows are built one run at a time: a run is a stretch of a leg (equal
     element_index) with equal flags whose correction is either absent (NaN,
-    printed as "") or present throughout.  A column whose values on a run
-    are bitwise equal (so -0.0 is not 0.0) is formatted once, into the run's
-    row format: element_index always, u2_over_c2 (the model conserves
+    printed as "") or present throughout.  A column is constant on a run
+    when the min and the max of its bit patterns there are equal (so -0.0
+    is not 0.0); it is formatted once, into the run's row format.  That
+    rule takes element_index on every run, u2_over_c2 (the model conserves
     <u^2>), pz_eV without an accelerating field and z_um at p_z = 0.  Only
     the other columns go through % per row.
     """
@@ -274,16 +271,12 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     starts = np.insert(starts, 0, 0)
     table = np.stack(columns)
     bits = table.view(np.int64)
-    changed = np.zeros(bits.shape, bool)  # changed[j, i]: row i of column j differs from row i - 1
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=changed[:, 1:])
-    changed[:, starts] = False
-    varies = np.logical_or.reduceat(changed, starts, axis=1).T  # varies[run, j]
+    varies = (np.minimum.reduceat(bits, starts, axis=1) != np.maximum.reduceat(bits, starts, axis=1)).T
     kinds = kinds[starts]
     varies[kinds >= 8, 8] = False  # an absent correction is "" in every row
     runs = zip(varies.tolist(), table[:, starts].T.tolist(), kinds.tolist(), bounds, bounds[1:])
     for vary, first, kind, start, stop in runs:
-        fields = ["%.12g" if v else _fmt(x) for v, x in zip(vary, first)]
-        fields[1] = "%d" % first[1]
+        fields = ["%.12g" if v else f"{x:.12g}" for v, x in zip(vary, first)]
         if kind >= 8:
             fields[8] = ""
         row_format = ",".join(fields) + "," + FLAG_TEXTS[kind & 7]
@@ -335,19 +328,19 @@ def cmd_check(scenario: Scenario) -> int:
         report = transport_check(leg.orbit, n=scenario.packet.n, n_prime=n_prime)
         ok = report.matched and report.transportable
         all_ok = all_ok and ok
-        lines.append(f"lens[{index}].H0_gauss: {_fmt(lens.h0_gauss)}")
+        lines.append(f"lens[{index}].H0_gauss: {lens.h0_gauss:.12g}")
         lines.append(
             f"lens[{index}].matching_ratio_required: "
             f"{report.matching_ratio_required.numerator}/{report.matching_ratio_required.denominator}"
         )
-        lines.append(f"lens[{index}].matching_ratio_actual: {_fmt(report.matching_ratio_actual)}")
+        lines.append(f"lens[{index}].matching_ratio_actual: {report.matching_ratio_actual:.12g}")
         lines.append(f"lens[{index}].matched: {str(report.matched).lower()}")
         lines.append(f"lens[{index}].transportable: {str(report.transportable).lower()}")
         lines.append(
-            f"lens[{index}].rho2_st_um2: {_fmt(units.area_from_natural(report.rho_sq_st) * 1e12)}"
+            f"lens[{index}].rho2_st_um2: {units.area_from_natural(report.rho_sq_st) * 1e12:.12g}"
         )
         lines.append(
-            f"lens[{index}].rho2_min_um2: {_fmt(units.area_from_natural(report.rho_sq_min) * 1e12)}"
+            f"lens[{index}].rho2_min_um2: {units.area_from_natural(report.rho_sq_min) * 1e12:.12g}"
         )
     if not lens_legs:
         lines.append("lenses: none")
@@ -367,7 +360,7 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
             return EXIT_DESIGN
         lines.append("mode: matching-field")
         lines.append(f"n_prime: {n_prime}")
-        lines.append(f"H0_gauss: {_fmt(field)}")
+        lines.append(f"H0_gauss: {field:.12g}")
         sys.stdout.write("\n".join(lines) + "\n")
         return EXIT_OK
 
@@ -387,9 +380,9 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
         return EXIT_DESIGN
     t_focal_ns = units.time_from_natural(t_focal) * 1e9
     lines.append("mode: capture")
-    lines.append(f"focal_time_ns: {_fmt(t_focal_ns)}")
-    lines.append(f"H0_gauss: {_fmt(lens.h0_gauss)}")
-    lines.append(f"rho2_at_focus_um2: {_fmt(units.area_from_natural(state.rho_sq) * 1e12)}")
+    lines.append(f"focal_time_ns: {t_focal_ns:.12g}")
+    lines.append(f"H0_gauss: {lens.h0_gauss:.12g}")
+    lines.append(f"rho2_at_focus_um2: {units.area_from_natural(state.rho_sq) * 1e12:.12g}")
     if emit_path is not None:
         # trim the beamline at the focal point so the designed lens starts
         # exactly at the waist, then append it; a waist at the leg's entry
@@ -462,7 +455,7 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
         bad = values[~(np.isfinite(values) & (values == np.floor(values)) & (values >= 0) & (values <= 2.0**1000))]
         if bad.size:  # the bound load_scenario puts on a lens's n_prime
             rule = "must not exceed 2**1000" if 2.0**1000 < bad[0] < np.inf else "must be a non-negative integer"
-            raise ScenarioError(f"sweep point n_prime={_fmt(bad[0])}: n_prime {rule}")
+            raise ScenarioError(f"sweep point n_prime={bad[0]:.12g}: n_prime {rule}")
 
     def transport(value):
         # walking the whole line makes a defect downstream of the lens exit 1;
@@ -483,7 +476,7 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
                 except BeamlineConfigError:
                     raise
                 except ValueError as exc:
-                    raise ScenarioError(f"sweep point {param}={_fmt(value)}: {exc}") from None
+                    raise ScenarioError(f"sweep point {param}={value:.12g}: {exc}") from None
             raise
     header = f"{param},transportable,rho2_min_um2\n"
     rho2_min = units.area_from_natural(report.rho_sq_min) * 1e12
@@ -495,11 +488,9 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
         labels = values.astype(np.int64) if whole else values
         sys.stdout.write(header + (("%d" if whole else "%.12g") + tail) * len(values) % tuple(labels.tolist()))
         return EXIT_OK
-    transportable = np.broadcast_to(report.transportable, len(values)).tolist()
-    rho2_min = np.broadcast_to(rho2_min, len(values)).tolist()
     rows = [
         "%.12g,%s,%.12g" % (value, "true" if ok else "false", r)
-        for value, ok, r in zip(values.tolist(), transportable, rho2_min)
+        for value, ok, r in zip(values.tolist(), report.transportable.tolist(), rho2_min.tolist())
     ]
     sys.stdout.write(header + "\n".join(rows) + "\n")
     return EXIT_OK
@@ -574,9 +565,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_check(scenario)
         if args.command == "design":
             return cmd_design(scenario, args.mode, args.emit_scenario)
-        if args.command == "sweep":
-            return cmd_sweep(scenario, args.param, args.spec_range, args.steps)
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_sweep(scenario, args.param, args.spec_range, args.steps)
     except (ScenarioError, BeamlineConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA

@@ -100,7 +100,9 @@ class FieldSample:
 
 
 def fields_at(lens: LensConfig, rho_m: float, z_m: float) -> FieldSample:
-    """Evaluate the linearized lens fields at (rho, z)."""
+    """Evaluate the linearized lens fields at (rho, z), a finite probe."""
+    units.require("rho_m", rho_m, "finite")
+    units.require("z_m", z_m, "finite")
     e1 = lens.e1_v_per_m2
     h1 = lens.h1_gauss_per_m
     outside = abs(rho_m) > lens.length_m or abs(z_m) > lens.length_m
@@ -122,7 +124,7 @@ def maxwell_residual(lens: LensConfig, rho_m: float, z_m: float) -> float:
     staying inside the linearization region.  Residuals are normalized per
     characteristic length: r = |div F| L / (|F0| + |F1| L).
     """
-    if rho_m <= 0:
+    if rho_m <= 0:  # a NaN or infinite probe fails in fields_at, which names the coordinate
         raise ValueError("rho must be positive for the cylindrical divergence")
     length = lens.length_m
     h = length / 8.0
@@ -147,8 +149,11 @@ def potentials_at(lens: LensConfig, rho_m: float, z_m: float) -> tuple[float, fl
     """Scalar potential (V) and azimuthal vector potential (T m).
 
     phi = E1 rho^2/4 - E0 z - E1 z^2/2 and A_phi = (H0 + H1 z) rho / 2,
-    consistent with fields_at through E = -grad phi and H = curl A.
+    consistent with fields_at through E = -grad phi and H = curl A; the
+    probe (rho, z) must be finite.
     """
+    units.require("rho_m", rho_m, "finite")
+    units.require("z_m", z_m, "finite")
     e1 = lens.e1_v_per_m2
     phi = 0.25 * e1 * rho_m**2 - lens.e0_v_per_m * z_m - 0.5 * e1 * z_m**2
     h0_t = lens.h0_gauss / units.GAUSS_PER_TESLA
@@ -159,8 +164,8 @@ def potentials_at(lens: LensConfig, rho_m: float, z_m: float) -> tuple[float, fl
 
 def landau_rho_sq_st(lens: LensConfig, n_prime: int, l: int, particle: Particle) -> float:
     """Stationary mean square radius (rho_H^2 / 2)(2 n' + |l| + 1) in m^2."""
-    if n_prime < 0:
-        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
+    if not isinstance(n_prime, int) or n_prime < 0:  # a level, as LGPacket requires of n
+        raise ValueError(f"n_prime must be a non-negative integer, got {n_prime}")
     rho_h = units.magnetic_radius(lens.h0_gauss, particle)
     return 0.5 * rho_h**2 * (2 * n_prime + abs(l) + 1)
 
@@ -172,7 +177,7 @@ def landau_energy(lens: LensConfig, n_prime: int, l: int, particle: Particle) ->
     For l' < 0 the |l| + l' cancellation makes the energy independent of the
     OAM magnitude.
     """
-    if n_prime < 0:
-        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
+    if not isinstance(n_prime, int) or n_prime < 0:  # a level, as LGPacket requires of n
+        raise ValueError(f"n_prime must be a non-negative integer, got {n_prime}")
     omega0_ev = units.cyclotron_frequency_natural(lens.h0_gauss, particle)
     return 0.5 * omega0_ev * (2 * n_prime + abs(l) + particle.model_l(l) + 1)

@@ -240,9 +240,7 @@ def matching_ratio(n: int, l: int, n_prime: int) -> Fraction:
     """Exact waist-matching ratio rho_H^2 / sigma_r^2 = 4 (2n'+|l|+l+1)/(2n+|l|+1)."""
     if n < 0 or n_prime < 0:
         raise ValueError("n and n_prime must be non-negative")
-    ratio = Fraction(4 * (2 * n_prime + abs(l) + l + 1), 2 * n + abs(l) + 1)
-    assert ratio > 0
-    return ratio
+    return Fraction(4 * (2 * n_prime + abs(l) + l + 1), 2 * n + abs(l) + 1)
 
 
 def large_l_waist(h0_gauss: float, particle: Particle) -> float:
@@ -256,11 +254,11 @@ def radial_number_for_ratio(ratio: Fraction, l: int, n_prime: int) -> int:
     Inverts the matching relation; raises if no non-negative integer n works.
     """
     ratio = Fraction(ratio)
-    n_twice = Fraction(4 * (2 * n_prime + abs(l) + l + 1), 1) / ratio - (abs(l) + 1)
-    n = n_twice / 2
-    if n.denominator != 1 or n < 0:
-        raise ValueError(f"no integer radial number matches ratio {ratio}")
-    return int(n)
+    if ratio > 0:  # a ratio of 0 or less matches no n
+        n = (Fraction(4 * (2 * n_prime + abs(l) + l + 1), 1) / ratio - (abs(l) + 1)) / 2
+        if n.denominator == 1 and n >= 0:
+            return int(n)
+    raise ValueError(f"no integer radial number matches ratio {ratio}")
 
 
 def waist_dt(state: MomentState) -> float:
@@ -327,8 +325,11 @@ def emittance(state: MomentState) -> float:
     The correlation is identified with half the mean square radius rate,
     <rho.u> = d<rho^2>/dt / 2, the relation both regimes obey.  Constant
     along drifts and continuous at element boundaries; inside a lens the
-    value oscillates with the orbit phase.
+    value oscillates with the orbit phase.  A non-finite rho_sq, drho_sq_dt
+    or u_perp_sq raises, naming the field.
     """
+    for name in ("rho_sq", "drho_sq_dt", "u_perp_sq"):
+        units.require(name, getattr(state, name), "finite")
     correlation = 0.5 * state.drho_sq_dt
     radicand = state.rho_sq * state.u_perp_sq - correlation * correlation
     scale = state.rho_sq * state.u_perp_sq

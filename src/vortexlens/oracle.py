@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -170,8 +170,6 @@ def laguerre_derivative(n: int, alpha: int, y, order: int = 1):
     """d^k/dy^k L_n^alpha(y) via the ladder identity (-1)^k L_{n-k}^{alpha+k}."""
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    if order == 0:
-        return laguerre(n, alpha, y)
     if order > n:
         return np.zeros_like(np.asarray(y, dtype=float))
     return (-1) ** order * laguerre(n - order, alpha + order, y)
@@ -184,11 +182,11 @@ class QuadratureSpec:
     integrand: Callable[[np.ndarray], np.ndarray]
     y_max: float
     panels: int
-    order: int = 24
+    order: ClassVar[int] = 24  # Gauss-Legendre nodes per panel
 
     def __post_init__(self) -> None:
-        if not (self.y_max > 0 and self.panels > 0 and self.order > 1):
-            raise ValueError("y_max, panels and order must be positive")
+        if not (self.y_max > 0 and self.panels > 0):
+            raise ValueError("y_max and panels must be positive")
 
 
 @functools.cache

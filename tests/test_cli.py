@@ -1310,7 +1310,7 @@ def test_array_sweep_is_the_scalar_walk_of_each_point(tmp_path_factory, case):
         if isinstance(exc, lattice.BeamlineConfigError):
             assert err.getvalue() == f"error: {exc}\n"
         elif isinstance(exc, ValueError):
-            assert err.getvalue() == f"error: sweep point {param}={cli._fmt(value)}: {exc}\n"
+            assert err.getvalue() == f"error: sweep point {param}={value:.12g}: {exc}\n"
         return
     assert code == EXIT_OK
     rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]

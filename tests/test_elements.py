@@ -89,6 +89,21 @@ def test_maxwell_residual_needs_a_positive_radius():
         maxwell_residual(_lens(kappa=0.05), 0.0, 0.01)
 
 
+@pytest.mark.parametrize("probe", [fields_at, potentials_at, maxwell_residual])
+@pytest.mark.parametrize(
+    "rho, z, message",
+    [
+        (math.nan, 0.0, r"^rho_m must be finite, got nan$"),
+        (1e-3, math.nan, r"^z_m must be finite, got nan$"),
+        (math.inf, 0.0, r"^rho_m must be finite, got inf$"),
+        (1e-3, -math.inf, r"^z_m must be finite, got -inf$"),
+    ],
+)
+def test_a_probe_must_be_finite(probe, rho, z, message):
+    with pytest.raises(ValueError, match=message):
+        probe(_lens(kappa=0.05, e0_v_per_m=1e6), rho, z)
+
+
 def test_potentials_golden():
     assert potentials_at(_lens(e0_v_per_m=25e6), 0.0, 0.0) == (0.0, 0.0)
     lens = LensConfig(h0_gauss=85.0, duration_s=5e-9, length_m=2.0, e0_v_per_m=25e6)
@@ -152,8 +167,15 @@ def test_landau_energy():
 
 @pytest.mark.parametrize("level", [landau_rho_sq_st, landau_energy])
 def test_landau_level_needs_a_non_negative_n_prime(level):
-    with pytest.raises(ValueError, match=r"^n_prime must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match=r"^n_prime must be a non-negative integer, got -1$"):
         level(_lens(), -1, -4, ELECTRON)
+
+
+@pytest.mark.parametrize("level", [landau_rho_sq_st, landau_energy])
+@pytest.mark.parametrize("n_prime", [1.5, math.nan, 1.0])
+def test_landau_level_needs_an_integer_n_prime(level, n_prime):
+    with pytest.raises(ValueError, match=rf"^n_prime must be a non-negative integer, got {n_prime}$"):
+        level(_lens(), n_prime, -4, ELECTRON)
 
 
 def test_landau_rho_sq_cyclotron_identity():

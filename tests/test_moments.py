@@ -171,6 +171,12 @@ def test_radial_number_for_ratio():
         radial_number_for_ratio(Fraction(3, 7), -4, 0)
 
 
+@pytest.mark.parametrize("ratio", [0, Fraction(-4, 5)])
+def test_no_radial_number_matches_a_non_positive_ratio(ratio):
+    with pytest.raises(ValueError, match=rf"^no integer radial number matches ratio {ratio}$"):
+        radial_number_for_ratio(ratio, -4, 0)
+
+
 def test_transport_check_examples():
     # matched packet entering at its focal point is always transportable
     for sigma in (0.574e-6, 0.622e-6):
@@ -241,6 +247,23 @@ def test_emittance_rejects_inconsistent_moments():
     bad = MomentState(1.0, 10.0, 1e-12, 0.0, 0.0, 0.0, 0)
     with pytest.raises(ValueError):
         emittance(bad)
+
+
+@pytest.mark.parametrize("field", ["rho_sq", "drho_sq_dt", "u_perp_sq"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emittance_rejects_a_non_finite_moment(field, value):
+    state = replace(MomentState(1e12, 0.0, 1e-12, 0.0, 0.0, 0.0, -4), **{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+        emittance(state)
+
+
+def test_lens_orbit_broadcasts_an_array_radius_against_a_scalar_rate():
+    sigma = 0.574e-6
+    entry = propagate_drift(focal_state(sigma), units.time_to_natural(0.3e-9), ELECTRON)
+    entry = replace(entry, rho_sq=entry.rho_sq * np.array([0.5, 1.0, 2.0]))
+    orbit = LensOrbit.from_entry(entry, lens_for(sigma), ELECTRON)
+    assert np.ndim(orbit.a_sin) == 0 and orbit.a_cos.shape == (3,)
+    assert orbit.amplitude.tolist() == [math.hypot(a, orbit.a_sin) for a in orbit.a_cos.tolist()]
 
 
 def test_waist_helpers():

@@ -309,6 +309,24 @@ def test_laguerre_recurrence_against_explicit_polynomial():
     assert np.all(laguerre_derivative(2, 3, y, 3) == 0.0)
 
 
+def test_laguerre_derivative_of_order_zero_is_the_polynomial():
+    y = np.linspace(0.0, 30.0, 41)
+    for n in range(5):
+        assert laguerre_derivative(n, 3, y, 0).tolist() == laguerre(n, 3, y).tolist()
+    with pytest.raises(ValueError, match=r"^derivative order must be non-negative$"):
+        laguerre_derivative(2, 3, y, -1)
+
+
+def test_x_moment_vanishes_without_a_radial_node():
+    assert [x_moment_exact(0, l) for l in range(5)] == [0] * 5
+
+
+@pytest.mark.parametrize("y_max, panels", [(math.nan, 4), (10.0, 0)])
+def test_quadrature_spec_needs_a_positive_span_and_panels(y_max, panels):
+    with pytest.raises(ValueError, match=r"^y_max and panels must be positive$"):
+        oracle.QuadratureSpec(np.exp, y_max, panels)
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 @pytest.mark.parametrize("l", range(0, 9))
 def test_diagonal_moment_identity(n, l):
