@@ -337,7 +337,7 @@ def cmd_check(scenario: Scenario) -> int:
         lines.append(f"lens[{index}].matched: {str(report.matched).lower()}")
         lines.append(f"lens[{index}].transportable: {str(report.transportable).lower()}")
         lines.append(
-            f"lens[{index}].rho2_st_um2: {units.area_from_natural(report.rho_sq_st) * 1e12:.12g}"
+            f"lens[{index}].rho2_st_um2: {units.area_from_natural(leg.orbit.center) * 1e12:.12g}"
         )
         lines.append(
             f"lens[{index}].rho2_min_um2: {units.area_from_natural(report.rho_sq_min) * 1e12:.12g}"
@@ -424,6 +424,7 @@ def _sweep_values(spec_range: str, steps: int) -> np.ndarray:
     values = lo + (hi - lo) * np.arange(steps) / (steps - 1)
     if not np.isfinite(hi - lo):  # an infinite span times k = 0 is NaN; that point is lo
         values[0] = lo
+    values[-1] = hi  # as np.linspace does: lo + (hi - lo) can round away from hi
     return values
 
 
@@ -470,13 +471,22 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
         try:
             report = transport(values)
         except ValueError:
-            for value in values:  # the first grid point that fails names the error
+            # the first grid point that fails names the error; every check acts per point, so a
+            # sub-grid fails exactly when one of its points does, and values[lo:hi] holds that point
+            lo, hi = 0, len(values)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
                 try:
-                    transport(np.array([value]))
-                except BeamlineConfigError:
-                    raise
-                except ValueError as exc:
-                    raise ScenarioError(f"sweep point {param}={value:.12g}: {exc}") from None
+                    transport(values[lo:mid])
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            try:
+                transport(values[lo:hi])
+            except BeamlineConfigError:
+                raise
+            except ValueError as exc:
+                raise ScenarioError(f"sweep point {param}={values[lo]:.12g}: {exc}") from None
             raise
     header = f"{param},transportable,rho2_min_um2\n"
     rho2_min = units.area_from_natural(report.rho_sq_min) * 1e12
@@ -566,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "design":
             return cmd_design(scenario, args.mode, args.emit_scenario)
         return cmd_sweep(scenario, args.param, args.spec_range, args.steps)
-    except (ScenarioError, BeamlineConfigError) as exc:
+    except ValueError as exc:  # ScenarioError, BeamlineConfigError, or a value past the float range
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
 

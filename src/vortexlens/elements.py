@@ -74,10 +74,6 @@ class LensConfig:
             )
 
     @property
-    def is_homogeneous(self) -> bool:
-        return self.kappa == 0.0
-
-    @property
     def e1_v_per_m2(self) -> float:
         """Axial gradient of E_z in V/m^2."""
         return self.kappa * self.e0_v_per_m / self.length_m
@@ -100,17 +96,18 @@ class FieldSample:
 
 
 def fields_at(lens: LensConfig, rho_m: float, z_m: float) -> FieldSample:
-    """Evaluate the linearized lens fields at (rho, z), a finite probe."""
+    """Evaluate the linearized lens fields at (rho, z), a finite probe; a
+    field past the float range raises, naming the component."""
     units.require("rho_m", rho_m, "finite")
     units.require("z_m", z_m, "finite")
     e1 = lens.e1_v_per_m2
     h1 = lens.h1_gauss_per_m
     outside = abs(rho_m) > lens.length_m or abs(z_m) > lens.length_m
     return FieldSample(
-        e_rho=-0.5 * e1 * rho_m,
-        e_z=lens.e0_v_per_m + e1 * z_m,
-        h_rho=-0.5 * h1 * rho_m,
-        h_z=lens.h0_gauss + h1 * z_m,
+        e_rho=units.require("e_rho", -0.5 * e1 * rho_m, "finite"),
+        e_z=units.require("e_z", lens.e0_v_per_m + e1 * z_m, "finite"),
+        h_rho=units.require("h_rho", -0.5 * h1 * rho_m, "finite"),
+        h_z=units.require("h_z", lens.h0_gauss + h1 * z_m, "finite"),
         outside_linear_region=outside,
     )
 
@@ -150,16 +147,19 @@ def potentials_at(lens: LensConfig, rho_m: float, z_m: float) -> tuple[float, fl
 
     phi = E1 rho^2/4 - E0 z - E1 z^2/2 and A_phi = (H0 + H1 z) rho / 2,
     consistent with fields_at through E = -grad phi and H = curl A; the
-    probe (rho, z) must be finite.
+    probe (rho, z) must be finite, and a potential past the float range raises.
     """
     units.require("rho_m", rho_m, "finite")
     units.require("z_m", z_m, "finite")
     e1 = lens.e1_v_per_m2
-    phi = 0.25 * e1 * rho_m**2 - lens.e0_v_per_m * z_m - 0.5 * e1 * z_m**2
+    try:  # a float's ** raises OverflowError where * would give inf
+        phi = 0.25 * e1 * rho_m**2 - lens.e0_v_per_m * z_m - 0.5 * e1 * z_m**2
+    except OverflowError:
+        raise ValueError("phi must be finite, but rho_m**2 or z_m**2 is past the float range") from None
     h0_t = lens.h0_gauss / units.GAUSS_PER_TESLA
     h1_t = lens.h1_gauss_per_m / units.GAUSS_PER_TESLA
     a_phi = 0.5 * (h0_t + h1_t * z_m) * rho_m
-    return phi, a_phi
+    return units.require("phi", phi, "finite"), units.require("a_phi", a_phi, "finite")
 
 
 def landau_rho_sq_st(lens: LensConfig, n_prime: int, l: int, particle: Particle) -> float:

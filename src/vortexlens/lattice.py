@@ -237,7 +237,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             with np.errstate(all="ignore"):  # an offset past the float range fails validation
                 state = leg.evaluate(offsets)
             state.validated()
-            if orbit is not None and not element.is_homogeneous:
+            if orbit is not None and element.kappa != 0.0:
                 block["rho_sq_corr1"] = correction_closed_form(orbit, element.kappa, offsets)
         except ValueError as exc:
             raise BeamlineConfigError(f"beamline[{index}]: {exc}") from None

@@ -275,7 +275,6 @@ def free_waist_rho_sq(state: MomentState) -> float:
 class TransportReport:
     """Matching and transport diagnostics at a lens entry (natural units)."""
 
-    rho_sq_st: float
     rho_sq_min: float
     matched: bool
     transportable: bool
@@ -309,7 +308,6 @@ def transport_check(orbit: LensOrbit, n: int = 0, n_prime: int = 0) -> Transport
     actual = np.divide(rho_h_sq, free_waist_rho_sq(state))
     matched = abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE
     return TransportReport(
-        rho_sq_st=orbit.center,
         rho_sq_min=rho_sq_min,
         matched=matched,
         transportable=rho_sq_min > 0.0,
@@ -326,7 +324,8 @@ def emittance(state: MomentState) -> float:
     <rho.u> = d<rho^2>/dt / 2, the relation both regimes obey.  Constant
     along drifts and continuous at element boundaries; inside a lens the
     value oscillates with the orbit phase.  A non-finite rho_sq, drho_sq_dt
-    or u_perp_sq raises, naming the field.
+    or u_perp_sq raises, naming the field, and so does a radicand that
+    leaves the float range.
     """
     for name in ("rho_sq", "drho_sq_dt", "u_perp_sq"):
         units.require(name, getattr(state, name), "finite")
@@ -337,4 +336,4 @@ def emittance(state: MomentState) -> float:
         raise ValueError(
             f"inconsistent moments: emittance radicand {radicand} < 0"
         )
-    return math.sqrt(max(0.0, radicand))
+    return math.sqrt(max(0.0, units.require("emittance radicand", radicand, "finite")))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,42 +46,25 @@ VALIDITY_FRACTION = 0.3
 MIN_STEPS_PER_PERIOD = 200
 
 
-@dataclass(frozen=True)
-class Assumption:
-    """Factorization assumed when closing the first-order moment system."""
-
-    key: str
-    statement: str
-
-
 # The three closures behind the driven system above, recorded so that every
 # correction carries its own fine print.  omega_1 denotes the gradient rate
 # kappa * omega_0 / L implied by omega_c(z) = omega_0 (1 + kappa z / L).
-APPROXIMATIONS: tuple[Assumption, ...] = (
-    Assumption(
-        key="cyclotron-radius-split",
-        statement=(
-            "<omega_c^2(z) rho^2> is expanded to first order in the gradient "
-            "and factorized as omega_0^2 <rho^2>^(0) + omega_0^2 <rho^2>^(1) "
-            "+ 2 omega_0 omega_1 <z>^(0) <rho^2>^(0)"
-        ),
+APPROXIMATIONS = MappingProxyType({
+    "cyclotron-radius-split": (
+        "<omega_c^2(z) rho^2> is expanded to first order in the gradient "
+        "and factorized as omega_0^2 <rho^2>^(0) + omega_0^2 <rho^2>^(1) "
+        "+ 2 omega_0 omega_1 <z>^(0) <rho^2>^(0)"
     ),
-    Assumption(
-        key="radius-momentum-sq-factorization",
-        statement=(
-            "the O(kappa) mixed average kappa <rho^2 p_z^2> is factorized "
-            "into kappa <rho^2>^(0) <p_z^2>^(0)"
-        ),
+    "radius-momentum-sq-factorization": (
+        "the O(kappa) mixed average kappa <rho^2 p_z^2> is factorized "
+        "into kappa <rho^2>^(0) <p_z^2>^(0)"
     ),
-    Assumption(
-        key="radius-momentum-symmetrized-factorization",
-        statement=(
-            "the symmetrized <rho^2 p_z> combinations (including the "
-            "gradient-weighted z terms) are factorized into "
-            "<rho^2>^(0) <p_z>^(0), dropping O(kappa^2) remainders"
-        ),
+    "radius-momentum-symmetrized-factorization": (
+        "the symmetrized <rho^2 p_z> combinations (including the "
+        "gradient-weighted z terms) are factorized into "
+        "<rho^2>^(0) <p_z>^(0), dropping O(kappa^2) remainders"
     ),
-)
+})
 
 
 @dataclass(frozen=True)
@@ -95,7 +79,7 @@ class CorrectionState:
     rho_sq_1: float
     u_perp_sq_1: float
     validity_exceeded: bool
-    assumptions: tuple[Assumption, ...]
+    assumptions: MappingProxyType[str, str]  # APPROXIMATIONS
 
 
 class ZerothOrderInputs:

@@ -1170,6 +1170,97 @@ def test_sweep_walks_once(capsys, monkeypatch, param):
     assert calls["transport_check"] <= 1
 
 
+def per_point_sweep_error(path, param, spec_range, steps):
+    """The stderr of a failing sweep as one scalar walk per grid point finds it:
+    the first point that fails names the error, and one that fails downstream
+    of the lens passes its own line through; None if no point fails."""
+    scenario = load_scenario(path)
+    for value in cli._sweep_values(spec_range, steps):
+        try:
+            with np.errstate(all="ignore"):
+                legs = list(walk(cli._swept_beamline(scenario, param, np.array([value]))))
+                orbit = next(leg.orbit for leg in legs if leg.orbit is not None)
+                transport_check(orbit, n=scenario.packet.n, n_prime=scenario.lens_n_primes[0])
+        except lattice.BeamlineConfigError as exc:
+            return f"error: {exc}\n"
+        except ValueError as exc:
+            return f"error: sweep point {param}={value:.12g}: {exc}\n"
+    return None
+
+
+def capture_transport(first_drift_ns=1.0):
+    """capture_transport.json with its leading drift set to first_drift_ns (1.0 as shipped)."""
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["beamline"][0]["duration_ns"] = first_drift_ns
+    return data
+
+
+FAILING_SWEEPS = [  # scenario data, param, range, steps
+    pytest.param(capture_transport(), "H0_gauss", "0:1", 1000, id="first-point"),
+    pytest.param(capture_transport(), "H0_gauss", "1:-1", 1001, id="middle-point"),
+    pytest.param(capture_transport(), "H0_gauss", "1:1e-153", 1000, id="last-point-orbit"),
+    pytest.param(capture_transport(), "t1_ns", "1:-1", 11, id="middle-drift"),
+    pytest.param(capture_transport(), "sigma_r_um", "0.6:-0.6", 101, id="middle-packet"),
+    pytest.param(capture_transport(), "sigma_r_um", "1e-7:0.6", 3, id="superluminal-packet"),
+    pytest.param(drift_after_lens(2.5), "H0_gauss", "1:200", 60, id="middle-downstream"),
+    pytest.param(drift_after_lens(2.5), "t1_ns", "0.01:5", 60, id="first-downstream"),
+    pytest.param(drift_after_lens(2.5), "sigma_r_um", "-0.1:3", 60, id="packet-before-downstream"),
+    pytest.param(capture_transport(1e308), "n_prime", "0:3", 4, id="n_prime-failing-line"),
+    pytest.param(capture_transport(1e308), "H0_gauss", "50:150", 101, id="H0-failing-line"),
+]
+
+
+@pytest.mark.parametrize("data, param, spec_range, steps", FAILING_SWEEPS)
+def test_failing_sweep_gives_the_per_point_walks_error(tmp_path, capsys, data, param, spec_range, steps):
+    path = write_scenario(tmp_path, data)
+    expected = per_point_sweep_error(path, param, spec_range, steps)
+    assert expected is not None
+    assert main(["sweep", path, "--param", param, f"--range={spec_range}", "--steps", str(steps)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == expected
+
+
+@pytest.mark.parametrize("spec_range, steps", [("0:1", 1000), ("1:-1", 1001), ("1:1e-153", 1000), ("1:1e-153", 50_000)])
+def test_failing_sweep_bisects_for_its_first_failing_point(capsys, monkeypatch, spec_range, steps):
+    calls = []
+
+    def counted(beamline):
+        calls.append(beamline)
+        return lattice.walk(beamline)
+
+    monkeypatch.setattr(cli, "walk", counted)
+    argv = ["sweep", CAPTURE, "--param", "H0_gauss", f"--range={spec_range}", "--steps", str(steps)]
+    assert main(argv) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: sweep point H0_gauss=")
+    assert len(calls) <= math.ceil(math.log2(steps)) + 2
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FINITE, FINITE, st.integers(2, 10_000))
+@example(100.0, 1e-11, 2)
+@example(1.0, 1e-153, 1000)
+@example(-1e308, 1e308, 3)  # the span overflows
+@example(-0.0, 1.0, 2)
+def test_the_sweep_grid_ends_at_b(lo, hi, steps):
+    values = cli._sweep_values(f"{lo!r}:{hi!r}", steps)
+    if lo == hi:
+        assert values.tobytes() == np.array([lo]).tobytes()
+    else:
+        assert len(values) == steps
+        assert values[-1].tobytes() == np.float64(hi).tobytes()
+
+
+def test_the_last_sweep_row_is_b(capsys):
+    assert main(["sweep", CAPTURE, "--param", "H0_gauss", "--range=100:1e-11", "--steps", "2"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "H0_gauss,transportable,rho2_min_um2\n100,true,0.426541672122\n1e-11,false,0\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "command, launches",
     [
@@ -1373,7 +1464,7 @@ def test_sampling_step_must_be_finite_and_positive(tmp_path, capsys, source, val
 
 # the extremes of a JSON number: zero, the edges of the float range and past
 # them, non-finite values, and integers too large for exact float conversion
-FUZZ_VALUES = (0, 1e-300, -1e-300, 1e-150, -1e-150, 1e150, -1e150, 1e300, -1e300,
+FUZZ_VALUES = (0, 1e-300, -1e-300, 1e-150, -1e-150, 1e-152, 1e-153, 1e150, -1e150, 1e300, -1e300,
                math.inf, -math.inf, math.nan, 10**6, -(10**6), 10**30, 2**53 + 1)
 FUZZ_COMMANDS = (["propagate", "-o", "-"], ["check"], ["design", "--mode", "matching-field"],
                  ["design", "--mode", "capture"], ["sweep", "--param", "H0_gauss", "--range", "50:150", "--steps", "5"])
@@ -1408,10 +1499,18 @@ def shipped_with(name, block, key, value):
     return data, [(block, key)]
 
 
+def lens_with(name, key, value):
+    data = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+    data["beamline"][1][key] = value
+    return data, [("beamline", 1, key)]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fuzzed_scenarios())
 @example(shipped_with("capture_transport.json", "output", "sample_dt_ns", math.nan))
 @example(shipped_with("capture_transport.json", "output", "sample_dt_ns", math.inf))
+@example(lens_with("capture_transport.json", "H0_gauss", 1e-152))  # the orbit's centre overflows
+@example(lens_with("capture_transport.json", "H0_gauss", 1e-153))
 def test_fuzzed_scenario_exits_with_a_verdict_or_one_error_line(tmp_path_factory, case):
     data, fields = case
     path = write_scenario(tmp_path_factory.mktemp("fuzz"), data)

@@ -55,6 +55,7 @@ def lens(**fields):
 EDITS = {  # name: (shipped scenario, {key path: value})
     "inf_drift": (CAPTURE, {("beamline", 0, "duration_ns"): 1e308}),  # inf in natural units
     "float_range": (CAPTURE, lens(H0_gauss=digits(401))),
+    "orbit_range": (CAPTURE, lens(H0_gauss=1e-152)),  # the field loads; the lens orbit's centre overflows
     "digit_limit": (CAPTURE, lens(n_prime=digits(5001))),
     "n_prime_bound": (CAPTURE, lens(n_prime=digits(401))),
     "mixed": (GRADIENT, lens(kappa_M=0.05, kappa_E=0.02)),
@@ -124,6 +125,9 @@ ROWS = [
     # an integer past the float range, past int()'s digit limit, or an n_prime past 2**1000
     row("check {scenario}", "float_range", (EXIT_SCHEMA,)),
     row("check {scenario}", "digit_limit", (EXIT_SCHEMA,)),
+    # a lens orbit past the float range: one line, not a traceback
+    *(row(f"{cmd} {{scenario}}", "orbit_range", (EXIT_SCHEMA,), "error: rho_sq_st must be finite, got inf\n")
+      for cmd in ("check", "propagate -o /dev/null", "design --mode capture")),
     *(row(f"{cmd} {{scenario}}", "n_prime_bound", (EXIT_SCHEMA,)) for cmd in (
         "check", "sweep --param n_prime --range 0:3 --steps 4", "design --mode matching-field")),
     row("sweep {scenario} --param n_prime --range 0:1e302 --steps 3", CAPTURE, (EXIT_SCHEMA,),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vortexlens.elements import (
     maxwell_residual,
     potentials_at,
 )
+from vortexlens.moments import MomentState, emittance
 from vortexlens.units import Particle
 
 ELECTRON = Particle.electron()
@@ -102,6 +104,33 @@ def test_maxwell_residual_needs_a_positive_radius():
 def test_a_probe_must_be_finite(probe, rho, z, message):
     with pytest.raises(ValueError, match=message):
         probe(_lens(kappa=0.05, e0_v_per_m=1e6), rho, z)
+
+
+SQUARE_PAST_RANGE = r"^phi must be finite, but rho_m\*\*2 or z_m\*\*2 is past the float range$"
+RADICAND = r"^emittance radicand must be finite, got "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: potentials_at(LensConfig(85.0, 1e-9, 0.1, 1e6, 0.05), 1e200, 0.0), SQUARE_PAST_RANGE),
+        (lambda: potentials_at(LensConfig(85.0, 1e-9, 0.1, 1e6, 0.05), 1e-3, 1e200), SQUARE_PAST_RANGE),
+        (lambda: potentials_at(LensConfig(85.0, 1e-9, 0.1, 1e300), 1e-3, 1e10), r"^phi must be finite, got -inf$"),
+        (lambda: potentials_at(LensConfig(1e300, 1e-9, 0.1), 1e20, 0.0), r"^a_phi must be finite, got inf$"),
+        (lambda: fields_at(LensConfig(85.0, 1e-9, 0.1, 1e6, 0.05), 1e308, 0.0), r"^e_rho must be finite, got -inf$"),
+        (lambda: fields_at(LensConfig(85.0, 1e-9, 0.1, 1e6, 0.05), 0.0, 1e308), r"^e_z must be finite, got inf$"),
+        (lambda: fields_at(LensConfig(85.0, 1e-9, 0.1, 0.0, 0.05), 1e308, 0.0), r"^h_rho must be finite, got -inf$"),
+        (lambda: fields_at(LensConfig(85.0, 1e-9, 0.1, 0.0, 0.05), 0.0, 1e308), r"^h_z must be finite, got inf$"),
+        (lambda: emittance(MomentState(1e200, 1e200, 1e200, 0, 0, 0, -4)), RADICAND + "nan$"),
+        (lambda: emittance(MomentState(1e200, 0.0, 1e200, 0, 0, 0, -4)), RADICAND + "inf$"),
+    ],
+)
+def test_a_result_past_the_float_range_raises_naming_it(call, message):
+    # a float's ** raises OverflowError and * gives inf; either way the quantity is named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_potentials_golden():

@@ -223,7 +223,7 @@ def test_correction_state_carries_assumptions():
     state = correction_by_quadrature(inputs, 0.081, 0.5 * period, period / 512)
     assert state.assumptions == APPROXIMATIONS
     assert len(APPROXIMATIONS) == 3
-    keys = {a.key for a in APPROXIMATIONS}
+    keys = set(APPROXIMATIONS)
     assert keys == {
         "cyclotron-radius-split",
         "radius-momentum-sq-factorization",
