@@ -44,6 +44,57 @@ def test_lens_validation_and_kappa_limits():
     assert _lens(kappa=0.05).kappa == 0.05
 
 
+@pytest.mark.parametrize(
+    "name, value, must",
+    [
+        ("h0_gauss", math.nan, "positive"),
+        ("h0_gauss", math.inf, "positive"),
+        ("h0_gauss", 0.0, "positive"),
+        ("h0_gauss", -85.0, "positive"),
+        ("duration_s", math.nan, "positive"),
+        ("duration_s", math.inf, "positive"),
+        ("duration_s", 0.0, "positive"),
+        ("duration_s", -5e-9, "positive"),
+        ("length_m", math.nan, "positive"),
+        ("length_m", math.inf, "positive"),
+        ("length_m", 0.0, "positive"),
+        ("length_m", -0.1, "positive"),
+        ("e0_v_per_m", math.nan, "non-negative"),
+        ("e0_v_per_m", math.inf, "non-negative"),
+        ("e0_v_per_m", -1.0, "non-negative"),
+    ],
+)
+def test_a_lens_input_out_of_range_is_named(name, value, must):
+    with pytest.raises(ValueError, match=rf"^{name} must be {must}, got {value}$"):
+        _lens(**{name: value})
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0, -1e-9])
+def test_a_drift_duration_must_be_positive(duration_s):
+    with pytest.raises(ValueError, match=rf"^duration_s must be positive, got {duration_s}$"):
+        Drift(duration_s)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.25, -0.25, 0.2000001])
+def test_kappa_past_the_hard_limit_is_refused(kappa):
+    with pytest.raises(ValueError, match=rf"^\|kappa\| must not exceed 0.2, got {kappa}$"):
+        _lens(kappa=kappa)
+
+
+@pytest.mark.parametrize("kappa, warns", [
+    (-0.2, True), (-0.15, True), (-0.1, False), (0.0, False), (0.1, False), (0.15, True), (0.2, True),
+])
+def test_kappa_past_the_soft_limit_warns(kappa, warns):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _lens(kappa=kappa).kappa == kappa
+    assert [str(w.message) for w in caught] == [
+        f"kappa = {kappa} is beyond the comfortable first-order regime (> 0.1)"
+    ] * warns
+    # the warning points at the code that built the lens, not at the dataclass
+    assert all(w.category is InhomogeneityWarning and w.filename == __file__ for w in caught)
+
+
 RADICAND = r"^emittance radicand must be finite, got "
 
 
