@@ -21,8 +21,8 @@ silently.  The system is linear in (u1, r1, dr1), so both
 correction_by_quadrature and verify_closed_form integrate it with the
 exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
 by a prefix scan over blocks of steps; a test pins that map to the generic
-RK4 integrator.  verify_closed_form evaluates the closed form once, on that
-grid, with the forcing's cos/sin there, and differentiates it there.
+RK4 integrator.  verify_closed_form evaluates the closed form on that grid,
+with the forcing's cos/sin there, and applies the oscillator to it exactly.
 
 Everything here is in natural units (see the units module).
 """
@@ -39,7 +39,7 @@ from . import units
 from .elements import LensConfig, require_kappa
 from .moments import LensOrbit, MomentState
 from .oracle import integrate_rk4  # noqa: F401  bench/spans.py wraps perturbation.integrate_rk4
-from .oracle import integrate_rk4_linear
+from .oracle import MAX_STEPS, integrate_rk4_linear
 from .units import Particle
 
 VALIDITY_FRACTION = 0.3
@@ -129,6 +129,18 @@ def _closed_form(orbit: LensOrbit, kappa: float, dt, phase):
     return g1 + g2 + g3 + g4 + g5
 
 
+def _oscillator_operator(orbit: LensOrbit, kappa: float, dt, phase):
+    """r1'' + w^2 r1 of the closed form r1 = S sin + C cos + Q (S, C, Q cubics in dt), written out as
+    (S'' - 2w C') sin + (C'' + 2w S') cos + Q'' + w^2 Q, so that no w^2 r1 term is left to cancel."""
+    w, f, p0, rate, st = orbit.omega0, orbit.force, orbit.entry.p_z, orbit.entry.drho_sq_dt, orbit.center
+    gap, poly = orbit.entry.rho_sq - st, f * dt * dt + 2.0 * p0 * dt
+    return (kappa / (orbit.length * orbit.mass)) * (
+        phase[1] * (3.0 * f * rate / w + w * (gap * (f * dt + p0) - rate * poly))
+        + phase[0] * (3.0 * f * gap - p0 * rate - f * rate * dt - w * w * gap * poly)
+        - (f * (gap - 2.0 * st) - p0 * rate + 0.5 * st * w * w * poly)
+    )
+
+
 @np.errstate(all="ignore")  # as a decorator it costs half of a with block
 def correction_closed_form(orbit: LensOrbit, kappa: float, dt):
     """Closed-form <rho^2>^(1) a time dt past the lens entry.
@@ -166,12 +178,12 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t, phase):
 
 def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
     """(ts, states, drive, cos, sin): the driven first-order system, state (u1, r1, dr1), from rest at
-    the lens entry to t_end by the exact RK4 step map, and the drive and phase pair at ts[1:], kept from
-    the forcing at each block's even half-steps.  A midpoint's pair is the grid pair before it turned by
-    the half step: within 4 eps max(1, omega0 t) of np.cos/np.sin, the rounding of omega0 t itself."""
+    the lens entry to t_end by the exact RK4 step map, the drive at ts[1:] and the phase pair at ts, kept
+    from the forcing at each block's even half-steps.  A midpoint's pair is the grid pair before it turned
+    by the half step: within 4 eps max(1, omega0 t) of np.cos/np.sin, the rounding of omega0 t itself."""
     w = orbit.omega0
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
-    kept = [(np.empty(0),) * 3]  # none on a one-point grid
+    kept = [(np.empty(0), np.ones(1), np.zeros(1))]  # a one-point grid: no drive, the entry's phase
 
     def forcing(t: np.ndarray) -> np.ndarray:
         b = np.empty((3, t.size))  # its first two rows hold the phase pair until the forcing is built
@@ -180,13 +192,13 @@ def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float)
         b[0, ::2], b[1, ::2] = cos, sin
         b[0, 1::2], b[1, 1::2] = cos[:-1] * cos_d - sin[:-1] * sin_d, sin[:-1] * cos_d + cos[:-1] * sin_d
         du1, drive = _gradient_forcing(orbit, kappa, t, b[:2])
-        kept.append((drive[2::2], cos[1:], sin[1:]))
+        kept.append((drive[2::2], cos[len(kept) > 1 :], sin[len(kept) > 1 :]))  # the first keeps the entry
         b[0], b[1], b[2] = du1, 0.0, drive
         return b
 
     ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
     # one block's views are read in place; only more blocks are joined
-    return (ts, states, *(kept[-1] if len(kept) <= 2 else map(np.concatenate, zip(*kept))))
+    return (ts, states, *(kept[-1] if len(kept) <= 2 else map(np.concatenate, zip(*kept[1:]))))
 
 
 def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:
@@ -203,6 +215,8 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
             f"step {step} too coarse; need <= period/{MIN_STEPS_PER_PERIOD} = "
             f"{period / MIN_STEPS_PER_PERIOD}"
         )
+    if step > 0 and not dt / step <= MAX_STEPS:  # the step count _time_grid checks
+        raise ValueError(f"dt must be at most {MAX_STEPS * step}, got {dt}")
     _, states, *_ = _integrate_linear(orbit, kappa, dt, step)
     u1, r1, _ = states[-1].tolist()
     return CorrectionState(
@@ -247,40 +261,29 @@ def verify_closed_form(
     """Cross-check the closed form against the integrated system.
 
     Compares the two routes on the RK4 grid (period / 2048) over n_periods
-    and substitutes the closed form into the oscillator equation by the
-    five-point fourth-order central difference on that grid, at every grid
-    point past the entry.  The integral route is authoritative: a failed
-    check means the closed form (or its transcription) is wrong, and the
-    per-group values at the worst time are reported for diagnosis.
+    and substitutes the closed form into the oscillator equation exactly
+    (_oscillator_operator) at every grid point past the entry, against the
+    drive from the integrated u1.  The integral route is authoritative: a
+    failed check means the closed form (or its transcription) is wrong, and
+    the per-group values at the worst time are reported for diagnosis.
     """
     require_kappa("kappa", kappa)
     units.require("n_periods", n_periods, "non-negative")
     units.require("tolerance", tolerance, "non-negative")
     period = 2.0 * math.pi / orbit.omega0
-    t_end = n_periods * period
-    ts, states, forced, *grid_phase = _integrate_linear(orbit, kappa, t_end, period / 2048.0)
-    u1s = states[:, 0]
+    t_end, step = n_periods * period, period / 2048.0
+    if not t_end / step <= MAX_STEPS:  # the step count _time_grid checks
+        raise ValueError(f"n_periods must be at most {MAX_STEPS / 2048.0}, got {n_periods}")
+    ts, states, forced, *phase = _integrate_linear(orbit, kappa, t_end, step)
     r1_num = states[:, 1]
     peak = float(np.max(np.abs(r1_num)))
     scale = peak if peak > 0 else 1.0
 
-    # residual of the closed form in r1'' + w^2 r1 = D(t), D built from the
-    # integrated u1; r1'' by the five-point central difference on the grid,
-    # which the closed form (valid for any t) extends one step before the
-    # entry and two past the end; no residual at the entry, where D is not kept
-    w = orbit.omega0
-    h = ts[1] if ts.size > 1 else 0.0  # a one-point grid has no residual
-    dt = h * np.arange(-1, ts.size + 2)
-    ends = orbit.phase(dt[[0, 1, -2, -1]])  # ts[1:] has the forcing's phase: (h/2)(2j) rounds as h j
-    closed = _closed_form(orbit, kappa, dt, [np.concatenate((e[:2], g, e[2:])) for e, g in zip(ends, grid_phase)])
-    drive = forced + 2.0 * u1s[1:]
-    r1 = closed[2:-2]  # at ts[1:]
-    # on a span so short that the peak or h * h underflows, rounding noise over
-    # them reads inf; h itself is positive, so neither divide is by zero
-    with np.errstate(over="ignore"):
-        mismatch = np.abs(closed[1:-2] - r1_num) / scale
-        second = (16.0 * (closed[1:-3] + closed[3:-1]) - closed[:-4] - closed[4:] - 30.0 * r1) / (12.0 * h) / h
-    residual = second + w * w * r1 - drive
+    closed = _closed_form(orbit, kappa, ts, phase)  # the grid's phase is the forcing's: (h/2)(2j) rounds as h j
+    drive = forced + 2.0 * states[1:, 0]  # not kept at the entry, so no residual there
+    residual = _oscillator_operator(orbit, kappa, ts[1:], [p[1:] for p in phase]) - drive
+    with np.errstate(over="ignore"):  # a peak that underflows reads the rounding noise over it as inf
+        mismatch = np.abs(closed - r1_num) / scale
     worst = int(np.argmax(mismatch))
     max_mismatch = float(mismatch[worst])
     drive_scale = float(np.max(np.abs(drive), initial=0.0))

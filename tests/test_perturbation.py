@@ -100,14 +100,14 @@ def test_closed_form_consistent_with_integrated_system(e0, kappa):
     check = verify_closed_form(inputs, kappa, n_periods=4.0)
     assert check.consistent, check.report()
     assert check.max_mismatch_over_peak < 1e-6
-    assert check.max_ode_residual_over_drive <= 1e-8
+    assert check.max_ode_residual_over_drive <= 1e-13
 
 
 @pytest.mark.parametrize("n_periods", [0.003, 0.001, 0.0])
 @pytest.mark.parametrize("kappa", [0.081, -0.081])
 def test_closed_form_check_holds_on_short_spans(kappa, n_periods):
-    # a second difference 1e-4 period wide is too noisy on spans this short:
-    # it read ODE residuals of 2.2e-6 and 6.5e-6 at 0.003 and 0.001 periods
+    # the closed form's groups nearly cancel this close to the entry, and its
+    # mismatch and its exact residual must both stay within the tolerance
     check = verify_closed_form(entry_inputs(e0=0.0), kappa, n_periods=n_periods)
     assert check.consistent, check.report()
 
@@ -119,13 +119,43 @@ def test_closed_form_matches_the_integral_on_a_long_span(e0):
     assert check.max_mismatch_over_peak <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: stencil rounding floor")
+@pytest.mark.parametrize("n_periods", [0.5, 4.0, 50.0, 100.0, 200.0, 488.0])
 @pytest.mark.parametrize("e0", [0.0, 25e6])
-def test_closed_form_check_holds_on_a_long_span(e0):
-    # the residual's rounding floor grows with the span: residual/drive read
-    # 2.28e-6 and 1.53e-6 at 100 periods, over the 1e-6 tolerance
-    check = verify_closed_form(entry_inputs(e0=e0), 0.081, n_periods=100.0)
+def test_closed_form_check_holds_at_every_span(e0, n_periods):
+    # the operator is applied to the closed form exactly, so its residual has no
+    # floor that grows with the span; 488 periods is nearly the whole step budget
+    check = verify_closed_form(entry_inputs(e0=e0), 0.081, n_periods=n_periods)
     assert check.consistent, check.report()
+    assert check.max_ode_residual_over_drive <= 1e-13
+
+
+def stencil_operator(inputs, kappa, ts):
+    """r'' + w^2 r of the closed form at ts, r'' by the five-point fourth-order central difference."""
+    h = ts[1] - ts[0]
+    r = [perturbation._closed_form(inputs, kappa, ts + j * h, inputs.phase(ts + j * h)) for j in (-2, -1, 0, 1, 2)]
+    second = (16.0 * (r[1] + r[3]) - r[0] - r[4] - 30.0 * r[2]) / (12.0 * h * h)
+    return second + inputs.omega0**2 * r[2]
+
+
+@pytest.mark.parametrize("e0", [0.0, 25e6])
+@pytest.mark.parametrize("kappa", [0.081, -0.081])
+def test_oscillator_operator_matches_a_stencil_of_the_closed_form(e0, kappa):
+    # a reference that shares no algebra with the operator: the closed form, differenced
+    inputs = entry_inputs(e0=e0)
+    period = period_of(inputs)
+    ts = np.linspace(0.0, 4.0 * period, 4 * 2048 + 1)[1:]
+    exact = perturbation._oscillator_operator(inputs, kappa, ts, inputs.phase(ts))
+    peak = np.max(np.abs(exact))
+    assert np.max(np.abs(exact - stencil_operator(inputs, kappa, ts))) <= 1e-8 * peak
+
+
+def test_closed_form_check_flags_a_wrong_operator(monkeypatch):
+    inputs = entry_inputs(e0=25e6)
+    operator = perturbation._oscillator_operator
+    monkeypatch.setattr(perturbation, "_oscillator_operator", lambda *args: (1.0 + 1e-3) * operator(*args))
+    check = verify_closed_form(inputs, 0.081, n_periods=4.0)
+    assert not check.consistent
+    assert check.max_mismatch_over_peak <= check.tolerance < check.max_ode_residual_over_drive
 
 
 def system_rhs(inputs, kappa):
@@ -157,12 +187,14 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
 
 @pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0, 5.0])
 def test_integrated_drive_is_the_forcing_at_the_grid_points(n_periods):
-    # verify_closed_form reads the drive off the forcing the step map evaluates; a one-block
-    # span returns the forcing's own drive and phase views, and only more blocks are joined
+    # verify_closed_form reads the drive (past the entry) and the phase (from the entry on) off the
+    # forcing the step map evaluates; a one-block span returns the forcing's own views, and only more
+    # blocks are joined
     inputs = entry_inputs(e0=25e6)
     period = period_of(inputs)
     ts, _, drive, *phase = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
     assert np.array_equal(drive, perturbation._gradient_forcing(inputs, 0.081, ts[1:], inputs.phase(ts[1:]))[1])
+    assert np.array_equal(phase, inputs.phase(ts))
     one_block = 1 <= ts.size - 1 <= LINEAR_BLOCK
     assert [a.base is not None for a in (drive, *phase)] == [one_block] * 3
 
@@ -193,17 +225,16 @@ def test_forcing_phase_is_one_cos_sin_per_grid_point(monkeypatch, n_periods):
     [(0.0, 0.081, 4.0), (0.0, -0.081, 4.0), (25e6, 0.081, 4.0), (25e6, -0.081, 4.0), (25e6, 0.081, 5.0)],
 )
 def test_closed_form_reads_the_phase_of_the_forcing_bit_for_bit(monkeypatch, e0, kappa, n_periods):
-    # verify_closed_form takes cos and sin at the grid points off the forcing's
-    # even half-steps; 5 periods span two blocks of the step map
+    # verify_closed_form evaluates the closed form at the grid points only, with cos
+    # and sin off the forcing's even half-steps; 5 periods span two blocks of the step map
     inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
     ts, *_ = perturbation._integrate_linear(inputs, kappa, n_periods * period, period / 2048.0)
-    dt = ts[1] * np.arange(-1, ts.size + 2)
     closed_form = perturbation._closed_form
     seen = []
     monkeypatch.setattr(perturbation, "_closed_form", lambda *args: seen.append(closed_form(*args)) or seen[-1])
     verify_closed_form(inputs, kappa, n_periods=n_periods)
-    assert np.array_equal(seen[0], closed_form(inputs, kappa, dt, inputs.phase(dt)))
+    assert len(seen) == 1 and np.array_equal(seen[0], closed_form(inputs, kappa, ts, inputs.phase(ts)))
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, math.nan])
@@ -331,7 +362,7 @@ def crossing_numbers(threshold):
 
 
 def verdict_numbers(check):
-    # a span so short that the peak or h^2 underflows makes a ratio inf, never NaN
+    # a span so short that the peak underflows makes the mismatch inf, never NaN
     assert not np.isnan([check.max_mismatch_over_peak, check.max_ode_residual_over_drive]).any()
     return [check.tolerance, check.worst_time, *check.groups_at_worst_time]
 
@@ -379,7 +410,9 @@ GUARDED = {
 @example(case=("verify_closed_form tolerance", math.nan))
 @example(case=("first_crossing_dt", math.nan))
 @example(case=("correction_by_quadrature", math.nan))
-@example(case=("verify_closed_form n_periods", 5e-324))  # a step whose square underflows
+@example(case=("verify_closed_form n_periods", 5e-324))  # a subnormal span
+@example(case=("verify_closed_form n_periods", 500.0))  # over the step budget
+@example(case=("correction_by_quadrature", 1e6 * GUARD_PERIOD))  # over the step budget
 @example(case=("verify_closed_form n_periods", 1.3e-163))  # noise over a subnormal peak
 def test_guarded_entry_point_returns_finite_values_or_names_its_argument(case):
     name, value = case
