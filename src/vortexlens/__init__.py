@@ -27,7 +27,7 @@ def _pad_heap_top() -> None:
     The oracle's 16,385-point temporaries are freed at the end of each call and,
     without the pad, trimmed off the heap, so the next call faults those pages in
     again.  Setting the pad also stops glibc from raising its mmap threshold as
-    larger blocks are freed, which would leave a long span's arrays to a fresh
+    larger blocks are freed, which would leave each RK4 block's forcing to a fresh
     mmap on every call; the threshold is therefore set to the 32 MiB that this
     adaptation tops out at.  The hint acts on the whole process and changes no
     computed value.  It is skipped when the environment sets either value for

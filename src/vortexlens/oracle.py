@@ -13,12 +13,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
 MAX_LAGUERRE_INDEX = 12
-# steps per integration: the grid and the states are allocated whole
+# steps per integration: integrate_rk4 allocates its grid and states whole
 MAX_STEPS = 1_000_000
 
 
@@ -30,12 +30,9 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
-def _time_grid(t0: float, t_end: float, step: float) -> tuple[np.ndarray, float]:
-    """Uniform grid from t0 to t_end with the largest step not exceeding step.
-
-    Checks the plan of both integrators; over MAX_STEPS steps raises before
-    the grid is allocated.
-    """
+def _time_grid(t0: float, t_end: float, step: float) -> tuple[int, float]:
+    """(n, h): the uniform grid t0 + h * arange(n + 1) from t0 to t_end with the largest step h not
+    exceeding step.  Checks the plan of both integrators, over MAX_STEPS steps included."""
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError("t0 and t_end must be finite")
     if not step > 0:
@@ -44,13 +41,12 @@ def _time_grid(t0: float, t_end: float, step: float) -> tuple[np.ndarray, float]
         raise ValueError("t_end must not precede t0")
     span = t_end - t0
     if span == 0.0:
-        return np.array([t0]), 0.0
+        return 0, 0.0
     count = span / step
     if not count <= MAX_STEPS:
         raise ValueError(f"{count:.3g} steps, over MAX_STEPS = {MAX_STEPS}")
     n = max(1, math.ceil(count - 1e-12))
-    h = span / n
-    return t0 + h * np.arange(n + 1), h
+    return n, span / n
 
 
 def integrate_rk4(
@@ -66,7 +62,8 @@ def integrate_rk4(
     step, so the final sample lands exactly on t_end.  Returns arrays
     (times, states) of shapes (n+1,) and (n+1, dim).
     """
-    ts, h = _time_grid(t0, t_end, step)
+    n, h = _time_grid(t0, t_end, step)
+    ts = t0 + h * np.arange(n + 1)
     y = np.asarray(y0, dtype=float)
     out = np.empty((ts.size, y.size))
     out[0] = y
@@ -96,18 +93,20 @@ def integrate_rk4_linear(
     t0: float,
     t_end: float,
     step: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for the three-component linear system y' = A y + b(t).
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Classical RK4 for the three-component linear system y' = A y + b(t), one block at a time.
 
     For a linear system one RK4 step is exactly the map
     y+ = P y + c with c = h (Q0 b(t) + Qm b(t + h/2) + Q1 b(t + h)), M = h A,
     P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = (I + M + M^2/2 + M^3/4)/6,
     Qm = (4I + 2M + M^2/2)/6 and Q1 = I/6.  forcing maps an array of times
     to b as an array of shape (3, len(times)); it is evaluated once per block
-    of up to LINEAR_BLOCK steps.  Each block starts from the last state of
-    the one before and is a prefix scan of the map
+    of up to LINEAR_BLOCK steps.  Yields each block's (times, states), of
+    shapes (k+1,) and (k+1, 3), from its start point: the last point of the
+    block before, or (t0, y0); a zero span yields t0 alone.  Each block is a
+    prefix scan of the map
     (Blelloch, "Prefix sums and their applications", 1990) with no loop over
-    steps: column 0 holds the block's start state and columns 1..n the kicks
+    steps: column 0 holds the block's start state and columns 1..k the kicks
     c, and y[:, s:] += P^s y[:, :-s] for s = 1, 2, 4, ..., the powers by
     repeated squaring, leaves every column at its state.  The scan only
     moves values forward, so the first non-finite column is the step that
@@ -117,12 +116,10 @@ def integrate_rk4_linear(
     input validation and the IntegrationError on a non-finite state match
     integrate_rk4, which stays the reference for this map.
     """
-    ts, h = _time_grid(t0, t_end, step)
+    n, h = _time_grid(t0, t_end, step)
     a = np.asarray(matrix, dtype=float)
     if a.shape != (3, 3) or len(y0) != 3:
         raise ValueError("integrate_rk4_linear needs a 3x3 matrix and a 3-component state")
-    out = np.empty((3, ts.size))
-    out[:, 0] = y0
     eye = np.eye(3)
     m = h * a
     m2 = m @ m
@@ -133,25 +130,30 @@ def integrate_rk4_linear(
     q1 = (h / 6.0) * eye
     squares = [p]  # P^(2^k), stopping before the first that leaves the float range
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1, min(LINEAR_BLOCK, ts.size - 1).bit_length()):
+        for _ in range(1, min(LINEAR_BLOCK, n).bit_length()):
             square = squares[-1] @ squares[-1]
             if not np.isfinite(square).all():
                 break
             squares.append(square)
     block = min(LINEAR_BLOCK, (1 << len(squares)) - 1)  # no more steps than these powers scan
-    for start in range(0, ts.size - 1, block):
-        stop = min(start + block, ts.size - 1)
+    last = y0
+    for start in range(0, max(n, 1), block):  # a zero span is one block of its start point
+        stop = min(start + block, n)
+        ts = t0 + h * np.arange(start, stop + 1)
         # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
         b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
-        y = out[:, start : stop + 1]
+        y = np.empty((3, ts.size))
+        y[:, 0] = last
         with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
             y[:, 1:] = q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]
             for k in range((stop - start).bit_length()):
                 y[:, 1 << k :] += squares[k] @ y[:, : -(1 << k)]
         ok = np.isfinite(y).all(axis=0)
         if not ok.all():
-            raise IntegrationError(float(ts[start + int(np.argmin(ok))]))
-    return ts, out.T
+            raise IntegrationError(float(ts[int(np.argmin(ok))]))
+        del b  # the forcing is freed before the caller reads this block and the next is built
+        yield ts, y.T
+        last = y[:, -1]
 
 
 def laguerre(n: int, alpha: int, y):

@@ -17,12 +17,13 @@ function here takes that orbit.  Two evaluation routes are provided: the
 algebraic closed form of the solution, and direct numerical integration of
 the system.  The numerical route is authoritative; verify_closed_form
 cross-checks the two and reports any mismatch instead of trusting either
-silently.  The system is linear in (u1, r1, dr1), so both
-correction_by_quadrature and verify_closed_form integrate it with the
-exact one-step map of classical RK4 (oracle.integrate_rk4_linear), applied
-by a prefix scan over blocks of steps; a test pins that map to the generic
-RK4 integrator.  verify_closed_form evaluates the closed form on that grid,
-with the forcing's cos/sin there, and applies the oscillator to it exactly.
+silently.  The system is linear in (u1, r1, dr1), so correction_by_quadrature
+and verify_closed_form integrate it with the exact one-step map of classical
+RK4 (oracle.integrate_rk4_linear): a prefix scan over blocks of steps, which
+arrive one at a time; a test pins that map to the generic RK4 integrator.
+verify_closed_form evaluates the closed form on each block's grid, with the
+forcing's cos/sin there, applies the oscillator to it exactly and keeps only
+the block's largest values, so its memory does not grow with the span.
 
 Everything here is in natural units (see the units module).
 """
@@ -177,28 +178,26 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t, phase):
 
 
 def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
-    """(ts, states, drive, cos, sin): the driven first-order system, state (u1, r1, dr1), from rest at
-    the lens entry to t_end by the exact RK4 step map, the drive at ts[1:] and the phase pair at ts, kept
-    from the forcing at each block's even half-steps.  A midpoint's pair is the grid pair before it turned
-    by the half step: within 4 eps max(1, omega0 t) of np.cos/np.sin, the rounding of omega0 t itself."""
-    w = orbit.omega0
-    matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -w * w, 0.0]])
-    kept = [(np.empty(0), np.ones(1), np.zeros(1))]  # a one-point grid: no drive, the entry's phase
+    """Yields (ts, states, drive, cos, sin) per block: the driven first-order system, state (u1, r1, dr1), from
+    rest at the lens entry to t_end by the exact RK4 step map, and the drive and phase pair at the block's ts,
+    read off the forcing's even half-steps.  A midpoint's pair is the grid pair before it turned by the half
+    step: within 4 eps max(1, omega0 t) of np.cos/np.sin, the rounding of omega0 t itself."""
+    matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -orbit.omega0 * orbit.omega0, 0.0]])
+    slot = []  # the drive and phase pair of the block the forcing last built
 
     def forcing(t: np.ndarray) -> np.ndarray:
         b = np.empty((3, t.size))  # its first two rows hold the phase pair until the forcing is built
         cos, sin = orbit.phase(t[::2])
-        cos_d, sin_d = orbit.phase(t[1] - t[0])
+        cos_d, sin_d = orbit.phase(t[1:2] - t[:1])  # empty on a zero span, which has no midpoint
         b[0, ::2], b[1, ::2] = cos, sin
         b[0, 1::2], b[1, 1::2] = cos[:-1] * cos_d - sin[:-1] * sin_d, sin[:-1] * cos_d + cos[:-1] * sin_d
         du1, drive = _gradient_forcing(orbit, kappa, t, b[:2])
-        kept.append((drive[2::2], cos[len(kept) > 1 :], sin[len(kept) > 1 :]))  # the first keeps the entry
+        slot[:] = drive[::2], cos, sin
         b[0], b[1], b[2] = du1, 0.0, drive
         return b
 
-    ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
-    # one block's views are read in place; only more blocks are joined
-    return (ts, states, *(kept[-1] if len(kept) <= 2 else map(np.concatenate, zip(*kept[1:]))))
+    for ts, states in integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step):
+        yield ts, states, *slot
 
 
 def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:
@@ -211,14 +210,11 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
     units.require("dt", dt, "non-negative")
     period = 2.0 * math.pi / orbit.omega0
     if step > period / MIN_STEPS_PER_PERIOD:
-        raise ValueError(
-            f"step {step} too coarse; need <= period/{MIN_STEPS_PER_PERIOD} = "
-            f"{period / MIN_STEPS_PER_PERIOD}"
-        )
+        raise ValueError(f"step must be at most {period / MIN_STEPS_PER_PERIOD}, got {step}")
     if step > 0 and not dt / step <= MAX_STEPS:  # the step count _time_grid checks
         raise ValueError(f"dt must be at most {MAX_STEPS * step}, got {dt}")
-    _, states, *_ = _integrate_linear(orbit, kappa, dt, step)
-    u1, r1, _ = states[-1].tolist()
+    for _, states, *_ in _integrate_linear(orbit, kappa, dt, step):
+        u1, r1, _ = states[-1].tolist()  # the last block's last state is the one returned
     return CorrectionState(
         rho_sq_1=r1,
         u_perp_sq_1=u1,
@@ -274,21 +270,23 @@ def verify_closed_form(
     t_end, step = n_periods * period, period / 2048.0
     if not t_end / step <= MAX_STEPS:  # the step count _time_grid checks
         raise ValueError(f"n_periods must be at most {MAX_STEPS / 2048.0}, got {n_periods}")
-    ts, states, forced, *phase = _integrate_linear(orbit, kappa, t_end, step)
-    r1_num = states[:, 1]
-    peak = float(np.max(np.abs(r1_num)))
-    scale = peak if peak > 0 else 1.0
-
-    closed = _closed_form(orbit, kappa, ts, phase)  # the grid's phase is the forcing's: (h/2)(2j) rounds as h j
-    drive = forced + 2.0 * states[1:, 0]  # not kept at the entry, so no residual there
-    residual = _oscillator_operator(orbit, kappa, ts[1:], [p[1:] for p in phase]) - drive
+    maxima = []  # per block: the largest |closed - r1| and its time, and the largest |r1|, |drive| and |residual|
+    for ts, states, forced, *phase in _integrate_linear(orbit, kappa, t_end, step):
+        r1 = states[:, 1]
+        gap = np.abs(_closed_form(orbit, kappa, ts, phase) - r1)  # the grid's phase is the forcing's
+        worst = int(np.argmax(gap))
+        drive = forced[1:] + 2.0 * states[1:, 0]  # a block's start is the last block's end: no residual there
+        residual = _oscillator_operator(orbit, kappa, ts[1:], [p[1:] for p in phase]) - drive
+        maxima.append((gap[worst], ts[worst], *(np.max(np.abs(x), initial=0.0) for x in (r1, drive, residual))))
+        del ts, states, forced, phase, r1, gap, drive, residual  # no block is held while the next is built
+    gaps, times, peaks, drives, residuals = np.array(maxima).T
+    worst = int(np.argmax(gaps))
+    peak = float(np.max(peaks))
     with np.errstate(over="ignore"):  # a peak that underflows reads the rounding noise over it as inf
-        mismatch = np.abs(closed - r1_num) / scale
-    worst = int(np.argmax(mismatch))
-    max_mismatch = float(mismatch[worst])
-    drive_scale = float(np.max(np.abs(drive), initial=0.0))
-    drive_scale = drive_scale if drive_scale > 0 else 1.0
-    max_residual = float(np.max(np.abs(residual), initial=0.0)) / drive_scale
+        max_mismatch = float(gaps[worst] / (peak if peak > 0 else 1.0))
+    drive_scale = float(np.max(drives))
+    max_residual = float(np.max(residuals)) / (drive_scale if drive_scale > 0 else 1.0)
+    worst_time = float(times[worst])
 
     consistent = max_mismatch <= tolerance and max_residual <= tolerance
     return ClosedFormCheck(
@@ -296,6 +294,6 @@ def verify_closed_form(
         max_ode_residual_over_drive=max_residual,
         tolerance=tolerance,
         consistent=consistent,
-        worst_time=float(ts[worst]),
-        groups_at_worst_time=closed_form_groups(orbit, kappa, float(ts[worst]), orbit.phase(float(ts[worst]))),
+        worst_time=worst_time,
+        groups_at_worst_time=closed_form_groups(orbit, kappa, worst_time, orbit.phase(worst_time)),
     )

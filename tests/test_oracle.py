@@ -72,6 +72,13 @@ def test_rk4_reports_nonfinite_state():
         integrate_rk4(rhs, (1.0,), 0.0, 10.0, 0.05)
 
 
+def rk4_linear(matrix, forcing, y0, t0, t_end, step):
+    """integrate_rk4_linear's blocks joined into one grid: each block after the first starts at the
+    last point of the one before, which it does not repeat here."""
+    columns = zip(*integrate_rk4_linear(matrix, forcing, y0, t0, t_end, step))
+    return tuple(np.concatenate([blocks[0][:1], *(b[1:] for b in blocks)]) for blocks in columns)
+
+
 def _linear_system(rate, drive=1.0):
     matrix = rate * np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
 
@@ -95,7 +102,7 @@ def test_rk4_linear_blow_up_reported_at_same_time(drive):
         with pytest.raises(IntegrationError) as generic:
             integrate_rk4(rhs, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
         with pytest.raises(IntegrationError) as linear:
-            integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
+            rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
     assert linear.value.t == generic.value.t
 
 
@@ -105,7 +112,7 @@ def test_rk4_linear_blow_up_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
-            integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
+            rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 100.0, 0.5)
 
 
 def test_rk4_linear_overflowing_powers_are_no_blow_up():
@@ -120,7 +127,7 @@ def test_rk4_linear_overflowing_powers_are_no_blow_up():
         return matrix @ y
 
     ts_ref, ref = integrate_rk4(rhs, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5)
-    ts, states = integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5)
+    ts, states = rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, 100.0, 0.5)
     assert np.array_equal(ts, ts_ref)
     assert np.array_equal(states, ref)
     assert not np.any(states)
@@ -149,7 +156,7 @@ def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
         warnings.simplefilter("error")
         if not any(y0):
             ts_ref, ref = integrate_rk4(rhs, y0, 0.0, 200.0, 0.5)
-            ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
+            ts, states = rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
             assert np.array_equal(ts, ts_ref)
             assert np.array_equal(states, ref)
             assert not np.any(states)
@@ -157,7 +164,7 @@ def test_rk4_linear_overflowing_chunk_powers_are_no_blow_up(y0):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as generic:
             integrate_rk4(rhs, y0, 0.0, 200.0, 0.5)
         with pytest.raises(IntegrationError) as linear:
-            integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
+            rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
     assert linear.value.t == generic.value.t
 
 
@@ -176,7 +183,7 @@ def test_rk4_linear_nonfinite_forcing_reported_at_same_time(t_star):
     with pytest.raises(IntegrationError) as generic:
         integrate_rk4(rhs, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01)
     with pytest.raises(IntegrationError) as linear:
-        integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01)
+        rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 12.0, 0.01)
     assert linear.value.t == generic.value.t
 
 
@@ -236,10 +243,10 @@ def test_rk4_linear_matches_generic_rk4(matrix, y0, plan, nan_from):
             ts_ref, ref = integrate_rk4(rhs, y0, 0.0, 1.0, 1.0 / steps)
         except IntegrationError as generic:
             with pytest.raises(IntegrationError) as linear:
-                integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
+                rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
             assert linear.value.t == generic.t
             return
-        ts, states = integrate_rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
+        ts, states = rk4_linear(matrix, forcing, y0, 0.0, 1.0, 1.0 / steps)
     assert np.array_equal(ts, ts_ref)
     peak = np.max(np.abs(ref), axis=0)
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
@@ -263,7 +270,7 @@ def test_rk4_linear_windowed_blow_up_crosses_block_edge():
     with warnings.catch_warnings(), mock.patch.object(oracle, "LINEAR_BLOCK", 200):
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as linear:
-            integrate_rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
+            rk4_linear(matrix, forcing, y0, 0.0, 200.0, 0.5)
     assert linear.value.t == generic.value.t
 
 
@@ -273,11 +280,18 @@ def test_rk4_grid_is_bounded_before_allocation():
     with pytest.raises(ValueError, match=message):
         oracle._time_grid(0.0, 1e13, 1.0)
     with pytest.raises(ValueError, match=message):
-        integrate_rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 1e13, 1.0)
+        rk4_linear(matrix, forcing, (1.0, 0.0, 0.0), 0.0, 1e13, 1.0)
     with pytest.raises(ValueError, match=message):
         integrate_rk4(rhs, (1.0, 0.0, 0.0), 0.0, 1.0, 1e-320)
-    ts, _ = oracle._time_grid(0.0, float(oracle.MAX_STEPS), 1.0)
-    assert ts.size == oracle.MAX_STEPS + 1
+    assert oracle._time_grid(0.0, float(oracle.MAX_STEPS), 1.0) == (oracle.MAX_STEPS, 1.0)
+
+
+def test_rk4_linear_zero_span_yields_its_start_point_alone():
+    matrix, forcing, rhs = _linear_system(1.0)
+    blocks = list(integrate_rk4_linear(matrix, forcing, (1.0, 2.0, 3.0), 0.5, 0.5, 0.1))
+    assert len(blocks) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(blocks[0], integrate_rk4(rhs, (1.0, 2.0, 3.0), 0.5, 0.5, 0.1)))
+    assert blocks[0][1].tolist() == [[1.0, 2.0, 3.0]]
 
 
 @pytest.mark.parametrize(
@@ -293,7 +307,7 @@ def test_rk4_grid_is_bounded_before_allocation():
 def test_rk4_rejects_bad_plan(t0, t_end, step, y0):
     matrix, forcing, rhs = _linear_system(1.0)
     with pytest.raises(ValueError) as linear:
-        integrate_rk4_linear(matrix, forcing, y0, t0, t_end, step)
+        rk4_linear(matrix, forcing, y0, t0, t_end, step)
     if len(y0) == 3:
         with pytest.raises(ValueError) as generic:
             integrate_rk4(rhs, y0, t0, t_end, step)

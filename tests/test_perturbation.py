@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -44,6 +45,13 @@ def entry_inputs(e0=0.0, p0=0.43, sigma=0.622e-6, t1_ns=1.0, kappa=0.081):
 
 def period_of(inputs):
     return 2.0 * math.pi / inputs.omega0
+
+
+def integrated(inputs, kappa, t_end, step):
+    """_integrate_linear's blocks joined into one grid: each block after the first starts at the
+    last point of the one before, which it does not repeat here."""
+    columns = zip(*perturbation._integrate_linear(inputs, kappa, t_end, step))
+    return tuple(np.concatenate([blocks[0][:1], *(b[1:] for b in blocks)]) for blocks in columns)
 
 
 def test_zero_kappa_gives_zero_correction():
@@ -178,7 +186,7 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
     inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
     t_end, step = 4.0 * period, period / 2048.0
-    ts, states, *_ = perturbation._integrate_linear(inputs, kappa, t_end, step)
+    ts, states, *_ = integrated(inputs, kappa, t_end, step)
     ts_ref, ref = integrate_rk4(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, t_end, step)
     assert np.array_equal(ts, ts_ref)
     peak = np.max(np.abs(ref), axis=0)
@@ -186,17 +194,31 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
 
 
 @pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0, 5.0])
-def test_integrated_drive_is_the_forcing_at_the_grid_points(n_periods):
-    # verify_closed_form reads the drive (past the entry) and the phase (from the entry on) off the
-    # forcing the step map evaluates; a one-block span returns the forcing's own views, and only more
-    # blocks are joined
+def test_integrated_drive_is_the_forcing_at_the_grid_points(monkeypatch, n_periods):
+    # verify_closed_form reads each block's drive and phase (from the block's start on) off the forcing
+    # the step map evaluates for that block: a view of the drive it computed, not a copy
     inputs = entry_inputs(e0=25e6)
     period = period_of(inputs)
-    ts, _, drive, *phase = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
-    assert np.array_equal(drive, perturbation._gradient_forcing(inputs, 0.081, ts[1:], inputs.phase(ts[1:]))[1])
-    assert np.array_equal(phase, inputs.phase(ts))
-    one_block = 1 <= ts.size - 1 <= LINEAR_BLOCK
-    assert [a.base is not None for a in (drive, *phase)] == [one_block] * 3
+    gradient_forcing = perturbation._gradient_forcing
+    seen = []
+    monkeypatch.setattr(perturbation, "_gradient_forcing", lambda *args: seen.append(gradient_forcing(*args)) or seen[-1])
+    blocks = list(perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0))
+    assert len(blocks) == len(seen) == max(1, math.ceil(n_periods * 2048 / LINEAR_BLOCK))
+    for (ts, _, drive, *phase), (_, forced) in zip(blocks, seen):
+        assert drive.base is forced
+        assert np.array_equal(drive, gradient_forcing(inputs, 0.081, ts, inputs.phase(ts))[1])
+        assert np.array_equal(phase, inputs.phase(ts))
+
+
+@pytest.mark.parametrize("n_periods", [5.0, 50.0])
+def test_each_block_starts_where_the_one_before_ends(n_periods):
+    inputs = entry_inputs(e0=25e6)
+    period = period_of(inputs)
+    blocks = list(perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0))
+    assert len(blocks) == math.ceil(n_periods * 2048 / LINEAR_BLOCK)
+    for (ts, states, *_), (ts_next, states_next, *_) in zip(blocks, blocks[1:]):
+        assert ts_next[:1].tobytes() == ts[-1:].tobytes()
+        assert states_next[0].tobytes() == states[-1].tobytes()
 
 
 @pytest.mark.parametrize("n_periods", [0.3, 4.0, 5.0, 50.0])
@@ -211,7 +233,7 @@ def test_forcing_phase_is_one_cos_sin_per_grid_point(monkeypatch, n_periods):
         # a copy: the forcing's phase rows are overwritten once the forcing is built
         perturbation, "_gradient_forcing", lambda *args: seen.append((args[2], np.array(args[3]))) or gradient_forcing(*args)
     )
-    ts, *_ = perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0)
+    ts, *_ = integrated(inputs, 0.081, n_periods * period, period / 2048.0)
     assert len(seen) == math.ceil((ts.size - 1) / LINEAR_BLOCK)
     bound = 4 * np.finfo(float).eps * max(1.0, 2.0 * math.pi * n_periods)
     for t, (cos, sin) in seen:
@@ -225,16 +247,18 @@ def test_forcing_phase_is_one_cos_sin_per_grid_point(monkeypatch, n_periods):
     [(0.0, 0.081, 4.0), (0.0, -0.081, 4.0), (25e6, 0.081, 4.0), (25e6, -0.081, 4.0), (25e6, 0.081, 5.0)],
 )
 def test_closed_form_reads_the_phase_of_the_forcing_bit_for_bit(monkeypatch, e0, kappa, n_periods):
-    # verify_closed_form evaluates the closed form at the grid points only, with cos
+    # verify_closed_form evaluates the closed form once per block, at its grid points only, with cos
     # and sin off the forcing's even half-steps; 5 periods span two blocks of the step map
     inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
-    ts, *_ = perturbation._integrate_linear(inputs, kappa, n_periods * period, period / 2048.0)
+    blocks = list(perturbation._integrate_linear(inputs, kappa, n_periods * period, period / 2048.0))
     closed_form = perturbation._closed_form
     seen = []
     monkeypatch.setattr(perturbation, "_closed_form", lambda *args: seen.append(closed_form(*args)) or seen[-1])
     verify_closed_form(inputs, kappa, n_periods=n_periods)
-    assert len(seen) == 1 and np.array_equal(seen[0], closed_form(inputs, kappa, ts, inputs.phase(ts)))
+    assert len(seen) == len(blocks) == math.ceil(n_periods * 2048 / LINEAR_BLOCK)
+    for (ts, *_), closed in zip(blocks, seen):
+        assert np.array_equal(closed, closed_form(inputs, kappa, ts, inputs.phase(ts)))
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, math.nan])
@@ -260,8 +284,14 @@ def test_closed_form_check_flags_a_wrong_group(monkeypatch, factor):
 def test_quadrature_rejects_coarse_step():
     inputs = entry_inputs()
     period = period_of(inputs)
-    with pytest.raises(ValueError):
-        correction_by_quadrature(inputs, 0.081, period, period / 50)
+    for step in (period / 50, math.inf):
+        with pytest.raises(ValueError) as coarse:
+            correction_by_quadrature(inputs, 0.081, period, step)
+        assert str(coarse.value) == f"step must be at most {period / 200}, got {step}"
+    for step in (math.nan, 0.0, -period / 512):
+        with pytest.raises(ValueError) as bad:
+            correction_by_quadrature(inputs, 0.081, period, step)
+        assert str(bad.value) == "step must be positive"
 
 
 def test_correction_state_carries_assumptions():
@@ -428,7 +458,7 @@ def test_guarded_entry_point_returns_finite_values_or_names_its_argument(case):
 
 
 def nan_group_from(fraction):
-    """closed_form_groups with its third group NaN past fraction of a one-period grid."""
+    """closed_form_groups with its third group NaN from fraction periods past the entry on."""
     groups = perturbation.closed_form_groups
 
     def third_group_nan(inputs, kappa, dt, phase):
@@ -439,30 +469,33 @@ def nan_group_from(fraction):
     return third_group_nan
 
 
+@pytest.mark.parametrize("n_periods", [1.0, 5.0])  # one block and two
 @pytest.mark.parametrize(
     "e0, kappa, nan_from",
-    [(0.0, 0.081, None), (25e6, -0.081, None), (25e6, 0.081, 0.0), (25e6, 0.081, 0.37)],
+    [(0.0, 0.081, None), (25e6, -0.081, None), (25e6, 0.081, 0.0), (25e6, 0.081, 0.37), (25e6, 0.081, 0.99)],
 )
-def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_from):
+def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_from, n_periods):
     inputs = entry_inputs(e0=e0)
     if nan_from is not None:
-        monkeypatch.setattr(perturbation, "closed_form_groups", nan_group_from(nan_from))
-    check = verify_closed_form(inputs, kappa, n_periods=1.0)
+        monkeypatch.setattr(perturbation, "closed_form_groups", nan_group_from(nan_from * n_periods))
+    check = verify_closed_form(inputs, kappa, n_periods=n_periods)
     period = period_of(inputs)
-    ts, states, *_ = perturbation._integrate_linear(inputs, kappa, period, period / 2048.0)
+    ts, states, forced, *phase = integrated(inputs, kappa, n_periods * period, period / 2048.0)
     r1 = states[:, 1]
-    mismatch = np.max(np.abs(perturbation._closed_form(inputs, kappa, ts, inputs.phase(ts)) - r1)) / np.max(np.abs(r1))
-    assert np.array_equal(check.max_mismatch_over_peak, mismatch, equal_nan=True)
+    gap = np.abs(perturbation._closed_form(inputs, kappa, ts, inputs.phase(ts)) - r1)
+    assert np.array_equal(check.max_mismatch_over_peak, np.max(gap) / np.max(np.abs(r1)), equal_nan=True)
+    assert check.worst_time == ts[np.argmax(gap)]
+    drive = forced[1:] + 2.0 * states[1:, 0]
+    residual = perturbation._oscillator_operator(inputs, kappa, ts[1:], inputs.phase(ts[1:])) - drive
+    assert check.max_ode_residual_over_drive == np.max(np.abs(residual)) / np.max(np.abs(drive))
     assert check.consistent == (nan_from is None)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator hint is a glibc mallopt")
 def test_verify_closed_form_does_not_fault_the_heap_in_again():
     # a fresh interpreter: the package's import keeps 2 MiB of freed heap top, so
-    # each 4-period call's 16,385-point temporaries land on pages the last call
-    # mapped (hundreds of faults a call without it); at 50 periods the arrays
-    # outgrow the pad, and the pinned mmap threshold keeps them off a fresh mmap
-    # each call (about 2,000 faults a call either way, 5,000 with the pad alone)
+    # each call's 16,385-point temporaries of one block land on pages the last
+    # block or call mapped (hundreds of faults a call without it), whatever the span
     script = textwrap.dedent(
         """
         import resource, sys
@@ -470,7 +503,7 @@ def test_verify_closed_form_does_not_fault_the_heap_in_again():
         from test_perturbation import entry_inputs
         from vortexlens.perturbation import verify_closed_form
         inputs = entry_inputs()
-        for n_periods, calls in ((4.0, 20), (50.0, 10)):
+        for n_periods, calls in ((4.0, 20), (50.0, 10), (400.0, 3)):
             for _ in range(2):
                 verify_closed_form(inputs, 0.081, n_periods)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -483,6 +516,24 @@ def test_verify_closed_form_does_not_fault_the_heap_in_again():
     run = subprocess.run(
         [sys.executable, "-c", script, str(Path(__file__).parent)], env=env, capture_output=True, text=True, check=True
     )
-    short, long = map(float, run.stdout.split())
+    short, long, longest = map(float, run.stdout.split())
     assert short < 32
-    assert long < 3200
+    assert long < 320
+    assert longest < 320
+
+
+def test_verify_closed_form_memory_does_not_grow_with_the_span():
+    # one block at a time: a call holds the arrays of a block or two, whatever its span
+    inputs = entry_inputs()
+
+    def traced_peak(n_periods):
+        tracemalloc.start()
+        try:
+            verify_closed_form(inputs, 0.081, n_periods)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long, longest = map(traced_peak, (4.0, 50.0, 488.0))
+    assert longest <= 1.1 * long
+    assert longest <= 2.0 * short
