@@ -80,18 +80,18 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    particle: Particle
-    packet: LGPacket
-    p0_ev: float
-    elements: tuple[Drift | LensConfig, ...]
+    line: Beamline  # its launch state is validated, and every walk of this scenario starts from it
     lens_n_primes: tuple[int, ...]
     sample_dt_ns: float
     csv_path: str | None
     raw: dict
-    launch: MomentState  # the validated launch state, which every walk of this scenario starts from
 
     def beamline(self) -> Beamline:
-        return Beamline(self.elements, self.particle, self.packet, self.p0_ev, self.launch)
+        return self.line
+
+    @property
+    def particle(self) -> Particle:
+        return self.line.particle
 
 
 _KINDS = {float: "a number", int: "an integer", str: "a string", dict: "an object", list: "an array"}
@@ -214,17 +214,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if csv_path is not None:
         csv_path = _need(output_block, "csv_path", str, "output")
 
-    return Scenario(
-        particle=particle,
-        packet=packet,
-        p0_ev=p0_ev,
-        elements=tuple(elements),
-        lens_n_primes=tuple(n_primes),
-        sample_dt_ns=sample_dt_ns,
-        csv_path=csv_path,
-        raw=raw,
-        launch=launch,
-    )
+    line = Beamline(tuple(elements), particle, packet, p0_ev, launch)
+    return Scenario(line, tuple(n_primes), sample_dt_ns, csv_path, raw)
 
 
 def serialize_scenario(raw: dict) -> str:
@@ -245,31 +236,28 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     the other columns go through % per row.
     """
     samples = trajectory.samples
-    rho2_m2 = units.area_from_natural(samples.rho_sq)
-    corr = samples.rho_sq_corr1
+    table = np.empty((len(CSV_COLUMNS) - 1, len(samples)))  # one row per numeric column, filled in place
     with np.errstate(over="ignore"):  # a finite sample can overflow in laboratory units
-        columns = (
-            units.time_from_natural(samples.t) * 1e9,
-            samples.element_index,
-            units.length_from_natural(samples.z) * 1e6,
-            samples.p_z,
-            rho2_m2 * 1e12,
-            np.sqrt(rho2_m2) * 1e6,
-            units.area_from_natural(samples.drho_sq_dt) / units.HBAR_EV_S * 1e12 * 1e-9,
-            samples.u_perp_sq,
-            units.area_from_natural(corr) * 1e12,
-        )
-    for name, column in zip(CSV_COLUMNS, columns):
-        if np.isinf(column).any():
-            raise ScenarioError(f"CSV column {name}: a value overflows the float range")
+        table[0] = units.time_from_natural(samples.t) * 1e9
+        table[1] = samples.element_index
+        table[2] = units.length_from_natural(samples.z) * 1e6
+        table[3] = samples.p_z
+        table[5] = units.area_from_natural(samples.rho_sq)  # <rho^2> in m^2, until its root replaces it
+        table[4] = table[5] * 1e12
+        table[5] = np.sqrt(table[5]) * 1e6
+        table[6] = units.area_from_natural(samples.drho_sq_dt) / units.HBAR_EV_S * 1e12 * 1e-9
+        table[7] = samples.u_perp_sq
+        table[8] = units.area_from_natural(samples.rho_sq_corr1) * 1e12
+    overflows = np.isinf(table).any(axis=1)
+    if overflows.any():
+        raise ScenarioError(f"CSV column {CSV_COLUMNS[overflows.argmax()]}: a value overflows the float range")
     rows = [",".join(CSV_COLUMNS)]
     if not len(samples):
         return rows
-    kinds = samples.flag_bits + 8 * np.isnan(corr)  # + 8: the correction is absent
+    kinds = samples.flag_bits + 8 * np.isnan(samples.rho_sq_corr1)  # + 8: the correction is absent
     starts = np.flatnonzero(np.diff(samples.element_index) | np.diff(kinds)) + 1
     bounds = [0, *starts.tolist(), len(samples)]
     starts = np.insert(starts, 0, 0)
-    table = np.stack(columns)
     bits = table.view(np.int64)
     varies = (np.minimum.reduceat(bits, starts, axis=1) != np.maximum.reduceat(bits, starts, axis=1)).T
     kinds = kinds[starts]
@@ -280,7 +268,7 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
         if kind >= 8:
             fields[8] = ""
         row_format = ",".join(fields) + "," + FLAG_TEXTS[kind & 7]
-        lists = [column[start:stop].tolist() for v, column in zip(vary, columns) if v]
+        lists = [column[start:stop].tolist() for v, column in zip(vary, table) if v]
         values = zip(*lists) if lists else [()] * (stop - start)
         rows += [row_format % row for row in values]
     return rows
@@ -311,7 +299,7 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool, source
             exit_code = EXIT_RELATIVISTIC
     if exit_code == EXIT_OK and not trajectory.completed:
         exit_code = EXIT_OVERFOCUS
-    text = "\n".join(trajectory_rows(trajectory)) + "\n"
+    text = "\n".join([*trajectory_rows(trajectory), ""])  # the last row ends in a newline too
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -325,7 +313,7 @@ def cmd_check(scenario: Scenario) -> int:
     lens_legs = [leg for leg in walk(scenario.beamline()) if leg.orbit is not None]
     for leg, n_prime in zip(lens_legs, scenario.lens_n_primes):
         index, lens = leg.index, leg.element
-        report = transport_check(leg.orbit, n=scenario.packet.n, n_prime=n_prime)
+        report = transport_check(leg.orbit, n=scenario.line.packet.n, n_prime=n_prime)
         ok = report.matched and report.transportable
         all_ok = all_ok and ok
         lines.append(f"lens[{index}].H0_gauss: {lens.h0_gauss:.12g}")
@@ -354,7 +342,7 @@ def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
     if mode == "matching-field":
         n_prime = scenario.lens_n_primes[0] if scenario.lens_n_primes else 0
         try:
-            field = solve_matching(scenario.packet, n_prime, scenario.particle)
+            field = solve_matching(scenario.line.packet, n_prime, scenario.particle)
         except NoCaptureFieldError as exc:
             sys.stderr.write(f"design: {exc}\n")
             return EXIT_DESIGN
@@ -431,17 +419,18 @@ def _sweep_values(spec_range: str, steps: int) -> np.ndarray:
 def _swept_beamline(scenario: Scenario, param: str, value) -> Beamline:
     """The scenario's beamline with the swept field set to value, a grid point or the whole
     grid as an array; n_prime leaves it as it is, and only sigma_r_um builds a new launch state."""
-    elements, packet, launch = list(scenario.elements), scenario.packet, scenario.launch
+    line, elements = scenario.line, list(scenario.line.elements)
+    if param == "sigma_r_um":
+        packet = LGPacket(line.packet.n, line.packet.l, value * 1e-6, line.packet.focus_time_s)
+        return dc_replace(line, packet=packet, launch=None)
     if param == "H0_gauss":
         lens_index = next(i for i, e in enumerate(elements) if isinstance(e, LensConfig))
         with warnings.catch_warnings():  # its kappa warned once, at load
             warnings.simplefilter("ignore", InhomogeneityWarning)
             elements[lens_index] = dc_replace(elements[lens_index], h0_gauss=value)
-    elif param == "sigma_r_um":
-        packet, launch = LGPacket(packet.n, packet.l, value * 1e-6, packet.focus_time_s), None
     elif param == "t1_ns":
         elements[0] = Drift(duration_s=value * 1e-9)
-    return Beamline(tuple(elements), scenario.particle, packet, scenario.p0_ev, launch)
+    return dc_replace(line, elements=tuple(elements))
 
 
 def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> int:
@@ -450,7 +439,7 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
     values = _sweep_values(spec_range, steps)
     if not scenario.lens_n_primes:
         raise ScenarioError("beamline: sweep needs at least one lens")
-    if param == "t1_ns" and not isinstance(scenario.elements[0], Drift):
+    if param == "t1_ns" and not isinstance(scenario.line.elements[0], Drift):
         raise ScenarioError("beamline[0]: t1_ns sweep needs a leading drift")
     if param == "n_prime":  # it labels the target level; the transport verdict does not read it
         bad = values[~(np.isfinite(values) & (values == np.floor(values)) & (values >= 0) & (values <= 2.0**1000))]
@@ -463,7 +452,7 @@ def cmd_sweep(scenario: Scenario, param: str, spec_range: str, steps: int) -> in
         # only drifts precede the first lens, and no drift ends the walk
         legs = list(walk(_swept_beamline(scenario, param, value)))
         orbit = next(leg.orbit for leg in legs if leg.orbit is not None)
-        return transport_check(orbit, n=scenario.packet.n, n_prime=scenario.lens_n_primes[0])
+        return transport_check(orbit, n=scenario.line.packet.n, n_prime=scenario.lens_n_primes[0])
 
     # one walk carries the grid as an array; a point that overflows fails its
     # validation, so numpy's warnings are noise here
@@ -569,8 +558,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.sample_dt_ns is not None:
             scenario = dc_replace(scenario, sample_dt_ns=_sample_dt(args.sample_dt_ns, "--sample-dt-ns"))
         if args.command == "propagate":
-            source = "-o" if args.output else "output.csv_path"
-            return cmd_propagate(scenario, args.output or scenario.csv_path, args.strict, source)
+            # -o "" is a path given, which cannot be written
+            out_path, source = (scenario.csv_path, "output.csv_path") if args.output is None else (args.output, "-o")
+            return cmd_propagate(scenario, out_path, args.strict, source)
         if args.command == "check":
             return cmd_check(scenario)
         if args.command == "design":

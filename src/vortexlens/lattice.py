@@ -191,16 +191,18 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
     an over-focus crossing and the end of the line get exact samples, which
     replace a grid point within rounding of them; the crossing ends the
     trajectory.  Gradient lenses carry the first-order radius
-    correction.  Over MAX_SAMPLES raises before any sample is built.
+    correction.  Over MAX_SAMPLES raises before any sample is built; the
+    samples fill one array of that bound, whose filled prefix is returned.
     """
     units.require("sample_dt_s", sample_dt_s)
     count = beamline.duration_s / sample_dt_s + 3 * len(beamline.elements)  # grid, focal, end
     if not count <= MAX_SAMPLES:
         raise BeamlineConfigError(f"up to {count:.3g} samples, over MAX_SAMPLES = {MAX_SAMPLES}")
+    samples = np.zeros(math.ceil(count), SAMPLE_DTYPE)
+    filled = 0
     mass = beamline.particle.mass_ev
     dt_sample = units.time_to_natural(sample_dt_s)
     bound = RELATIVISTIC_VELOCITY_BOUND
-    blocks: list[np.ndarray] = []
     events: list[TrajectoryEvent] = []
     relativistic_seen = False
     for leg in walk(beamline):
@@ -220,7 +222,8 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             k = round(x / dt_sample)
             keep[k] &= abs(k * dt_sample - x) > GRID_ROUNDING * (entry.t + x)
         offsets = np.unique(np.append(grid[keep], extra))
-        block = np.zeros(offsets.size, SAMPLE_DTYPE)
+        block = samples[filled:filled + offsets.size]
+        filled += offsets.size
         block["rho_sq_corr1"] = np.nan
         if not math.isnan(leg.focal):
             events.append(TrajectoryEvent(entry.t + leg.focal, EVENT_FOCAL, index))
@@ -245,11 +248,7 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             block[name] = getattr(state, name)
         block["element_index"] = index
         block["flag_bits"][block["p_z"] / mass > bound] |= FLAG_RELATIVISTIC
-        blocks.append(block)
-    # joined as bytes: np.concatenate promotes a structured dtype field by field in Python
-    joined = np.concatenate([block.view(np.uint8) for block in blocks])
-    samples = joined.view(dtype=SAMPLE_DTYPE, type=np.recarray)
-    return Trajectory(samples, tuple(events), completed=not crossed)
+    return Trajectory(samples[:filled].view(np.recarray), tuple(events), completed=not crossed)
 
 
 def state_at(beamline: Beamline, t: float) -> MomentState:

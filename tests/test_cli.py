@@ -392,7 +392,7 @@ def test_the_kappa_pair_loads_when_equal_and_in_range(tmp_path, kappa_m, kappa_e
         elif kappa_m != kappa_e:
             message = f"beamline[1]: kappa is only defined for kappa_m == kappa_e (got {kappa_m} and {kappa_e})"
         else:
-            assert load_scenario(path).elements[1].kappa == kappa_m
+            assert load_scenario(path).line.elements[1].kappa == kappa_m
             # the lens that loads warns once past the soft limit
             assert [w.category for w in caught] == [InhomogeneityWarning] * (abs(kappa_m) > 0.1)
             return
@@ -688,6 +688,20 @@ def test_unwritable_output_path_is_schema_error(tmp_path, capsys, command, sourc
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {source}: cannot write: ")
+
+
+@pytest.mark.parametrize("csv_path", [None, "scenario.csv"])
+def test_empty_output_path_is_a_path_that_cannot_be_written(tmp_path, capsys, csv_path):
+    # -o "" is given, so neither stdout nor the scenario's own csv_path takes the CSV
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    if csv_path is not None:
+        data["output"]["csv_path"] = str(tmp_path / csv_path)
+    path = write_scenario(tmp_path, data)
+    assert main(["propagate", path, "-o", ""]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: -o: cannot write: [Errno 2] No such file or directory: ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_design_capture_no_focus(tmp_path, capsys):
@@ -1180,7 +1194,7 @@ def per_point_sweep_error(path, param, spec_range, steps):
             with np.errstate(all="ignore"):
                 legs = list(walk(cli._swept_beamline(scenario, param, np.array([value]))))
                 orbit = next(leg.orbit for leg in legs if leg.orbit is not None)
-                transport_check(orbit, n=scenario.packet.n, n_prime=scenario.lens_n_primes[0])
+                transport_check(orbit, n=scenario.line.packet.n, n_prime=scenario.lens_n_primes[0])
         except lattice.BeamlineConfigError as exc:
             return f"error: {exc}\n"
         except ValueError as exc:
@@ -1297,7 +1311,7 @@ def row_per_point_n_prime_sweep(name, spec_range, steps):
     values = cli._sweep_values(spec_range, steps)
     with np.errstate(all="ignore"):
         orbit = next(leg.orbit for leg in walk(scenario.beamline()) if leg.orbit is not None)
-        report = transport_check(orbit, n=scenario.packet.n, n_prime=scenario.lens_n_primes[0])
+        report = transport_check(orbit, n=scenario.line.packet.n, n_prime=scenario.lens_n_primes[0])
     transportable = np.broadcast_to(report.transportable, len(values)).tolist()
     rho2_min = np.broadcast_to(units.area_from_natural(report.rho_sq_min) * 1e12, len(values)).tolist()
     rows = ["n_prime,transportable,rho2_min_um2"] + [

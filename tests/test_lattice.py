@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
 from vortexlens import units
 from vortexlens.cli import CSV_COLUMNS, EXIT_RELATIVISTIC, load_scenario, main, trajectory_rows
@@ -866,3 +867,31 @@ def test_a_walk_from_the_carried_launch_state_is_the_walk_that_builds_it(case):
     built = Beamline(elements, ELECTRON, packet, p0_ev)
     assert carried.launch is launch and built.launch is not launch
     assert walk_bits(carried) == walk_bits(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(launched_lines(), st.one_of(st.integers(1, 3000), st.floats(0.5, 3000.0)))
+@example(((Drift(2.5e-9), matched_lens(MATCHED_FIELD_0574, 20e-9)), packet_0574(), 0.43), 450)  # over-focuses
+def test_run_fills_no_more_samples_than_its_guard_allows(case, steps):
+    # run allocates its samples once, at this bound; an integer steps puts grid points on the line's end
+    elements, packet, p0_ev = case
+    line = Beamline(elements, ELECTRON, packet, p0_ev)
+    dt = line.duration_s / steps
+    try:
+        samples = run(line, dt).samples
+    except BeamlineConfigError:  # a lens may leave a drift after it to fall to zero radius
+        reject()
+    assert len(samples) <= math.ceil(line.duration_s / dt + 3 * len(line.elements))
+
+
+def test_run_holds_about_twice_its_samples():
+    # the one sample array, and one leg's offsets and states while they are evaluated
+    line = load_scenario(SCENARIOS / "capture_transport.json").beamline()
+    tracemalloc.start()
+    try:
+        samples = run(line, line.duration_s / 100_000).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) > 100_000
+    assert peak <= 2.3 * samples.nbytes
