@@ -20,6 +20,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, replace as dc_replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -307,92 +308,87 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool, source
     return exit_code
 
 
+def _report_text(value) -> str:
+    """A report value as printed: a float (numpy's too) in .12g, a Fraction as n/d,
+    a bool (numpy's too) as true or false, anything else as given."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
+
+
+def _write_report(record: dict) -> None:
+    """Print a command's record, one "key: value" line per entry, in order."""
+    sys.stdout.write("".join(f"{key}: {_report_text(value)}\n" for key, value in record.items()))
+
+
 def cmd_check(scenario: Scenario) -> int:
-    lines: list[str] = []
+    record: dict = {}
     all_ok = True
     lens_legs = [leg for leg in walk(scenario.beamline()) if leg.orbit is not None]
     for leg, n_prime in zip(lens_legs, scenario.lens_n_primes):
-        index, lens = leg.index, leg.element
         report = transport_check(leg.orbit, n=scenario.line.packet.n, n_prime=n_prime)
-        ok = report.matched and report.transportable
-        all_ok = all_ok and ok
-        lines.append(f"lens[{index}].H0_gauss: {lens.h0_gauss:.12g}")
-        lines.append(
-            f"lens[{index}].matching_ratio_required: "
-            f"{report.matching_ratio_required.numerator}/{report.matching_ratio_required.denominator}"
-        )
-        lines.append(f"lens[{index}].matching_ratio_actual: {report.matching_ratio_actual:.12g}")
-        lines.append(f"lens[{index}].matched: {str(report.matched).lower()}")
-        lines.append(f"lens[{index}].transportable: {str(report.transportable).lower()}")
-        lines.append(
-            f"lens[{index}].rho2_st_um2: {units.area_from_natural(leg.orbit.center) * 1e12:.12g}"
-        )
-        lines.append(
-            f"lens[{index}].rho2_min_um2: {units.area_from_natural(report.rho_sq_min) * 1e12:.12g}"
-        )
+        all_ok = all_ok and report.matched and report.transportable
+        key = f"lens[{leg.index}]."
+        record[key + "H0_gauss"] = leg.element.h0_gauss
+        record[key + "matching_ratio_required"] = report.matching_ratio_required
+        record[key + "matching_ratio_actual"] = report.matching_ratio_actual
+        record[key + "matched"] = report.matched
+        record[key + "transportable"] = report.transportable
+        record[key + "rho2_st_um2"] = units.area_from_natural(leg.orbit.center) * 1e12
+        record[key + "rho2_min_um2"] = units.area_from_natural(report.rho_sq_min) * 1e12
     if not lens_legs:
-        lines.append("lenses: none")
-    lines.append(f"all_pass: {str(all_ok).lower()}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        record["lenses"] = "none"
+    record["all_pass"] = all_ok
+    _write_report(record)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def cmd_design(scenario: Scenario, mode: str, emit_path: str | None) -> int:
-    lines: list[str] = []
-    if mode == "matching-field":
-        n_prime = scenario.lens_n_primes[0] if scenario.lens_n_primes else 0
-        try:
-            field = solve_matching(scenario.line.packet, n_prime, scenario.particle)
-        except NoCaptureFieldError as exc:
-            sys.stderr.write(f"design: {exc}\n")
-            return EXIT_DESIGN
-        lines.append("mode: matching-field")
-        lines.append(f"n_prime: {n_prime}")
-        lines.append(f"H0_gauss: {field:.12g}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        return EXIT_OK
-
-    # capture mode: find the first focal point in a drift, solve the field
-    focal = [leg for leg in walk(scenario.beamline()) if not np.isnan(leg.focal)]
-    if not focal:
-        sys.stderr.write("design: no focal point found in any drift\n")
-        return EXIT_DESIGN
-    # the launch instant can itself be a waist; prefer a downstream one
-    leg = next((g for g in focal if g.entry.t + g.focal > 0.0), focal[0])
-    t_focal = leg.entry.t + leg.focal
-    state = leg.evaluate(leg.focal)
-    try:
-        lens = design_direct_capture(state, scenario.particle)
+    line = scenario.line
+    # capture mode designs at the first focal point in a drift; the whole walk runs
+    # before the design, so that a walk error exits 1 through main
+    focal = [leg for leg in walk(line) if not np.isnan(leg.focal)] if mode == "capture" else []
+    try:  # the one design failure handler: nothing in here walks or writes
+        if mode == "matching-field":
+            n_prime = scenario.lens_n_primes[0] if scenario.lens_n_primes else 0
+            field = solve_matching(line.packet, n_prime, line.particle)
+            record = {"mode": mode, "n_prime": n_prime, "H0_gauss": field}
+        elif not focal:
+            raise NoCaptureFieldError("no focal point found in any drift")
+        else:
+            # the launch instant can itself be a waist; prefer a downstream one
+            leg = next((g for g in focal if g.entry.t + g.focal > 0.0), focal[0])
+            state = leg.evaluate(leg.focal)
+            lens = design_direct_capture(state, line.particle)  # ValueError: the state is off its waist
+            record = {
+                "mode": mode,
+                "focal_time_ns": units.time_from_natural(leg.entry.t + leg.focal) * 1e9,
+                "H0_gauss": lens.h0_gauss,
+                "rho2_at_focus_um2": units.area_from_natural(state.rho_sq) * 1e12,
+            }
     except (NoCaptureFieldError, ValueError) as exc:
         sys.stderr.write(f"design: {exc}\n")
         return EXIT_DESIGN
-    t_focal_ns = units.time_from_natural(t_focal) * 1e9
-    lines.append("mode: capture")
-    lines.append(f"focal_time_ns: {t_focal_ns:.12g}")
-    lines.append(f"H0_gauss: {lens.h0_gauss:.12g}")
-    lines.append(f"rho2_at_focus_um2: {units.area_from_natural(state.rho_sq) * 1e12:.12g}")
-    if emit_path is not None:
+    if mode == "capture" and emit_path is not None:
         # trim the beamline at the focal point so the designed lens starts
         # exactly at the waist, then append it; a waist at the leg's entry
         # (the launch instant, say) needs no drift before the lens
         raw = json.loads(json.dumps(scenario.raw))
-        entry_ns = sum(e["duration_ns"] for e in raw["beamline"][:leg.index])
-        trimmed = raw["beamline"][:leg.index]
-        if t_focal_ns > entry_ns:
-            trimmed.append({"type": "drift", "duration_ns": t_focal_ns - entry_ns})
+        trimmed = raw["beamline"] = raw["beamline"][:leg.index]
+        entry_ns = sum(e["duration_ns"] for e in trimmed)
+        if record["focal_time_ns"] > entry_ns:
+            trimmed.append({"type": "drift", "duration_ns": record["focal_time_ns"] - entry_ns})
         trimmed.append(
-            {
-                "type": "lens",
-                "H0_gauss": lens.h0_gauss,
-                "duration_ns": lens.duration_s * 1e9,
-                "length_m": lens.length_m,
-                "E0_V_per_m": lens.e0_v_per_m,
-            }
+            {"type": "lens", "H0_gauss": lens.h0_gauss, "duration_ns": lens.duration_s * 1e9,
+             "length_m": lens.length_m, "E0_V_per_m": lens.e0_v_per_m}
         )
-        raw["beamline"] = trimmed
         _write_text(emit_path, serialize_scenario(raw), "--emit-scenario")
-        lines.append(f"scenario_written: {emit_path}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        record["scenario_written"] = emit_path
+    _write_report(record)
     return EXIT_OK
 
 

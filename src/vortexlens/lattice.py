@@ -248,7 +248,9 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             block[name] = getattr(state, name)
         block["element_index"] = index
         block["flag_bits"][block["p_z"] / mass > bound] |= FLAG_RELATIVISTIC
-    return Trajectory(samples[:filled].view(np.recarray), tuple(events), completed=not crossed)
+    # under half filled (an early crossing), a copy frees more than it costs; a shrink in place splits the heap
+    kept = samples[:filled] if 2 * filled >= len(samples) else samples[:filled].copy()
+    return Trajectory(kept.view(np.recarray), tuple(events), completed=not crossed)
 
 
 def state_at(beamline: Beamline, t: float) -> MomentState:

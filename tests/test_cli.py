@@ -5,6 +5,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace as dc_replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -704,14 +705,88 @@ def test_empty_output_path_is_a_path_that_cannot_be_written(tmp_path, capsys, cs
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
-def test_design_capture_no_focus(tmp_path, capsys):
-    data = scenario_dict(
-        packet={"n": 0, "l": -4, "sigma_r_um": 0.622, "focus_time_ns": -1.0},
-        beamline=[{"type": "drift", "duration_ns": 2.0}],
-    )
+def off_waist_design(state, particle):
+    # the focal state moved off its waist, which design_direct_capture refuses with a ValueError
+    return lattice.design_direct_capture(dc_replace(state, drho_sq_dt=state.rho_sq), particle)
+
+
+@pytest.mark.parametrize(
+    "data, design, message",
+    [
+        (
+            scenario_dict(
+                packet={"n": 0, "l": -4, "sigma_r_um": 0.622, "focus_time_ns": -1.0},
+                beamline=[{"type": "drift", "duration_ns": 2.0}],
+            ),
+            None,
+            "design: no focal point found in any drift\n",
+        ),
+        (scenario_dict(), off_waist_design, "design: state is not at a focal point: d<rho^2>/dt = "),
+    ],
+    ids=["no-focal-point", "off-waist"],
+)
+def test_capture_design_failure_is_one_design_line(tmp_path, capsys, monkeypatch, data, design, message):
+    if design is not None:
+        monkeypatch.setattr(cli, "design_direct_capture", design)
+    emitted = tmp_path / "designed.json"
     path = write_scenario(tmp_path, data)
-    assert main(["design", path, "--mode", "capture"]) == EXIT_DESIGN
-    assert "no focal point" in capsys.readouterr().err
+    assert main(["design", path, "--mode", "capture", "--emit-scenario", str(emitted)]) == EXIT_DESIGN
+    captured = capsys.readouterr()
+    assert captured.out == "" and not emitted.exists()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_capture_design_walks_the_whole_line_first(capsys, monkeypatch):
+    # a walk error past the focal point exits 1 with its error line: it is not a design failure
+    def walk_then_fail(line):
+        yield from walk(line)
+        raise lattice.BeamlineConfigError("beamline[9]: no exit state")
+
+    monkeypatch.setattr(cli, "walk", walk_then_fail)
+    assert main(["design", str(SCENARIOS / "capture_transport.json"), "--mode", "capture"]) == EXIT_SCHEMA
+    assert capsys.readouterr() == ("", "error: beamline[9]: no exit state\n")
+
+
+def test_design_capture_prefers_a_waist_past_the_launch(tmp_path, capsys):
+    # two_lens_recapture.json launches at a waist; cut to 1 ns, the drift after its
+    # over-focusing first lens holds the next waist, and that one is designed
+    data = json.loads((SCENARIOS / "two_lens_recapture.json").read_text(encoding="utf-8"))
+    data["beamline"][2]["duration_ns"] = 1.0
+    assert main(["design", write_scenario(tmp_path, data), "--mode", "capture"]) == EXIT_OK
+    assert "\nfocal_time_ns: 2.8325352174\n" in capsys.readouterr().out
+
+
+def test_emitted_scenario_path_is_printed_as_given(tmp_path, capsys):
+    emitted = tmp_path / "Designed Lens.JSON"
+    assert main(["design", str(SCENARIOS / "capture_transport.json"), "--mode", "capture",
+                 "--emit-scenario", str(emitted)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"\nscenario_written: {emitted}\n")
+    assert emitted.exists()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (0.1 + 0.2, "0.3"),
+        (np.float64(-1.0) / 3.0, "-0.333333333333"),
+        (Fraction(8, 1), "8/1"),
+        (Fraction(4, 5), "4/5"),
+        (3, "3"),
+        ("Mixed/Case.JSON", "Mixed/Case.JSON"),
+    ],
+)
+def test_report_value_rule(value, text):
+    assert cli._report_text(value) == text
+
+
+def test_integer_at_the_float_maximum_loads_and_one_past_it_is_refused(tmp_path):
+    data = scenario_dict(output={"sample_dt_ns": int(sys.float_info.max)})
+    assert load_scenario(write_scenario(tmp_path, data)).sample_dt_ns == sys.float_info.max
+    data["output"]["sample_dt_ns"] += 1
+    with pytest.raises(ScenarioError, match=r"^output\.sample_dt_ns: 309-digit integer is out of the float range$"):
+        load_scenario(write_scenario(tmp_path, data))
 
 
 def test_sweep_t1_boundary(tmp_path, capsys):

@@ -16,6 +16,7 @@ from vortexlens.lattice import (
     FLAG_FOCAL,
     FLAG_OVERFOCUS,
     FLAG_RELATIVISTIC,
+    FOCAL_SLOPE_TOLERANCE,
     SAMPLE_DTYPE,
     STATE_FIELDS,
     Beamline,
@@ -262,6 +263,15 @@ def test_design_direct_capture_requires_waist():
     )
     with pytest.raises(ValueError):
         design_direct_capture(state, ELECTRON)
+
+
+def test_design_direct_capture_accepts_a_slope_at_its_tolerance():
+    waist = MomentState.from_packet(packet_0574(), ELECTRON, 0.43)
+    limit = FOCAL_SLOPE_TOLERANCE * (2.0 * math.sqrt(waist.rho_sq * waist.u_perp_sq))
+    for slope in (limit, -limit):
+        assert design_direct_capture(replace(waist, drho_sq_dt=slope), ELECTRON).h0_gauss > 0.0
+    with pytest.raises(ValueError, match="^state is not at a focal point: "):
+        design_direct_capture(replace(waist, drho_sq_dt=math.nextafter(limit, math.inf)), ELECTRON)
 
 
 def test_drift_leg_focal_is_the_in_range_waist():
@@ -895,3 +905,17 @@ def test_run_holds_about_twice_its_samples():
         tracemalloc.stop()
     assert len(samples) > 100_000
     assert peak <= 2.3 * samples.nbytes
+
+
+def test_run_gives_back_what_an_early_crossing_leaves_unfilled():
+    # overfocus.json crosses about a fifth of the way along, so its samples fill a fifth of the
+    # array that run allocates at its MAX_SAMPLES guard's bound; what run returns holds only them
+    line = load_scenario(SCENARIOS / "overfocus.json").beamline()
+    tracemalloc.start()
+    try:
+        trajectory = run(line, line.duration_s / 990_000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not trajectory.completed and len(trajectory.samples) < 200_000
+    assert held <= 1.2 * trajectory.samples.nbytes

@@ -349,6 +349,20 @@ def test_first_crossing_against_dense_sampling(case, level, periods):
         assert orbit.rho_sq(*orbit.phase(0.0)) <= threshold
 
 
+def test_first_crossing_at_the_dip_bound_is_the_orbit_minimum():
+    # a threshold equal to center - amplitude is reached only at the minimum, which still counts as a crossing
+    entry = propagate_drift(focal_state(0.574e-6), units.time_to_natural(1e-9), ELECTRON)  # past its waist
+    orbit = LensOrbit.from_entry(entry, lens_for(0.574e-6), ELECTRON)
+    threshold = orbit.center - orbit.amplitude
+    assert orbit.rho_sq(*orbit.phase(0.0)) > threshold
+    period = 2.0 * math.pi / orbit.omega0
+    crossing = orbit.first_crossing_dt(threshold, period)
+    assert 0.0 < crossing < period
+    scale = abs(orbit.center) + orbit.amplitude
+    assert abs(orbit.drho_sq(*orbit.phase(crossing))) <= 1e-12 * orbit.omega0 * scale
+    assert abs(orbit.rho_sq(*orbit.phase(crossing)) - threshold) <= 1e-12 * scale
+
+
 def test_validated_requires_every_field_finite():
     state = focal_state(0.622e-6)
     assert state.validated() is state
