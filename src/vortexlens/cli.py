@@ -292,8 +292,7 @@ def cmd_propagate(scenario: Scenario, out_path: str | None, strict: bool, source
     trajectory = run(scenario.beamline(), scenario.sample_dt_ns * 1e-9)
     exit_code = EXIT_OK
     if strict:
-        # never after an over-focus event: a relativistic event is at the launch or inside a lens at
-        # or before its horizon, and that horizon is the over-focus crossing that ends the walk
+        # never after an over-focus event: a relativistic event lies at or before its leg's horizon
         rel = trajectory.events_of(EVENT_RELATIVISTIC)
         if rel:
             trajectory = _truncate_at_event(trajectory, rel[0].t)

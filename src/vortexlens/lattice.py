@@ -106,8 +106,9 @@ class TrajectoryEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples, a record array of SAMPLE_DTYPE (rho_sq_corr1 is NaN
-    outside gradient lenses), plus events; completed is False after truncation."""
+    """Samples, a record array of SAMPLE_DTYPE (rho_sq_corr1 is NaN outside gradient
+    lenses), and events, both in time order: each leg adds its boundary, relativistic,
+    focal point and over-focus events in that order.  completed is False after truncation."""
 
     samples: np.recarray
     events: tuple[TrajectoryEvent, ...]
@@ -210,10 +211,13 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         crossed = not math.isnan(crossing)
         if index > 0:
             events.append(TrajectoryEvent(entry.t, EVENT_BOUNDARY, index))
-        elif entry.p_z / mass > bound:
-            events.append(TrajectoryEvent(entry.t, EVENT_RELATIVISTIC, 0))
-            relativistic_seen = True
         horizon = crossing if crossed else leg.duration
+        # p_z / m passes the bound at the entry, or inside a lens whose field accelerates the packet
+        rising = orbit is not None and orbit.force > 0.0
+        passage = 0.0 if entry.p_z / mass > bound else (bound * mass - entry.p_z) / orbit.force if rising else math.nan
+        if not relativistic_seen and 0.0 <= passage <= horizon:
+            events.append(TrajectoryEvent(entry.t + passage, EVENT_RELATIVISTIC, index))
+            relativistic_seen = True
         end = horizon if crossed or index == len(beamline.elements) - 1 else math.nan
         extra = [x for x in (leg.focal, end) if not math.isnan(x)]
         grid = np.arange(math.ceil(horizon / dt_sample) + 1) * dt_sample
@@ -231,11 +235,6 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
         if crossed:
             events.append(TrajectoryEvent(entry.t + crossing, EVENT_OVERFOCUS, index))
             block["flag_bits"][offsets == crossing] |= FLAG_OVERFOCUS
-        if orbit is not None and not relativistic_seen and orbit.force > 0.0:  # a lens
-            cross_rel = (bound * mass - entry.p_z) / orbit.force
-            if 0.0 <= cross_rel <= horizon:
-                events.append(TrajectoryEvent(entry.t + cross_rel, EVENT_RELATIVISTIC, index))
-                relativistic_seen = True
         try:
             with np.errstate(all="ignore"):  # an offset past the float range fails validation
                 state = leg.evaluate(offsets)

@@ -266,10 +266,7 @@ def mode_velocity_coefficient_quadrature(n: int, l: int) -> float:
         dlag = laguerre_derivative(n, a, y, 1)
         grad = 0.5 * (a - y) * lag + y * dlag
         radial = 4.0 * grad * grad
-        if a > 0:
-            return y ** (a - 1) * (radial + a * a * lag * lag) * np.exp(-y)
-        # a = 0: the centrifugal term vanishes and grad carries a factor y
-        return (radial / y) * np.exp(-y)
+        return y ** (a - 1) * (radial + a * a * lag * lag) * np.exp(-y)
 
     return _laguerre_integral(n, l, integrand) / lg_quadrature(n, a, a, 0)
 

@@ -789,6 +789,13 @@ def test_integer_at_the_float_maximum_loads_and_one_past_it_is_refused(tmp_path)
         load_scenario(write_scenario(tmp_path, data))
 
 
+def test_a_json_integer_field_is_a_float_in_the_report(tmp_path, capsys):
+    data = scenario_dict()
+    data["beamline"][1]["H0_gauss"] = 10**12
+    assert main(["check", write_scenario(tmp_path, data)]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines()[0] == "lens[1].H0_gauss: 1e+12"
+
+
 def test_sweep_t1_boundary(tmp_path, capsys):
     data = json.loads((SCENARIOS / "overfocus.json").read_text())
     path = write_scenario(tmp_path, data)
@@ -942,8 +949,27 @@ ONLY_DRIFTS = [{"type": "drift", "duration_ns": 1.0}]
             "error: beamline[0]: t1_ns sweep needs a leading drift\n",
         ),
         (scenario_dict(beamline=ONLY_DRIFTS), ["check"], EXIT_OK, "lenses: none\nall_pass: true\n", ""),
+        (scenario_dict(beamline=[]), ["check"], EXIT_SCHEMA, "", "error: scenario.beamline: expected a non-empty array\n"),
+        # with no lens to name a target level, the matching field is for n' = 0
+        (
+            scenario_dict(beamline=ONLY_DRIFTS),
+            ["design", "--mode", "matching-field"],
+            EXIT_OK,
+            "mode: matching-field\nn_prime: 0\nH0_gauss: 85.0658022234\n",
+            "",
+        ),
+        (
+            scenario_dict(),
+            ["sweep", "--param", "n_prime", "--range=-2:0", "--steps", "3"],
+            EXIT_SCHEMA,
+            "",
+            "error: sweep point n_prime=-2: n_prime must be a non-negative integer\n",
+        ),
     ],
-    ids=["array", "element", "type", "charge", "range", "steps", "sweep-no-lens", "t1-no-drift", "check-no-lens"],
+    ids=[
+        "array", "element", "type", "charge", "range", "steps", "sweep-no-lens", "t1-no-drift", "check-no-lens",
+        "empty-beamline", "design-no-lens", "n-prime-negative",
+    ],
 )
 def test_scenario_and_sweep_guards_give_their_exact_output(tmp_path, capsys, data, command, code, out, err):
     path = write_scenario(tmp_path, data)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
-from vortexlens import units
+from vortexlens import lattice, units
 from vortexlens.cli import CSV_COLUMNS, EXIT_RELATIVISTIC, load_scenario, main, trajectory_rows
 from vortexlens.elements import Drift, LensConfig
 from vortexlens.lattice import (
@@ -58,6 +58,8 @@ RECAPTURE_FOCAL_NS = 2.8325352173971496
 CAPTURE_FIELD_G = 97.8
 CAPTURE_T1_NS = 0.3200492156380533
 CAPTURE_FOCAL_NS = 3.5493461204694436
+# the drift duration that units.time_to_natural takes to exactly 1.0
+NATURAL_UNIT_S = 6.582119565476075e-16
 
 
 def packet_0574():
@@ -253,6 +255,9 @@ def test_design_direct_capture_fixed_point():
     state = MomentState(rho_st, 0.0, u_sq, 0.0, 0.0, 0.0, -4)
     lens = design_direct_capture(state, ELECTRON)
     assert lens.h0_gauss == pytest.approx(field, rel=1e-12)
+    # three cyclotron periods of a field-only lens
+    assert lens.duration_s == pytest.approx(3 * 2 * math.pi / units.cyclotron_frequency(field, ELECTRON), rel=1e-12)
+    assert (lens.e0_v_per_m, lens.length_m) == (0.0, 0.1)
 
 
 def test_design_direct_capture_requires_waist():
@@ -272,6 +277,38 @@ def test_design_direct_capture_accepts_a_slope_at_its_tolerance():
         assert design_direct_capture(replace(waist, drho_sq_dt=slope), ELECTRON).h0_gauss > 0.0
     with pytest.raises(ValueError, match="^state is not at a focal point: "):
         design_direct_capture(replace(waist, drho_sq_dt=math.nextafter(limit, math.inf)), ELECTRON)
+
+
+def test_a_grid_point_at_the_rounding_allowance_from_a_focal_point_is_dropped():
+    # the waist lies at 2**20 and the step is 2**20 (1 + 2**-49): GRID_ROUNDING * t apart, to the bit
+    step_s = 6.901852605488653e-10
+    line = Beamline((Drift(2e-9),), ELECTRON, LGPacket(0, -4, 0.574e-6, focus_time_s=6.901852605488641e-10), 0.43)
+    dt = units.time_to_natural(step_s)
+    assert (next(walk(line)).focal, dt) == (2.0**20, 2.0**20 * (1 + 2.0**-49))
+    assert run(line, step_s).samples.t[:3].tolist() == [0.0, 2.0**20, 2 * dt]
+
+
+def test_a_drift_that_ends_where_its_radius_reaches_zero_is_refused():
+    # from this launch <rho^2> = 3 - 4 t + t^2 falls to zero at t = 1, the drift's end to the bit
+    launch = MomentState(3.0, -4.0, 1.0, 0.43, 0.0, 0.0, -4)
+    assert units.time_to_natural(NATURAL_UNIT_S) == 1.0
+    with pytest.raises(BeamlineConfigError, match="falls to zero in this drift"):
+        list(walk(Beamline((Drift(NATURAL_UNIT_S),), ELECTRON, packet_0574(), 0.43, launch=launch)))
+    shorter = Beamline((Drift(math.nextafter(NATURAL_UNIT_S, 0.0)),), ELECTRON, packet_0574(), 0.43, launch=launch)
+    assert len(list(walk(shorter))) == 1
+    # <rho^2> = 1 - 2 t + t^2 has a waist of zero radius at t = 1
+    through = MomentState(1.0, -2.0, 1.0, 0.43, 0.0, 0.0, -4)
+    with pytest.raises(BeamlineConfigError, match="falls to zero in this drift"):
+        list(walk(Beamline((Drift(2 * NATURAL_UNIT_S),), ELECTRON, packet_0574(), 0.43, launch=through)))
+
+
+def test_a_waist_at_the_end_of_a_drift_is_not_inside_it():
+    # from this launch the waist is at t = 1, the drift's end to the bit: the drift holds [0, 1)
+    launch = MomentState(5.0, -2.0, 1.0, 0.43, 0.0, 0.0, -4)
+    (leg,) = walk(Beamline((Drift(NATURAL_UNIT_S),), ELECTRON, packet_0574(), 0.43, launch=launch))
+    assert math.isnan(leg.focal)
+    longer = Beamline((Drift(math.nextafter(NATURAL_UNIT_S, 1.0)),), ELECTRON, packet_0574(), 0.43, launch=launch)
+    assert next(walk(longer)).focal == 1.0
 
 
 def test_drift_leg_focal_is_the_in_range_waist():
@@ -427,12 +464,20 @@ def test_gradient_lens_carries_corrections():
     assert all(math.isnan(s.rho_sq_corr1) for s in drift_samples)
 
 
+def accelerating_line(duration_s):
+    lens = LensConfig(h0_gauss=85.0, duration_s=duration_s, length_m=0.1, e0_v_per_m=25e6)
+    return Beamline((Drift(0.1e-9), lens), ELECTRON, LGPacket(0, -4, 0.622e-6), 0.43)
+
+
 def test_relativistic_event_in_accelerating_lens():
-    lens = LensConfig(h0_gauss=85.0, duration_s=0.05e-9, length_m=0.1, e0_v_per_m=25e6)
-    line = Beamline((Drift(0.1e-9), lens), ELECTRON, LGPacket(0, -4, 0.622e-6), 0.43)
+    line = accelerating_line(0.05e-9)
     traj = run(line, 0.002e-9)
     rel = traj.events_of("relativistic_warning")
-    assert len(rel) == 1
+    # p_z / m passes 0.1 at the lens entry plus (0.1 m - p_z) / (e |E0|)
+    entry = list(walk(line))[1].entry
+    passage = entry.t + (0.1 * ELECTRON.mass_ev - entry.p_z) / units.accelerating_force_natural(25e6)
+    assert passage == 162285.07802168417
+    assert rel == (TrajectoryEvent(passage, "relativistic_warning", 1),)
     # flags switch on at the crossing
     flagged = [s for s in traj.samples if s.flag_bits & FLAG_RELATIVISTIC]
     assert flagged
@@ -441,14 +486,55 @@ def test_relativistic_event_in_accelerating_lens():
     assert all(s.p_z > bound_p for s in flagged)
 
 
+def test_a_lens_that_ends_below_the_relativistic_bound_records_no_event():
+    traj = run(accelerating_line(0.005e-9), 0.002e-9)
+    assert traj.samples.p_z.max() < 0.1 * ELECTRON.mass_ev
+    assert traj.events_of("relativistic_warning") == ()
+
+
+def test_a_launch_at_the_relativistic_bound_is_not_past_it():
+    p0_ev = 0.1 * ELECTRON.mass_ev
+    assert p0_ev / ELECTRON.mass_ev == 0.1
+    traj = run(Beamline((Drift(1e-9),), ELECTRON, packet_0574(), p0_ev), 1e-10)
+    assert traj.events_of("relativistic_warning") == ()
+    assert not np.any(traj.samples.flag_bits & FLAG_RELATIVISTIC)
+
+
+def test_a_lens_that_ends_at_the_relativistic_passage_records_it_at_its_end():
+    # the passage counts on [0, duration], both ends included: this lens lasts exactly the passage's offset
+    line = accelerating_line(6.817978723133855e-12)
+    leg = list(walk(line))[1]
+    assert leg.duration == (0.1 * ELECTRON.mass_ev - leg.entry.p_z) / leg.orbit.force
+    end = leg.entry.t + leg.duration
+    assert run(line, 0.002e-9).events_of("relativistic_warning") == (TrajectoryEvent(end, "relativistic_warning", 1),)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.json")))
+def test_strict_propagate_of_a_shipped_scenario_is_propagate(capsys, name):
+    # no shipped scenario reaches the relativistic bound, so --strict cuts nothing
+    path = str(SCENARIOS / name)
+    plain = main(["propagate", path]), capsys.readouterr()
+    assert (main(["--strict", "propagate", path]), capsys.readouterr()) == plain
+
+
+def test_state_at_the_end_of_the_line_is_its_exit_state():
+    line = Beamline((Drift(1e-9),), ELECTRON, packet_0574(), 0.43)
+    (leg,) = walk(line)
+    assert state_at(line, leg.duration) == leg.evaluate(leg.duration)
+    t = math.nextafter(leg.duration, math.inf)
+    with pytest.raises(ValueError, match=f"^t = {t} lies beyond the end of the beamline$"):
+        state_at(line, t)
+
+
 def test_state_at_just_past_the_overfocus_crossing_raises():
     scenario = load_scenario(SCENARIOS / "overfocus.json")
     line = scenario.beamline()
     (over,) = run(line, scenario.sample_dt_ns * 1e-9).events_of("overfocus")
-    t = math.nextafter(over.t, math.inf)
-    with pytest.raises(ValueError) as exc:
-        state_at(line, t)
-    assert str(exc.value) == f"t = {t} lies beyond the over-focus crossing at {over.t}"
+    # at the crossing the model has reached its floor: state_at refuses t there too
+    for t in (math.nextafter(over.t, math.inf), over.t):
+        with pytest.raises(ValueError) as exc:
+            state_at(line, t)
+        assert str(exc.value) == f"t = {t} lies beyond the over-focus crossing at {over.t}"
 
 
 def test_relativistic_launch_is_one_event_and_strict_propagate_keeps_only_its_row(tmp_path, capsys):
@@ -545,6 +631,25 @@ def test_state_at_on_a_steep_large_orbit_within_time_rounding():
     )
     line = Beamline(lenses, ELECTRON, LGPacket(0, 2, 7.5e-7), 1.0)
     assert_walk_run_state_at_and_entry_states_agree(line, list(walk(line)), line.duration_s / 100)
+
+
+# overfocus.json with E0 25 MV/m: p_z / m passes 0.1 in the lens before its over-focus crossing
+OVERFOCUS_ACCELERATED = Beamline(
+    (Drift(2.5e-9), LensConfig(h0_gauss=MATCHED_FIELD_0574, duration_s=20e-9, length_m=0.1, e0_v_per_m=2.5e7)),
+    ELECTRON,
+    packet_0574(),
+    0.43,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_lines())
+@example((OVERFOCUS_ACCELERATED, list(walk(OVERFOCUS_ACCELERATED)), 0.05e-9))
+def test_events_are_in_time_order_with_one_boundary_per_reached_element(case):
+    line, legs, sample_dt_s = case
+    events = run(line, sample_dt_s).events
+    assert [e.t for e in events] == sorted(e.t for e in events)
+    assert [e.element_index for e in events if e.kind == "boundary"] == [leg.index for leg in legs[1:]]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -892,6 +997,16 @@ def test_run_fills_no_more_samples_than_its_guard_allows(case, steps):
     except BeamlineConfigError:  # a lens may leave a drift after it to fall to zero radius
         reject()
     assert len(samples) <= math.ceil(line.duration_s / dt + 3 * len(line.elements))
+
+
+def test_run_takes_a_line_at_its_sample_bound_and_refuses_one_past_it(monkeypatch):
+    line = Beamline((Drift(1e-9),), ELECTRON, packet_0574(), 0.43)
+    bound = line.duration_s / 1e-11 + 3  # grid, focal point and end
+    monkeypatch.setattr(lattice, "MAX_SAMPLES", bound)
+    assert len(run(line, 1e-11).samples) <= bound
+    monkeypatch.setattr(lattice, "MAX_SAMPLES", math.nextafter(bound, 0.0))
+    with pytest.raises(BeamlineConfigError, match="over MAX_SAMPLES"):
+        run(line, 1e-11)
 
 
 def test_run_holds_about_twice_its_samples():

@@ -132,6 +132,9 @@ def test_stationary_rho_sq_cases():
     )
     # large positive l with small velocity: no stable orbit
     assert stationary_rho_sq(1e-16, 40, omega0, ELECTRON) < 0.0
+    for bad in (0.0, -omega0):  # the center divides by omega0^2, and a negative omega0 is no field
+        with pytest.raises(ValueError, match=f"^omega0 must be positive, got {bad}$"):
+            stationary_rho_sq(omega0 / m, 0, bad, ELECTRON)
 
 
 def test_run_overfocus_event_sits_at_the_floor():
@@ -204,6 +207,25 @@ def test_transport_check_examples():
     assert tight.rho_sq_min < 0.0 < loose.rho_sq_min
 
 
+def test_an_orbit_that_touches_zero_is_transportable_in_neither_form():
+    # omega0 = 2**-20 and powers of two throughout: R_st = 8 = R_in / 2 + dR_in^2 / (2 w^2 R_in) exactly
+    state = MomentState(8.0, 2.0**-17, 2.0**-38, 0.43, 0.0, 0.0, 0)
+    lens = LensConfig(h0_gauss=82.37831823714913, duration_s=1e-9, length_m=0.1)
+    orbit = LensOrbit.from_entry(state, lens, ELECTRON)
+    assert (orbit.omega0, orbit.center, orbit.amplitude) == (2.0**-20, 8.0, 8.0)
+    report = transport_check(orbit)
+    assert (report.rho_sq_min, report.transportable, report.transportable_solved_form) == (0.0, False, False)
+
+
+def test_a_stationary_orbit_never_dips_below_its_radius():
+    # amplitude 0: no point dips, so no arccos of (threshold - center) / 0 is taken, and nothing warns
+    state = MomentState(8.0, 0.0, 2.0**-38, 0.43, 0.0, 0.0, 0)
+    lens = LensConfig(h0_gauss=82.37831823714913, duration_s=1e-9, length_m=0.1)
+    orbit = LensOrbit.from_entry(state, lens, ELECTRON)
+    assert (orbit.center, orbit.amplitude) == (8.0, 0.0)
+    assert math.isnan(orbit.first_crossing_dt(4.0, math.inf))
+
+
 def test_transport_amplitude_and_solved_forms_agree():
     rng = np.random.default_rng(3141)
     for _ in range(1000):
@@ -247,6 +269,13 @@ def test_emittance_rejects_inconsistent_moments():
     bad = MomentState(1.0, 10.0, 1e-12, 0.0, 0.0, 0.0, 0)
     with pytest.raises(ValueError):
         emittance(bad)
+
+
+def test_emittance_radicand_at_the_rounding_allowance_is_zero():
+    # <rho^2><u^2> - <rho.u>^2 = 2.5e11 * 4 - (1e6 + 5e-7)^2 rounds to -1, exactly -1e-12 of <rho^2><u^2>
+    state = MomentState(2.5e11, 2000000.000001, 4.0, 0.0, 0.0, 0.0, 0)
+    assert state.rho_sq * state.u_perp_sq - (0.5 * state.drho_sq_dt) ** 2 == -1.0
+    assert emittance(state) == 0.0
 
 
 @pytest.mark.parametrize("field", ["rho_sq", "drho_sq_dt", "u_perp_sq"])
@@ -360,6 +389,11 @@ def test_first_crossing_at_the_dip_bound_is_the_orbit_minimum():
     assert 0.0 < crossing < period
     scale = abs(orbit.center) + orbit.amplitude
     assert abs(orbit.drho_sq(*orbit.phase(crossing))) <= 1e-12 * orbit.omega0 * scale
+    # an entry at the threshold itself crosses at once, though the radius is growing there
+    assert orbit.first_crossing_dt(orbit.rho_sq(*orbit.phase(0.0)), period) == 0.0
+    # a lens that ends at the crossing, to the bit, still crosses: dt_max is included
+    assert orbit.first_crossing_dt(threshold, crossing) == crossing
+    assert math.isnan(orbit.first_crossing_dt(threshold, math.nextafter(crossing, 0.0)))
     assert abs(orbit.rho_sq(*orbit.phase(crossing)) - threshold) <= 1e-12 * scale
 
 

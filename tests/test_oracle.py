@@ -68,8 +68,24 @@ def test_rk4_reports_nonfinite_state():
         with np.errstate(over="ignore"):
             return y * y
 
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError) as blowup:
         integrate_rk4(rhs, (1.0,), 0.0, 10.0, 0.05)
+    assert str(blowup.value) == f"non-finite state at t = {blowup.value.t}"
+    assert 0.0 < blowup.value.t <= 10.0
+
+
+@pytest.mark.parametrize("t0, t_end", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_both_integrators_name_an_end_that_is_not_finite(t0, t_end):
+    with pytest.raises(ValueError, match="^t0 and t_end must be finite$"):
+        integrate_rk4(lambda t, y: y, (1.0,), t0, t_end, 0.1)
+    with pytest.raises(ValueError, match="^t0 and t_end must be finite$"):
+        list(integrate_rk4_linear(np.eye(3), lambda t: np.zeros((3, t.size)), (1.0, 0.0, 0.0), t0, t_end, 0.1))
+
+
+@pytest.mark.parametrize("matrix, y0", [(np.eye(2), (1.0, 0.0)), (np.eye(3), (1.0, 0.0)), (np.eye(4), (1.0,) * 4)])
+def test_rk4_linear_needs_a_3x3_system(matrix, y0):
+    with pytest.raises(ValueError, match="^integrate_rk4_linear needs a 3x3 matrix and a 3-component state$"):
+        list(integrate_rk4_linear(matrix, lambda t: np.zeros((len(y0), t.size)), y0, 0.0, 1.0, 0.1))
 
 
 def rk4_linear(matrix, forcing, y0, t0, t_end, step):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from vortexlens import units
@@ -65,6 +67,12 @@ def test_rho_sq_free_golden():
     # exact up to the unit round trip (a couple of ulp)
     assert rho_sq_free(pk, 0.0, ELECTRON) == pytest.approx(pk.sigma_r_m**2, rel=5e-16)
     assert rho_sq_free(pk, 1e-9, ELECTRON) == pytest.approx(RHO_SQ_0622_1NS_M2, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
+def test_rho_sq_free_names_a_time_that_is_not_finite(t_s):
+    with pytest.raises(ValueError, match=f"^t_s must be finite, got {t_s}$"):
+        rho_sq_free(LGPacket(0, -4, 0.622e-6), t_s, ELECTRON)
 
 
 def test_rho_sq_free_quadratic_growth():

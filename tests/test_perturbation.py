@@ -16,10 +16,11 @@ from vortexlens import perturbation, units
 from vortexlens.elements import Drift, LensConfig
 from vortexlens.lattice import Beamline, state_at
 from vortexlens.moments import MomentState, lens_state_at, propagate_drift, rho_sq_free
-from vortexlens.oracle import LINEAR_BLOCK, integrate_rk4
+from vortexlens.oracle import LINEAR_BLOCK, MAX_STEPS, integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
     APPROXIMATIONS,
+    ClosedFormCheck,
     ZerothOrderInputs,
     correction_by_quadrature,
     correction_closed_form,
@@ -135,6 +136,20 @@ def test_closed_form_check_holds_at_every_span(e0, n_periods):
     check = verify_closed_form(entry_inputs(e0=e0), 0.081, n_periods=n_periods)
     assert check.consistent, check.report()
     assert check.max_ode_residual_over_drive <= 1e-13
+
+
+@pytest.mark.parametrize("e0", [0.0, 25e6])
+def test_a_uniform_lens_checks_exactly_at_zero_tolerance(e0):
+    # kappa = 0 drives nothing: the closed form and the integral are both 0, so no gap or residual exceeds 0
+    check = verify_closed_form(entry_inputs(e0=e0), 0.0, n_periods=1.0, tolerance=0.0)
+    assert (check.max_mismatch_over_peak, check.max_ode_residual_over_drive, check.consistent) == (0.0, 0.0, True)
+
+
+def test_closed_form_check_takes_its_whole_span_budget_and_names_it():
+    # MAX_STEPS steps of period / 2048 are 488.28125 periods, to the bit
+    assert verify_closed_form(entry_inputs(), 0.081, n_periods=488.28125).consistent
+    with pytest.raises(ValueError, match=r"^n_periods must be at most 488\.28125, got 489\.0$"):
+        verify_closed_form(entry_inputs(), 0.081, n_periods=489.0)
 
 
 def stencil_operator(inputs, kappa, ts):
@@ -281,6 +296,22 @@ def test_closed_form_check_flags_a_wrong_group(monkeypatch, factor):
         assert f"closed-form group {i} at worst time" in report
 
 
+def test_closed_form_report_names_the_worst_time_only_for_an_inconsistent_check():
+    fields = dict(
+        max_mismatch_over_peak=2e-9, max_ode_residual_over_drive=3e-10, tolerance=1e-6,
+        worst_time=2.5, groups_at_worst_time=(1.0, -0.5),
+    )
+    verdict = ["max |closed - integrated| / peak: 2.000e-09", "max ODE residual / drive: 3.000e-10", "tolerance: 1.0e-06"]
+    assert ClosedFormCheck(consistent=True, **fields).report().splitlines() == ["consistent: True", *verdict]
+    assert ClosedFormCheck(consistent=False, **fields).report().splitlines() == [
+        "consistent: False",
+        *verdict,
+        "worst time: 2.5",
+        "closed-form group 1 at worst time: 1.000000e+00",
+        "closed-form group 2 at worst time: -5.000000e-01",
+    ]
+
+
 def test_quadrature_rejects_coarse_step():
     inputs = entry_inputs()
     period = period_of(inputs)
@@ -292,6 +323,33 @@ def test_quadrature_rejects_coarse_step():
         with pytest.raises(ValueError) as bad:
             correction_by_quadrature(inputs, 0.081, period, step)
         assert str(bad.value) == "step must be positive"
+    # the coarsest step allowed is period / 200 itself
+    assert math.isfinite(correction_by_quadrature(inputs, 0.081, period, period / 200).rho_sq_1)
+    step = period / 512  # MAX_STEPS steps run; a span over them names the longest span this step may take
+    assert math.isfinite(correction_by_quadrature(inputs, 0.081, MAX_STEPS * step, step).rho_sq_1)
+    with pytest.raises(ValueError) as long_span:
+        correction_by_quadrature(inputs, 0.081, 2 * MAX_STEPS * step, step)
+    assert str(long_span.value) == f"dt must be at most {MAX_STEPS * step}, got {2 * MAX_STEPS * step}"
+
+
+@pytest.mark.parametrize("e0", [0.0, 25e6])
+def test_quadrature_matches_the_closed_form_past_a_block_that_ends_between_periods(e0):
+    # at period / 300 the second block starts 8192 / 300 periods in, so a midpoint's phase must come
+    # from the half step alone, not from the block's start time
+    inputs = entry_inputs(e0=e0)
+    period = period_of(inputs)
+    quadrature = correction_by_quadrature(inputs, 0.081, 30 * period, period / 300).rho_sq_1
+    assert quadrature == pytest.approx(correction_closed_form(inputs, 0.081, 30 * period), rel=1e-6)
+
+
+def test_validity_is_exceeded_past_the_fraction_of_the_radius_not_at_it(monkeypatch):
+    inputs = entry_inputs()
+    dt = period_of(inputs)
+    at = perturbation.VALIDITY_FRACTION * abs(inputs.rho_sq(*inputs.phase(dt)))
+    for r1, exceeded in ((at, False), (-at, False), (math.nextafter(at, math.inf), True)):
+        # the integral's last state, (u1, r1, dr1), is all the flag reads
+        monkeypatch.setattr(perturbation, "_integrate_linear", lambda *args: [(None, np.array([[0.0, r1, 0.0]]))])
+        assert correction_by_quadrature(inputs, 0.081, dt, dt / 512).validity_exceeded == exceeded
 
 
 def test_correction_state_carries_assumptions():

@@ -92,6 +92,9 @@ def test_field_from_cyclotron_round_trip():
     for h in (3.0, 85.0, 97.8, 100.0):
         w = units.cyclotron_frequency_natural(h, ELECTRON)
         assert units.field_from_cyclotron_natural(w, ELECTRON) == pytest.approx(h, rel=1e-13)
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match=f"^omega0 must be positive, got {bad}$"):
+            units.field_from_cyclotron_natural(bad, ELECTRON)
 
 
 def test_require_checks_a_scalar_or_each_entry_of_an_array():
