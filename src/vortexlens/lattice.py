@@ -213,8 +213,12 @@ def run(beamline: Beamline, sample_dt_s: float) -> Trajectory:
             events.append(TrajectoryEvent(entry.t, EVENT_BOUNDARY, index))
         horizon = crossing if crossed else leg.duration
         # p_z / m passes the bound at the entry, or inside a lens whose field accelerates the packet
-        rising = orbit is not None and orbit.force > 0.0
-        passage = 0.0 if entry.p_z / mass > bound else (bound * mass - entry.p_z) / orbit.force if rising else math.nan
+        if entry.p_z / mass > bound:
+            passage = 0.0
+        elif orbit is not None and orbit.force > 0.0:
+            passage = (bound * mass - entry.p_z) / orbit.force
+        else:
+            passage = math.nan
         if not relativistic_seen and 0.0 <= passage <= horizon:
             events.append(TrajectoryEvent(entry.t + passage, EVENT_RELATIVISTIC, index))
             relativistic_seen = True
@@ -256,14 +260,15 @@ def state_at(beamline: Beamline, t: float) -> MomentState:
     """Exact state at natural time t, piecewise closed forms, no sampling.
 
     Raises if t precedes the start, lies beyond the end, or falls past an
-    over-focus crossing (the model stops being meaningful there).
+    over-focus crossing (the model stops being meaningful there); at the
+    crossing itself it gives the state that run samples there.
     """
     units.require("t", t, "finite")
     for leg in walk(beamline):
         offset = t - leg.entry.t
         if offset < 0.0:
             raise ValueError(f"t = {t} precedes the beamline start")
-        if leg.crossing <= offset:  # False for NaN, no crossing
+        if leg.crossing < offset:  # False for NaN, no crossing
             at = leg.entry.t + leg.crossing
             raise ValueError(f"t = {t} lies beyond the over-focus crossing at {at}")
         if offset <= leg.duration:

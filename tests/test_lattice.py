@@ -526,15 +526,18 @@ def test_state_at_the_end_of_the_line_is_its_exit_state():
         state_at(line, t)
 
 
-def test_state_at_just_past_the_overfocus_crossing_raises():
+def test_state_at_the_overfocus_crossing_is_its_sample_and_just_past_it_raises():
     scenario = load_scenario(SCENARIOS / "overfocus.json")
     line = scenario.beamline()
-    (over,) = run(line, scenario.sample_dt_ns * 1e-9).events_of("overfocus")
-    # at the crossing the model has reached its floor: state_at refuses t there too
-    for t in (math.nextafter(over.t, math.inf), over.t):
-        with pytest.raises(ValueError) as exc:
-            state_at(line, t)
-        assert str(exc.value) == f"t = {t} lies beyond the over-focus crossing at {over.t}"
+    traj = run(line, scenario.sample_dt_ns * 1e-9)
+    (over,) = traj.events_of("overfocus")
+    crossing = traj.samples[-1]
+    assert crossing.t == over.t and crossing.flag_bits & FLAG_OVERFOCUS
+    assert astuple(state_at(line, over.t)) == tuple(getattr(crossing, name) for name in STATE_FIELDS)
+    t = math.nextafter(over.t, math.inf)
+    with pytest.raises(ValueError) as exc:
+        state_at(line, t)
+    assert str(exc.value) == f"t = {t} lies beyond the over-focus crossing at {over.t}"
 
 
 def test_relativistic_launch_is_one_event_and_strict_propagate_keeps_only_its_row(tmp_path, capsys):

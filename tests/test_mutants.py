@@ -14,7 +14,7 @@ def load_tool():
     return module
 
 
-def test_one_mutant_writes_its_record_and_restores_the_file(tmp_path):
+def test_one_mutant_writes_its_record_and_restores_the_file(tmp_path, monkeypatch):
     module = tmp_path / "src" / "toy.py"
     module.parent.mkdir()
     module.write_text("def add(a, b):\n    return a + b  # the one site\n", encoding="utf-8")
@@ -22,12 +22,28 @@ def test_one_mutant_writes_its_record_and_restores_the_file(tmp_path):
     (tmp_path / "tests" / "test_toy.py").write_text("from toy import add\n\n\ndef test_add():\n    assert add(2, 3) == 5\n")
     before, mtime = module.read_bytes(), module.stat().st_mtime_ns
     out = tmp_path / "MUTANTS.json"
-    argv = ["--root", str(tmp_path), "--modules", "src/toy.py", "--seed", "3", "--timeout", "60", "--out", str(out)]
-    assert load_tool().main(argv) == 0
+    monkeypatch.chdir(tmp_path)
+    assert load_tool().main(["--modules", "src/toy.py", "--seed", "3", "--timeout", "60", "--out", "MUTANTS.json"]) == 0
     assert module.read_bytes() == before and module.stat().st_mtime_ns == mtime
+    assert sorted(p.name for p in module.parent.iterdir()) == ["toy.py"]
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["counts"] == {"killed": 1, "survived": 0, "hung": 0, "equivalent": 0}
     (mutant,) = record["mutants"]
     assert {k: mutant[k] for k in ("file", "line", "col", "mutation", "source", "status")} == {
         "file": "src/toy.py", "line": 2, "col": 13, "mutation": "+ -> -", "source": "a + b", "status": "killed",
     }
+
+
+def test_a_backup_left_by_a_killed_run_is_put_back_first(tmp_path, monkeypatch):
+    module = tmp_path / "src" / "toy.py"
+    module.parent.mkdir()
+    backup = module.with_name("toy.py.orig")
+    backup.write_text("original\n", encoding="utf-8")
+    module.write_text("mutant\n", encoding="utf-8")  # stopped while a mutant stood in place
+    other = tmp_path / "src" / "other.py"
+    other.write_text("original\n", encoding="utf-8")
+    other.with_name("other.py.orig").hardlink_to(other)  # stopped between keeping the original and the swap
+    monkeypatch.chdir(tmp_path)
+    assert load_tool().main(["--modules", "src/toy.py", "src/other.py", "--only", "toy.py:99", "--out", "M.json"]) == 0
+    assert module.read_text(encoding="utf-8") == other.read_text(encoding="utf-8") == "original\n"
+    assert sorted(p.name for p in module.parent.iterdir()) == ["other.py", "toy.py"]

@@ -6,16 +6,19 @@ Each mutant changes one site of one module and runs the suite on it with `-x`:
 - a condition of an `if`, a `while` or a conditional expression forced to True or to False;
 - a call that stands as a statement deleted (replaced by `pass`).
 
-The edit is spliced into the file's bytes, so the rest of the file is unchanged,
-and the file is restored, contents and times, in a `finally` (SIGTERM included).
-Bytecode is not written while a mutant is in place, and the mutant's mtime
-differs from the original's, so no cached bytecode of either is read for the
-other.  A mutant is killed when the suite fails, survived when it passes, and
-hung when it outlives the time limit; a survivor listed in EQUIVALENT is
-recorded as equivalent, with its reason.  The record is rewritten after every
-mutant; a record that already exists at --out is kept, and a mutant run again
-replaces its own entry.  The seed orders the mutants, so a run stopped early
-has drawn a random sample of them.
+The edit is spliced into the file's bytes, so the rest of the file is unchanged.
+It runs in the tree of the current directory: src/ on PYTHONPATH, tests/ run.
+Each swap is one `os.replace`, so the module is always whole: the original is
+kept as a hard link, MODULE.orig, while its mutant stands in its place, and
+is put back in a `finally` (SIGTERM included); a MODULE.orig that a killed
+run left behind is put back before anything else.  Bytecode is not written
+while a mutant is in place, and the mutant's mtime differs from the
+original's, so no cached bytecode of either is read for the other.  A mutant
+is killed when the suite fails, survived when it passes, and hung when it
+outlives the time limit; a survivor listed in EQUIVALENT is recorded as
+equivalent, with its reason.  The record at --out is written afresh, and
+rewritten after every mutant.  The seed orders the mutants, so a run stopped
+early has drawn a random sample of them.
 
     python tools/mutants.py --modules src/vortexlens/lattice.py src/vortexlens/moments.py \\
         --seed 1 --timeout 180 --out MUTANTS_core.json
@@ -30,7 +33,6 @@ import argparse
 import ast
 import bisect
 import json
-import operator
 import os
 import random
 import signal
@@ -159,45 +161,57 @@ def suite_order(root: Path, module: Path) -> list[str]:
     return sorted(files, key=lambda f: (f != own, f.endswith("test_console.py")))
 
 
+def swap(path: Path, mutated: bytes) -> None:
+    """Put mutated in path's place, dated 2 s after it, keeping the original as path.orig."""
+    backup, staged = path.with_name(path.name + ".orig"), path.with_name(path.name + ".mutant")
+    stat = path.stat()
+    staged.write_bytes(mutated)
+    os.utime(staged, ns=(stat.st_atime_ns, stat.st_mtime_ns + 2_000_000_000))
+    os.link(path, backup)
+    os.replace(staged, path)
+
+
+def restore(path: Path) -> None:
+    """Put the original back from path.orig, if it is there: its bytes and its times."""
+    backup = path.with_name(path.name + ".orig")
+    if backup.exists():
+        os.replace(backup, path)
+        backup.unlink(missing_ok=True)  # still there if path was its hard link: a stop came before the swap
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--modules", nargs="+", required=True, help="module paths, relative to --root")
+    parser.add_argument("--modules", nargs="+", required=True, help="module paths, relative to the tree")
     parser.add_argument("--seed", type=int, default=0, help="orders the mutants: a run stopped early is a sample")
     parser.add_argument("--timeout", type=float, default=180.0, help="seconds per mutant before it counts as hung")
     parser.add_argument("--out", required=True, help="the JSON record, rewritten after every mutant")
-    parser.add_argument("--root", default=".", help="the tree to mutate: src/ on PYTHONPATH, tests/ run")
     parser.add_argument("--only", action="append", default=[], metavar="FILE:LINE", help="run only these lines")
     args = parser.parse_args(argv)
-    root = Path(args.root).resolve()
+    root = Path.cwd()
+    for module in args.modules:
+        restore(root / module)
     todo = [(Path(m), site) for m in args.modules for site in mutants(root / m)]
     if args.only:
         todo = [(m, s) for m, s in todo if f"{m.name}:{s['line']}" in args.only]
     random.Random(args.seed).shuffle(todo)
-    out = Path(args.out)
-    site_of = operator.itemgetter("file", "line", "col", "mutation")
-    earlier = json.loads(out.read_text(encoding="utf-8"))["mutants"] if out.is_file() else []
-    records = {site_of(r): r for r in earlier}
+    records = []
     for module, site in todo:
         path = root / module
-        original, stat = path.read_bytes(), path.stat()
         began = time.monotonic()
         try:
-            path.write_bytes(site["mutated"])
-            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 2_000_000_000))
+            swap(path, site["mutated"])
             status = run_suite(root, suite_order(root, module), args.timeout)
         finally:
-            path.write_bytes(original)
-            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            restore(path)
         record = {"file": module.as_posix(), **{k: site[k] for k in ("line", "col", "mutation", "source")}}
         reason = EQUIVALENT.get((module.name, site["source"], site["mutation"]))
         if status == "survived" and reason:
             status, record["reason"] = "equivalent", reason
-        records[site_of(record)] = {**record, "status": status, "seconds": round(time.monotonic() - began, 1)}
-        kept = sorted(records.values(), key=site_of)
-        counts = {s: sum(r["status"] == s for r in kept) for s in ("killed", "survived", "hung", "equivalent")}
-        modules = sorted({r["file"] for r in kept})
-        summary = {"seed": args.seed, "modules": modules, "timeout_s": args.timeout, "counts": counts}
-        out.write_text(json.dumps({**summary, "mutants": kept}, indent=1) + "\n", encoding="utf-8")
+        records.append({**record, "status": status, "seconds": round(time.monotonic() - began, 1)})
+        records.sort(key=lambda r: (r["file"], r["line"], r["col"], r["mutation"]))
+        counts = {s: sum(r["status"] == s for r in records) for s in ("killed", "survived", "hung", "equivalent")}
+        summary = {"seed": args.seed, "modules": args.modules, "timeout_s": args.timeout, "counts": counts}
+        Path(args.out).write_text(json.dumps({**summary, "mutants": records}, indent=1) + "\n", encoding="utf-8")
         print(f"{record['file']}:{record['line']} {record['mutation']}: {status}", flush=True)
     return 0
 
