@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_argv(argv: list[str]) -> argparse.Namespace:
+def parse_argv(argv: list[str] | None) -> argparse.Namespace:
     """build_parser().parse_args(argv); an argv that starts with a command goes to that command's parser."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
@@ -548,7 +548,7 @@ def parse_argv(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        args = parse_argv(argv)  # None: argparse reads sys.argv[1:]
         scenario = load_scenario(args.scenario)
         if args.sample_dt_ns is not None:
             scenario = dc_replace(scenario, sample_dt_ns=_sample_dt(args.sample_dt_ns, "--sample-dt-ns"))

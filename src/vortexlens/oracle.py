@@ -179,16 +179,11 @@ def laguerre_derivative(n: int, alpha: int, y, order: int = 1):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite Gauss-Legendre plan on [0, y_max] for exp(-y)-damped integrands."""
+    """Composite Gauss-Legendre plan on [0, 2 panels], in panels of width 2, for exp(-y)-damped integrands."""
 
     integrand: Callable[[np.ndarray], np.ndarray]
-    y_max: float
     panels: int
     order: ClassVar[int] = 24  # Gauss-Legendre nodes per panel
-
-    def __post_init__(self) -> None:
-        if not (self.y_max > 0 and self.panels > 0):
-            raise ValueError("y_max and panels must be positive")
 
 
 @functools.cache
@@ -198,27 +193,23 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre_integral(spec: QuadratureSpec) -> float:
     x, w = _gl_nodes(spec.order)
-    edges = np.linspace(0.0, spec.y_max, spec.panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
+    nodes = (2.0 * np.arange(spec.panels) + 1.0)[:, None] + x[None, :]  # panel k is centred on 2k + 1
     vals = spec.integrand(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals * w[None, :] * half[:, None]))
+    return float(np.sum(vals * w[None, :]))
 
 
 def _cutoff(n: int, l_abs: int) -> float:
     # exp(-y) tail of degree <= 2n + l + 1 polynomials is certifiably
-    # negligible beyond this point (documented in the module tests)
+    # negligible beyond this point (documented in the module tests); always even
     return max(80.0, 20.0 + 10.0 * (n + l_abs))
 
 
 def _laguerre_integral(n: int, l: int, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
     """integrand, an exp(-y)-damped product of L_n^{|l|}, integrated over [0, _cutoff(n, |l|)]
-    in panels of width 2 or less; n and |l| are guarded against factorial overflow."""
+    in panels of width 2; n and |l| are guarded against factorial overflow."""
     if n < 0 or n > MAX_LAGUERRE_INDEX or abs(l) > MAX_LAGUERRE_INDEX:
         raise ValueError(f"indices out of guarded range: n={n}, l={l}")
-    y_max = _cutoff(n, abs(l))
-    return gauss_legendre_integral(QuadratureSpec(integrand, y_max, panels=int(math.ceil(y_max / 2.0))))
+    return gauss_legendre_integral(QuadratureSpec(integrand, panels=int(_cutoff(n, abs(l))) // 2))
 
 
 def lg_quadrature(n: int, l: int, m_power: int, k_deriv: int = 0) -> float:

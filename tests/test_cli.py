@@ -59,6 +59,35 @@ def scenario_dict(**overrides):
     return base
 
 
+@pytest.fixture(scope="module", autouse=True)
+def sweeps_walk_at_most_their_bisection_bound():
+    """A sweep of k grid points walks at most ceil(log2 k) + 2 times (one array walk, then a
+    bisection): the walk past that bound fails the test at once, so a bisection that does not
+    converge cannot hang.  Module-scoped, so that hypothesis's tests may run under it."""
+    budget = [math.inf]
+    grid, walk_line, load = cli._sweep_values, cli.walk, cli.load_scenario
+
+    def load_scenario(path):
+        budget[0] = math.inf  # a new command: no sweep yet
+        return load(path)
+
+    def sweep_values(spec_range, steps):
+        budget[0] = math.ceil(math.log2(max(steps, 1))) + 2
+        return grid(spec_range, steps)
+
+    def bounded(line):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise AssertionError("the sweep walked past ceil(log2 steps) + 2 walks")
+        return walk_line(line)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_scenario", load_scenario)
+        patch.setattr(cli, "_sweep_values", sweep_values)
+        patch.setattr(cli, "walk", bounded)
+        yield
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -380,6 +409,7 @@ KAPPA_VALUES = st.one_of(st.floats(-0.2, 0.2), st.sampled_from([math.nan, math.i
 @example(0.05, -0.3)
 @example(0.15, 0.05)
 @example(-0.15, 0.2)
+@example(0.2, 0.1)  # a kappa_M at the hard limit still needs an equal kappa_E
 def test_the_kappa_pair_loads_when_equal_and_in_range(tmp_path, kappa_m, kappa_e):
     data = scenario_dict()
     data["beamline"][1].update(kappa_M=kappa_m, kappa_E=kappa_e)
@@ -532,7 +562,11 @@ _DECOYS = f'"note": "see {"7" * 5001}", "fraction": 0.{"1" * 5001}, "exponent": 
             pytest.param("n_prime", "-1" + "0" * 5000, decoys, None, id=name, marks=pytest.mark.skipif(
                 _DIGIT_LIMIT is None, reason="int() has no digit limit before Python 3.10.7"
             ))
-            for name, decoys in (("digit_limit", ""), ("digit_limit_after_decoys", _DECOYS))
+            for name, decoys in (
+                ("digit_limit", ""),
+                ("digit_limit_after_decoys", _DECOYS),
+                ("digit_limit_after_one_at_the_limit", f'"at_limit": {"7" * (_DIGIT_LIMIT or 0)}, '),
+            )
         ),
     ],
 )
@@ -657,8 +691,11 @@ def test_design_capture_emits_a_loadable_scenario(tmp_path, name):
 
 
 def assert_emitted_lens_holds_radius(tmp_path, emitted):
-    # the emitted scenario propagates to completion and holds the radius
-    # constant inside the appended lens
+    # the appended lens runs three cyclotron periods of its field; the emitted scenario
+    # propagates to completion and holds the radius constant inside that lens
+    lens = load_scenario(emitted).raw["beamline"][-1]
+    period_ns = 2.0 * math.pi / units.cyclotron_frequency(lens["H0_gauss"], units.Particle.electron()) * 1e9
+    assert lens["duration_ns"] == pytest.approx(3.0 * period_ns, rel=1e-12)
     csv_path = tmp_path / "designed.csv"
     assert main(["propagate", str(emitted), "-o", str(csv_path)]) == EXIT_OK
     rows = [r.split(",") for r in csv_path.read_text().splitlines()[1:]]
@@ -747,13 +784,30 @@ def test_capture_design_walks_the_whole_line_first(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "error: beamline[9]: no exit state\n")
 
 
-def test_design_capture_prefers_a_waist_past_the_launch(tmp_path, capsys):
-    # two_lens_recapture.json launches at a waist; cut to 1 ns, the drift after its
-    # over-focusing first lens holds the next waist, and that one is designed
+@pytest.mark.parametrize(
+    "edits, focal_time_ns",
+    [
+        # two_lens_recapture.json launches at a waist; cut to 1 ns, the drift after its
+        # over-focusing first lens holds the next waist, and that one is designed
+        ({2: {"duration_ns": 1.0}}, "2.8325352174"),
+        # a waist 1.23e6 natural time units into a drift that starts at 0.91e6: the
+        # entry time plus the offset, not their difference, places it past the launch
+        (
+            {0: {"duration_ns": 0.5}, 1: {"H0_gauss": 300.0, "duration_ns": 0.1}, 2: {"duration_ns": 20.0}},
+            "1.41016160017",
+        ),
+    ],
+    ids=["cut-drift", "waist-past-its-drift-entry"],
+)
+def test_design_capture_prefers_a_waist_past_the_launch(tmp_path, capsys, edits, focal_time_ns):
     data = json.loads((SCENARIOS / "two_lens_recapture.json").read_text(encoding="utf-8"))
-    data["beamline"][2]["duration_ns"] = 1.0
-    assert main(["design", write_scenario(tmp_path, data), "--mode", "capture"]) == EXIT_OK
-    assert "\nfocal_time_ns: 2.8325352174\n" in capsys.readouterr().out
+    for index, fields in edits.items():
+        data["beamline"][index].update(fields)
+    emitted = tmp_path / "designed.json"
+    argv = ["design", write_scenario(tmp_path, data), "--mode", "capture", "--emit-scenario", str(emitted)]
+    assert main(argv) == EXIT_OK
+    assert f"\nfocal_time_ns: {focal_time_ns}\n" in capsys.readouterr().out
+    assert_emitted_lens_holds_radius(tmp_path, emitted)
 
 
 def test_emitted_scenario_path_is_printed_as_given(tmp_path, capsys):
@@ -965,10 +1019,67 @@ ONLY_DRIFTS = [{"type": "drift", "duration_ns": 1.0}]
             "",
             "error: sweep point n_prime=-2: n_prime must be a non-negative integer\n",
         ),
+        (
+            scenario_dict(),
+            ["sweep", "--param", "n_prime", "--range", "0:inf", "--steps", "2"],
+            EXIT_SCHEMA,
+            "",
+            "error: sweep point n_prime=inf: n_prime must be a non-negative integer\n",
+        ),
+        # the span overflows to inf, and inf * 0 is NaN: the first point is still lo
+        (
+            scenario_dict(),
+            ["sweep", "--param", "H0_gauss", "--range=-1e308:1e308", "--steps", "3"],
+            EXIT_SCHEMA,
+            "",
+            "error: sweep point H0_gauss=-1e+308: h0_gauss must be positive, got -1e+308\n",
+        ),
+        # 2**1000 itself is the largest n_prime a lens may name
+        (
+            scenario_dict(),
+            ["sweep", "--param", "n_prime", "--range", f"0:{2.0**1000!r}", "--steps", "2"],
+            EXIT_OK,
+            "n_prime,transportable,rho2_min_um2\n0,true,0.458701718063\n1.07150860719e+301,true,0.458701718063\n",
+            "",
+        ),
+        # lo + 0 * span turns -0 into 0, which prints as 0
+        (
+            scenario_dict(),
+            ["sweep", "--param", "n_prime", "--range=-0:2", "--steps", "3"],
+            EXIT_OK,
+            "n_prime,transportable,rho2_min_um2\n" + "".join(f"{k},true,0.458701718063\n" for k in range(3)),
+            "",
+        ),
+        # the matching field needs no walk, so a line that cannot be walked does not stop it
+        (
+            scenario_dict(beamline=[{"type": "drift", "duration_ns": 1e308}, LENS]),
+            ["design", "--mode", "matching-field"],
+            EXIT_OK,
+            "mode: matching-field\nn_prime: 0\nH0_gauss: 85.0658022234\n",
+            "",
+        ),
+        (
+            scenario_dict(beamline=[{"type": "drift", "duration_ns": 1e308}, LENS]),
+            ["design", "--mode", "capture"],
+            EXIT_SCHEMA,
+            "",
+            "error: beamline[0]: exit state: dt must be non-negative, got inf\n",
+        ),
+        *(
+            (
+                scenario_dict(packet={"n": 0, "l": -4, "sigma_r_um": 0.622, "focus_time_ns": value}),
+                ["check"],
+                EXIT_SCHEMA,
+                "",
+                f"error: packet: focus_time_s must be finite, got {value}\n",
+            )
+            for value in (math.nan, math.inf)
+        ),
     ],
     ids=[
         "array", "element", "type", "charge", "range", "steps", "sweep-no-lens", "t1-no-drift", "check-no-lens",
-        "empty-beamline", "design-no-lens", "n-prime-negative",
+        "empty-beamline", "design-no-lens", "n-prime-negative", "n-prime-inf", "span-overflow", "n-prime-2-to-1000",
+        "minus-zero-label", "matching-field-unwalkable-line", "capture-unwalkable-line", "focus-nan", "focus-inf",
     ],
 )
 def test_scenario_and_sweep_guards_give_their_exact_output(tmp_path, capsys, data, command, code, out, err):
@@ -1338,11 +1449,11 @@ def test_failing_sweep_gives_the_per_point_walks_error(tmp_path, capsys, data, p
 
 @pytest.mark.parametrize("spec_range, steps", [("0:1", 1000), ("1:-1", 1001), ("1:1e-153", 1000), ("1:1e-153", 50_000)])
 def test_failing_sweep_bisects_for_its_first_failing_point(capsys, monkeypatch, spec_range, steps):
-    calls = []
+    calls, bounded = [], cli.walk
 
     def counted(beamline):
         calls.append(beamline)
-        return lattice.walk(beamline)
+        return bounded(beamline)
 
     monkeypatch.setattr(cli, "walk", counted)
     argv = ["sweep", CAPTURE, "--param", "H0_gauss", f"--range={spec_range}", "--steps", str(steps)]
@@ -1360,6 +1471,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(1.0, 1e-153, 1000)
 @example(-1e308, 1e308, 3)  # the span overflows
 @example(-0.0, 1.0, 2)
+@example(0.0, 1.0, lattice.MAX_SAMPLES)  # the most points a sweep may have
 def test_the_sweep_grid_ends_at_b(lo, hi, steps):
     values = cli._sweep_values(f"{lo!r}:{hi!r}", steps)
     if lo == hi:

@@ -1,10 +1,16 @@
-"""tools/mutants.py on a temporary tree: one mutant is run, recorded and undone."""
+"""tools/mutants.py on a temporary tree: one mutant is run, recorded and undone.  And the checked-in
+records against the tree as it stands, with no suite run: no mutant left unresolved, and no
+equivalence claimed for a mutant that the source no longer has."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "mutants.py"
+RECORDS = sorted(ROOT.glob("MUTANTS_*.json"))
 
 
 def load_tool():
@@ -47,3 +53,22 @@ def test_a_backup_left_by_a_killed_run_is_put_back_first(tmp_path, monkeypatch):
     assert load_tool().main(["--modules", "src/toy.py", "src/other.py", "--only", "toy.py:99", "--out", "M.json"]) == 0
     assert module.read_text(encoding="utf-8") == other.read_text(encoding="utf-8") == "original\n"
     assert sorted(p.name for p in module.parent.iterdir()) == ["other.py", "toy.py"]
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_a_record_leaves_no_mutant_survived_or_hung(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    statuses = [mutant["status"] for mutant in record["mutants"]]
+    assert record["counts"] == {status: statuses.count(status) for status in record["counts"]}
+    assert set(statuses) <= {"killed", "equivalent"}
+    assert all(mutant.get("reason") for mutant in record["mutants"] if mutant["status"] == "equivalent")
+
+
+def test_each_equivalent_names_a_mutant_of_the_current_source():
+    tool = load_tool()
+    generated = {
+        (name, site["source"], site["mutation"])
+        for name in {key[0] for key in tool.EQUIVALENT}
+        for site in tool.mutants(ROOT / "src" / "vortexlens" / name)
+    }
+    assert [key for key in tool.EQUIVALENT if key not in generated] == []

@@ -302,6 +302,14 @@ def test_rk4_grid_is_bounded_before_allocation():
     assert oracle._time_grid(0.0, float(oracle.MAX_STEPS), 1.0) == (oracle.MAX_STEPS, 1.0)
 
 
+@pytest.mark.parametrize("steps", [oracle.LINEAR_BLOCK, oracle.LINEAR_BLOCK + 1])
+def test_rk4_linear_yields_one_block_per_linear_block_steps(steps):
+    blocks = integrate_rk4_linear(
+        np.zeros((3, 3)), lambda t: np.ones((3, t.size)), (1.0, 0.0, 0.0), 0.0, 1.0, 1 / steps
+    )
+    assert sum(1 for _ in blocks) == math.ceil(steps / oracle.LINEAR_BLOCK)
+
+
 def test_rk4_linear_zero_span_yields_its_start_point_alone():
     matrix, forcing, rhs = _linear_system(1.0)
     blocks = list(integrate_rk4_linear(matrix, forcing, (1.0, 2.0, 3.0), 0.5, 0.5, 0.1))
@@ -351,10 +359,16 @@ def test_x_moment_vanishes_without_a_radial_node():
     assert [x_moment_exact(0, l) for l in range(5)] == [0] * 5
 
 
-@pytest.mark.parametrize("y_max, panels", [(math.nan, 4), (10.0, 0)])
-def test_quadrature_spec_needs_a_positive_span_and_panels(y_max, panels):
-    with pytest.raises(ValueError, match=r"^y_max and panels must be positive$"):
-        oracle.QuadratureSpec(np.exp, y_max, panels)
+def test_the_integrand_sees_panels_times_order_nodes():
+    seen = []
+
+    def integrand(y):
+        seen.append(y.size)
+        return np.exp(-y)
+
+    value = oracle.gauss_legendre_integral(oracle.QuadratureSpec(integrand, panels=40))
+    assert seen == [40 * oracle.QuadratureSpec.order]
+    assert value == pytest.approx(-math.expm1(-80.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -381,10 +395,11 @@ def test_second_derivative_moment_vanishes(n, l):
 
 
 def test_quadrature_guards():
-    with pytest.raises(ValueError):
-        lg_quadrature(13, 0, 0, 0)
-    with pytest.raises(ValueError):
-        lg_quadrature(0, 13, 13, 0)
+    for n, l in [(12, 0), (0, 12), (0, -12), (12, 12)]:  # the largest indices it takes
+        assert lg_quadrature(n, l, abs(l), 0) == pytest.approx(y_moment_exact(n, abs(l)), rel=1e-11)
+    for n, l in [(13, 0), (0, 13), (0, -13)]:
+        with pytest.raises(ValueError):
+            lg_quadrature(n, l, abs(l), 0)
     with pytest.raises(ValueError):
         lg_quadrature(2, 3, -1, 1)
 

@@ -63,6 +63,28 @@ EQUIVALENT = {
         "speed only: broadcasting arrays that share one shape leaves them as they are",
     ("moments.py", "abs(actual / float(required) - 1.0) <= MATCHED_TOLERANCE", "<= -> <"):
         "no tie: below 0.5, |x - 1| is a multiple of 2**-53, and MATCHED_TOLERANCE = 5e-3 is not",
+    ("cli.py", "2.0**1000 < bad[0] < np.inf", "< -> <="):
+        "no tie at the first <: 2**1000 passes every check of an n_prime point, so it is never bad",
+    ("cli.py", "values > 999_999_999_999", "> -> >="):
+        "no tie: 999,999,999,999 prints the same digits under %d and under %.12g",
+    ("cli.py", "whole", "condition -> False"):
+        "speed only: %.12g and %d print a whole label below 10^12 with the same digits, as a float or an int64;"
+        " %d on int64 labels is the cheaper path (BENCH_sweep_labels.json)",
+    ("cli.py", "argv", "condition -> False"):
+        "speed only: the top-level parser hands an argv that starts with a command to the same command parser;"
+        " routing it there directly saves that parser's fixed cost (BENCH_fixed_cost.json)",
+    ("cli.py", "command is None", "condition -> True"):
+        "speed only: the top-level parser hands an argv that starts with a command to the same command parser;"
+        " routing it there directly saves that parser's fixed cost (BENCH_fixed_cost.json)",
+    ("units.py", 'must == "finite"', "condition -> False"):
+        "speed only: (-inf < x) & (x < inf) is isfinite(x) in two passes: 5.5 against 2.8 us at 100 points,"
+        " 9.1 against 6.1 us at 10k",
+    ("oracle.py", "k_deriv == 0", "condition -> False"):
+        "speed only: laguerre_derivative of order 0 is (-1)**0 times the same polynomial, bit for bit; evaluating"
+        " it again costs about 1.1 ms of a 5.6 ms n = 4 verify grid command",
+    ("oracle.py", "(2.0 * np.arange(spec.panels) + 1.0)[:, None] + x[None, :]", "+ -> -"):
+        "numpy's leggauss gives mirror-symmetric nodes and weights, so mirrored panels hold the same node-weight"
+        " pairs, summed in another order: 3.7e-16 relative at most on the n, |l| <= 12 diagonal moments",
 }
 
 
@@ -155,8 +177,11 @@ def run_suite(root: Path, tests: list[str], timeout: float) -> str:
 
 
 def suite_order(root: Path, module: Path) -> list[str]:
-    """The module's own test file first, the fresh-interpreter console table last."""
+    """The module's own test file first, the fresh-interpreter console table last.  The tests of this
+    tool and of its records are left out: they check EQUIVALENT against the source, so a mutant at
+    an equivalent site would fail them and not the library's tests."""
     files = sorted(p.relative_to(root).as_posix() for p in (root / "tests").glob("test_*.py"))
+    files = [f for f in files if f != "tests/test_mutants.py"]
     own = f"tests/test_{module.stem}.py"
     return sorted(files, key=lambda f: (f != own, f.endswith("test_console.py")))
 
