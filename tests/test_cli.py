@@ -928,7 +928,7 @@ CAPTURE = str(SCENARIOS / "capture_transport.json")
 
 
 USAGE_ERRORS = [
-    (["sweep", CAPTURE, "--param", "H0_gauss", "--range", "50:150", "--steps", "abc"], "--steps"),
+    (["sweep", CAPTURE, "--param", "H0_gauss", "--range", "80:90", "--steps", "abc"], "--steps"),
     (["propagate"], "scenario"),
     (["--sample-dt-ns", "x", "propagate", CAPTURE], "--sample-dt-ns"),
     (["sweep", CAPTURE, "--param", "t1_ns", "--range", "-0:2", "--steps", "3"], "--range"),

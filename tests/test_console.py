@@ -104,7 +104,7 @@ def run(args, codes, rule=None, fresh=False):
 
 def row(argv, scenario, codes, rule=None, fresh=False):
     label = scenario.stem if isinstance(scenario, Path) else scenario
-    return pytest.param(argv, scenario, codes, rule, fresh, id=argv.replace("{scenario}", str(label)))
+    return pytest.param(argv, scenario, codes, rule, fresh, id=argv.replace("{scenario}", str(label)) or "(no argv)")
 
 
 ROWS = [
@@ -119,7 +119,10 @@ ROWS = [
     # an unwritable output path
     row("propagate {scenario} -o {tmp}", CAPTURE, (EXIT_SCHEMA,)),
     row("design {scenario} --mode capture --emit-scenario {tmp}/missing/designed.json", CAPTURE, (EXIT_SCHEMA,)),
-    # a missing argument exits 1, not argparse's 2 (tests/test_cli.py's USAGE_ERRORS hold the rest)
+    # a bad or missing argument exits 1, not argparse's 2
+    *(row(cmd, CAPTURE, (EXIT_SCHEMA,)) for cmd in ("", "no-such-command {scenario}", "design {scenario} --mode nowhere",
+        "sweep {scenario} --param H0_gauss --range 50:150 --steps abc", "--sample-dt-ns x propagate {scenario}",
+        "sweep {scenario} --param t1_ns --range -0:2 --steps 3")),
     row("propagate", None, (EXIT_SCHEMA,), "error: the following arguments are required: scenario\n"),
     *(row(cmd, "inf_drift", (EXIT_SCHEMA,)) for cmd in ("check {scenario}", f"sweep {{scenario}} {H0_SWEEP}")),
     # an integer past the float range, past int()'s digit limit, or an n_prime past 2**1000
@@ -142,7 +145,8 @@ ROWS = [
     row("design {scenario} --mode matching-field", "wide", (EXIT_DESIGN,), {r"^design: .*omega0 \* omega0": 1}),
     # options before the command, on the success path
     *(row(cmd, f, codes) for f in SHIPPED for cmd, codes in (
-        ("--strict propagate {scenario} -o /dev/null", WALKED), ("--sample-dt-ns 0.01 check {scenario}", VERDICT))),
+        ("--strict propagate {scenario}", WALKED), ("--strict propagate {scenario} -o /dev/null", WALKED),
+        ("--sample-dt-ns 0.01 check {scenario}", VERDICT))),
     row("propagate {scenario} -o {tmp}/cli.csv", CAPTURE, (EXIT_OK,)),
 ]
 
