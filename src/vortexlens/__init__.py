@@ -24,12 +24,13 @@ _USER_SETTINGS = ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_")
 def _pad_heap_top() -> None:
     """Ask glibc's malloc to keep 2 MiB of freed heap top instead of returning it.
 
-    The oracle's 16,385-point temporaries are freed at the end of each call and,
-    without the pad, trimmed off the heap, so the next call faults those pages in
-    again.  Setting the pad also stops glibc from raising its mmap threshold as
-    larger blocks are freed, which would leave each RK4 block's forcing to a fresh
-    mmap on every call; the threshold is therefore set to the 32 MiB that this
-    adaptation tops out at.  The hint acts on the whole process and changes no
+    Without the pad glibc trims freed blocks off the heap top, so the next call
+    faults those pages in again: 352 minor faults a call for a verify_closed_form
+    of more than one block (12 x 8,193 states, 786 KB each), and thousands for a
+    long propagate.  Setting the pad also stops glibc from raising its mmap
+    threshold as larger blocks are freed, which would leave each such block to a
+    fresh mmap on every call; the threshold is therefore set to the 32 MiB that
+    this adaptation tops out at.  The hint acts on the whole process and changes no
     computed value.  It is skipped when the environment sets either value for
     glibc (MALLOC_TOP_PAD_, MALLOC_MMAP_THRESHOLD_) or any glibc.malloc tunable, so
     the user's own setting wins, and it does nothing where the C library has no

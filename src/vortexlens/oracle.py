@@ -128,32 +128,104 @@ def integrate_rk4_linear(
     q0 = (h / 6.0) * (eye + m + m2 / 2.0 + m3 / 4.0)
     qm = (h / 6.0) * (4.0 * eye + 2.0 * m + m2 / 2.0)
     q1 = (h / 6.0) * eye
-    squares = [p]  # P^(2^k), stopping before the first that leaves the float range
+    squares, block = _powers(p, n)
+
+    def fill(start: int, stop: int, y: np.ndarray) -> None:
+        # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd; the forcing is
+        # freed before the caller reads this block and the next is built
+        b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises in _blocks
+            y[:, 1:] = q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]
+            for k in range((stop - start).bit_length()):
+                y[:, 1 << k :] += squares[k] @ y[:, : -(1 << k)]
+
+    return _blocks(t0, h, n, block, y0, fill)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring a Taylor series (Moler and Van Loan,
+    "Nineteen dubious ways to compute the exponential of a matrix, twenty-five years later", SIAM
+    Review 45, 2003): a is halved s times, to a 1-norm of at most 1/2, the series is summed to degree
+    16 by Horner's rule (its remainder is then under 2^-17 / 17! < 1e-20 of the norm), and the sum is
+    squared s times.  A non-finite entry gives a non-finite result."""
+    a = np.asarray(a, dtype=float)
+    halvings = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)
+    x = a * math.ldexp(1.0, -halvings)
+    eye = np.eye(len(a))
+    total = eye
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix is the caller's to report
+        for k in range(16, 0, -1):
+            total = eye + (x @ total) / k
+        for _ in range(halvings):
+            total = total @ total
+    return total
+
+
+def integrate_exact(
+    matrix: np.ndarray, y0: np.ndarray, t0: float, t_end: float, step: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact propagation of the linear system y' = A y, one block at a time.
+
+    One step is y+ = E y with E = exp(h A) (expm), taken once per call.  The
+    grid, the blocks, their start points, the zero span and the
+    IntegrationError on a non-finite state are those of integrate_rk4_linear.
+    Each block is filled by doubling, with no loop over steps: column 0 holds
+    the block's start state and y[:, 2^k : 2^(k+1)] = E^(2^k) y[:, :2^k] for
+    k = 0, 1, 2, ..., so a column is the start state times one power for each
+    binary digit of its index.  A non-finite state makes every column it
+    reaches non-finite, so the first non-finite column is the first step past
+    the float range.  integrate_rk4 is the reference this propagator is tested
+    against.
+    """
+    n, h = _time_grid(t0, t_end, step)
+    a = np.asarray(matrix, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    if a.shape != (y0.size, y0.size):
+        raise ValueError("integrate_exact needs a square matrix of the state's size")
+    squares, block = _powers(expm(h * a), n)
+
+    def fill(start: int, stop: int, y: np.ndarray) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises in _blocks
+            for k in range((stop - start).bit_length()):
+                width = min(1 << k, stop - start + 1 - (1 << k))
+                np.matmul(squares[k], y[:, :width], out=y[:, 1 << k : (1 << k) + width])  # no temporary
+
+    return _blocks(t0, h, n, block, y0, fill)
+
+
+def _blocks(
+    t0: float, h: float, n: int, block: int, y0, fill: Callable[[int, int, np.ndarray], None]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of the grid t0 + h * arange(n + 1), each of up to block steps, as (times, states): fill
+    sets columns 1.. of a block's states y (one column per grid point) from column 0, the block's start
+    state, which is the last state of the block before, or y0; a zero span is one block of its start
+    point.  Raises IntegrationError at the first state that is not finite."""
+    last = y0
+    for start in range(0, max(n, 1), block):
+        stop = min(start + block, n)
+        ts = t0 + h * np.arange(start, stop + 1)
+        y = np.empty((len(last), ts.size))
+        y[:, 0] = last
+        fill(start, stop, y)
+        ok = np.isfinite(y).all(axis=0)
+        if not ok.all():
+            raise IntegrationError(float(ts[int(np.argmin(ok))]))
+        last = y[:, -1].copy()  # not a view: the block is freed once the caller lets it go
+        yield ts, y.T
+
+
+def _powers(p: np.ndarray, n: int) -> tuple[list[np.ndarray], int]:
+    """P^(2^k) for k = 0, 1, ..., K - 1, enough for a block of min(LINEAR_BLOCK, n) steps and stopping
+    before the first square that leaves the float range (an inf power times a zero state would read NaN),
+    and the block those powers reach: at most LINEAR_BLOCK steps, and 2^K - 1."""
+    squares = [p]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1, min(LINEAR_BLOCK, n).bit_length()):
             square = squares[-1] @ squares[-1]
             if not np.isfinite(square).all():
                 break
             squares.append(square)
-    block = min(LINEAR_BLOCK, (1 << len(squares)) - 1)  # no more steps than these powers scan
-    last = y0
-    for start in range(0, max(n, 1), block):  # a zero span is one block of its start point
-        stop = min(start + block, n)
-        ts = t0 + h * np.arange(start, stop + 1)
-        # grid points at even indices (equal to ts: (h/2)(2i) == h i), midpoints at odd
-        b = np.asarray(forcing(t0 + (0.5 * h) * np.arange(2 * start, 2 * stop + 1)), dtype=float)
-        y = np.empty((3, ts.size))
-        y[:, 0] = last
-        with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
-            y[:, 1:] = q0 @ b[:, :-2:2] + qm @ b[:, 1::2] + q1 @ b[:, 2::2]
-            for k in range((stop - start).bit_length()):
-                y[:, 1 << k :] += squares[k] @ y[:, : -(1 << k)]
-        ok = np.isfinite(y).all(axis=0)
-        if not ok.all():
-            raise IntegrationError(float(ts[int(np.argmin(ok))]))
-        del b  # the forcing is freed before the caller reads this block and the next is built
-        yield ts, y.T
-        last = y[:, -1]
+    return squares, min(LINEAR_BLOCK, (1 << len(squares)) - 1)
 
 
 def laguerre(n: int, alpha: int, y):

@@ -18,12 +18,18 @@ algebraic closed form of the solution, and direct numerical integration of
 the system.  The numerical route is authoritative; verify_closed_form
 cross-checks the two and reports any mismatch instead of trusting either
 silently.  The system is linear in (u1, r1, dr1), so correction_by_quadrature
-and verify_closed_form integrate it with the exact one-step map of classical
-RK4 (oracle.integrate_rk4_linear): a prefix scan over blocks of steps, which
+integrates it with the exact one-step map of classical RK4
+(oracle.integrate_rk4_linear): a prefix scan over blocks of steps, which
 arrive one at a time; a test pins that map to the generic RK4 integrator.
-verify_closed_form evaluates the closed form on each block's grid, with the
-forcing's cos/sin there, applies the oscillator to it exactly and keeps only
-the block's largest values, so its memory does not grow with the span.
+Its forcing lies in the span of the nine functions tau^k, tau^k cos tau and
+tau^k sin tau (k <= 2) of tau = omega0 t, which a constant matrix carries,
+so the system and its forcing are one constant 12x12 linear system (Van
+Loan, IEEE Trans. Automat. Control 23, 1978).  verify_closed_form propagates
+it exactly, by the matrix exponential of one step (oracle.integrate_exact),
+with no truncation error to tell apart from the closed form's; tests pin
+that propagator to the generic RK4 integrator too.  On each block's grid it
+evaluates the closed form, applies the oscillator to it exactly and keeps
+only the block's largest values, so its memory does not grow with the span.
 
 Everything here is in natural units (see the units module).
 """
@@ -40,7 +46,7 @@ from . import units
 from .elements import LensConfig, require_kappa
 from .moments import LensOrbit, MomentState
 from .oracle import integrate_rk4  # noqa: F401  bench/spans.py wraps perturbation.integrate_rk4
-from .oracle import MAX_STEPS, integrate_rk4_linear
+from .oracle import MAX_STEPS, integrate_exact, integrate_rk4_linear
 from .units import Particle
 
 VALIDITY_FRACTION = 0.3
@@ -178,12 +184,11 @@ def _gradient_forcing(orbit: LensOrbit, kappa: float, t, phase):
 
 
 def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float):
-    """Yields (ts, states, drive, cos, sin) per block: the driven first-order system, state (u1, r1, dr1), from
-    rest at the lens entry to t_end by the exact RK4 step map, and the drive and phase pair at the block's ts,
-    read off the forcing's even half-steps.  A midpoint's pair is the grid pair before it turned by the half
-    step: within 4 eps max(1, omega0 t) of np.cos/np.sin, the rounding of omega0 t itself."""
+    """Yields (ts, states) per block: the driven first-order system, state (u1, r1, dr1), from rest at the
+    lens entry to t_end by the exact RK4 step map.  The forcing takes the phase pair once per grid point; a
+    midpoint's pair is the grid pair before it turned by the half step: within 4 eps max(1, omega0 t) of
+    np.cos/np.sin, the rounding of omega0 t itself."""
     matrix = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, -orbit.omega0 * orbit.omega0, 0.0]])
-    slot = []  # the drive and phase pair of the block the forcing last built
 
     def forcing(t: np.ndarray) -> np.ndarray:
         b = np.empty((3, t.size))  # its first two rows hold the phase pair until the forcing is built
@@ -192,12 +197,52 @@ def _integrate_linear(orbit: LensOrbit, kappa: float, t_end: float, step: float)
         b[0, ::2], b[1, ::2] = cos, sin
         b[0, 1::2], b[1, 1::2] = cos[:-1] * cos_d - sin[:-1] * sin_d, sin[:-1] * cos_d + cos[:-1] * sin_d
         du1, drive = _gradient_forcing(orbit, kappa, t, b[:2])
-        slot[:] = drive[::2], cos, sin
         b[0], b[1], b[2] = du1, 0.0, drive
         return b
 
-    for ts, states in integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step):
-        yield ts, states, *slot
+    return integrate_rk4_linear(matrix, forcing, (0.0, 0.0, 0.0), 0.0, t_end, step)
+
+
+def _forcing_coefficients(orbit: LensOrbit, kappa: float) -> np.ndarray:
+    """_gradient_forcing's (du1/dt, drive) as a 2x9 array of coefficients on the functions g(tau) tau^k of
+    tau = omega0 t, g = 1, cos, sin and k = 0, 1, 2, in the order 3 * g + k: a second transcription of the
+    forcing, in which each product of a function of the phase and a polynomial in t is an outer product."""
+    w, m, ll, f = np.float64(orbit.omega0), orbit.mass, orbit.length, orbit.force
+    l, p0 = orbit.entry.l, orbit.entry.p_z
+    one, rho = np.array([1.0, 0.0, 0.0]), np.array([orbit.center, orbit.a_cos, orbit.a_sin])  # on 1, cos, sin
+    p_z, z0 = np.array([p0, f / w, 0.0]), np.array([0.0, p0 / (m * w), 0.5 * f / (m * w * w)])  # on 1, tau, tau^2
+    du1 = (kappa * w / (m * m * ll)) * np.outer(l * one + 0.5 * m * w * rho, p_z)
+    drive = np.outer(-kappa * (2.0 * w * l / (m * ll)) * one - kappa * (2.0 * w * w / ll) * rho, z0) + np.outer(
+        kappa * (2.0 * f / (m * ll)) * rho, one
+    )
+    return np.array([du1.ravel(), drive.ravel()])
+
+
+# d/dtau of the functions g tau^k, in _forcing_coefficients' order: (tau^k)' = k tau^(k-1), cos' = -sin, sin' = cos
+_BASIS_RATE = np.kron(np.eye(3), [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]) + np.kron(
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]], np.eye(3)
+)
+
+
+@np.errstate(all="ignore")  # a coefficient past the float range is a non-finite state, which integrate_exact names
+def _exact_system(orbit: LensOrbit, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, y0): the driven system as x' = A x from rest at the lens entry, with x = (U, r1, v, basis),
+    (U, r1, v) = (2 u1 / omega0^2, r1, r1' / omega0) and basis the functions of _forcing_coefficients.  In
+    tau = omega0 t it reads U' = 2 du1/dt / omega0^3, r1' = v and v' = U - r1 + drive / omega0^2, so A is
+    omega0 times a matrix of numbers near 1: its coupling to the basis is divided by a power of two, 2^e,
+    that brings it under 1, and the basis starts 2^e times its value, so that (U, r1, v) is unchanged
+    while the norm of A, which sets the exponential's scaling, stays that of the oscillation."""
+    w = np.float64(orbit.omega0)
+    du1, drive = _forcing_coefficients(orbit, kappa)
+    coupling = np.array([(2.0 / (w * w * w)) * du1, np.zeros(9), drive / (w * w)])
+    scale = math.ldexp(1.0, math.frexp(np.max(np.abs(coupling)))[1])
+    a = np.zeros((12, 12))
+    a[:3, :3] = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
+    a[:3, 3:] = coupling / scale
+    a[3:, 3:] = _BASIS_RATE
+    y0 = np.zeros(12)
+    y0[[3, 6]] = scale  # 1 and cos tau, at tau = 0
+    return w * a, y0
 
 
 def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: float) -> CorrectionState:
@@ -213,7 +258,7 @@ def correction_by_quadrature(orbit: LensOrbit, kappa: float, dt: float, step: fl
         raise ValueError(f"step must be at most {period / MIN_STEPS_PER_PERIOD}, got {step}")
     if step > 0 and not dt / step <= MAX_STEPS:  # the step count _time_grid checks
         raise ValueError(f"dt must be at most {MAX_STEPS * step}, got {dt}")
-    for _, states, *_ in _integrate_linear(orbit, kappa, dt, step):
+    for _, states in _integrate_linear(orbit, kappa, dt, step):
         u1, r1, _ = states[-1].tolist()  # the last block's last state is the one returned
     return CorrectionState(
         rho_sq_1=r1,
@@ -254,14 +299,17 @@ def verify_closed_form(
     n_periods: float = 4.0,
     tolerance: float = 1e-6,
 ) -> ClosedFormCheck:
-    """Cross-check the closed form against the integrated system.
+    """Cross-check the closed form against the exactly propagated system.
 
-    Compares the two routes on the RK4 grid (period / 2048) over n_periods
+    Compares the two routes on the grid of step period / 2048 over n_periods
     and substitutes the closed form into the oscillator equation exactly
     (_oscillator_operator) at every grid point past the entry, against the
-    drive from the integrated u1.  The integral route is authoritative: a
-    failed check means the closed form (or its transcription) is wrong, and
-    the per-group values at the worst time are reported for diagnosis.
+    drive from the propagated u1.  The reference is the exact propagator of
+    the system and its forcing (_exact_system, oracle.integrate_exact), so
+    it carries only rounding, and the closed form, the operator and the
+    drive read cos and sin at the phase it propagates.  A failed check means
+    the closed form (or its transcription) is wrong, and the per-group
+    values at the worst time are reported for diagnosis.
     """
     require_kappa("kappa", kappa)
     units.require("n_periods", n_periods, "non-negative")
@@ -270,15 +318,21 @@ def verify_closed_form(
     t_end, step = n_periods * period, period / 2048.0
     if not t_end / step <= MAX_STEPS:  # the step count _time_grid checks
         raise ValueError(f"n_periods must be at most {MAX_STEPS / 2048.0}, got {n_periods}")
+    w2 = orbit.omega0 * orbit.omega0
+    matrix, y0 = _exact_system(orbit, kappa)
     maxima = []  # per block: the largest |closed - r1| and its time, and the largest |r1|, |drive| and |residual|
-    for ts, states, forced, *phase in _integrate_linear(orbit, kappa, t_end, step):
+    for ts, states in integrate_exact(matrix, y0, 0.0, t_end, step):
+        # cos tau and sin tau as the propagator carries them: the rounding of its one-step matrix turns
+        # them off omega0 t (by 4e-11 at 488 periods), and the propagated r1 follows that phase, not omega0 t
+        phase = states[:, 6] / y0[3], states[:, 9] / y0[3]
         r1 = states[:, 1]
-        gap = np.abs(_closed_form(orbit, kappa, ts, phase) - r1)  # the grid's phase is the forcing's
+        gap = np.abs(_closed_form(orbit, kappa, ts, phase) - r1)
         worst = int(np.argmax(gap))
-        drive = forced[1:] + 2.0 * states[1:, 0]  # a block's start is the last block's end: no residual there
-        residual = _oscillator_operator(orbit, kappa, ts[1:], [p[1:] for p in phase]) - drive
+        later = [p[1:] for p in phase]  # a block's start is the last block's end: no residual there
+        drive = _gradient_forcing(orbit, kappa, ts[1:], later)[1] + w2 * states[1:, 0]
+        residual = _oscillator_operator(orbit, kappa, ts[1:], later) - drive
         maxima.append((gap[worst], ts[worst], *(np.max(np.abs(x), initial=0.0) for x in (r1, drive, residual))))
-        del ts, states, forced, phase, r1, gap, drive, residual  # no block is held while the next is built
+        del ts, states, phase, r1, gap, later, drive, residual  # no block is held while the next is built
     gaps, times, peaks, drives, residuals = np.array(maxima).T
     worst = int(np.argmax(gaps))
     peak = float(np.max(peaks))

@@ -134,9 +134,10 @@ def cyclotron_frequency_natural(h0_gauss: float, particle: Particle) -> float:
 
 
 def field_from_cyclotron_natural(omega0_ev: float, particle: Particle) -> float:
-    """Solenoid field in gauss whose cyclotron frequency equals omega0_ev."""
+    """Solenoid field in gauss whose cyclotron frequency equals omega0_ev; a field past the float range
+    is inf, with no numpy warning, for the caller's check to name."""
     require("omega0", omega0_ev)
-    omega_si = omega0_ev / HBAR_EV_S
+    omega_si = float(omega0_ev) / HBAR_EV_S  # a Python float: its overflow is inf, not a RuntimeWarning
     return omega_si * particle.mass_ev / LIGHT_SPEED_M_PER_S**2 * GAUSS_PER_TESLA
 
 

@@ -515,6 +515,22 @@ def test_capture_field_no_lens_can_use_is_design_failure(tmp_path, capsys, sigma
     )
 
 
+def test_capture_field_past_the_float_range_is_one_design_line_and_no_warning(tmp_path, capsys):
+    # a heavy particle at a tiny waist: the capture field overflows in units.field_from_cyclotron_natural,
+    # which once printed a numpy RuntimeWarning before this line
+    data = json.loads((SCENARIOS / "capture_transport.json").read_text(encoding="utf-8"))
+    data["particle"]["mass_eV"], data["packet"]["sigma_r_um"] = 1e150, 1e-150
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["design", path, "--mode", "capture"]) == EXIT_DESIGN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "design: no cyclotron frequency a lens can use fits this state: H0 must be non-negative, got inf\n"
+    )
+
+
 MIRROR_COMMANDS = (
     ["propagate", "-o", "-"],
     ["check"],

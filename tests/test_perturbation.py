@@ -14,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from vortexlens import perturbation, units
 from vortexlens.elements import Drift, LensConfig
-from vortexlens.lattice import Beamline, state_at
+from vortexlens.lattice import Beamline, solve_matching, state_at
 from vortexlens.moments import MomentState, lens_state_at, propagate_drift, rho_sq_free
-from vortexlens.oracle import LINEAR_BLOCK, MAX_STEPS, integrate_rk4
+from vortexlens.oracle import LINEAR_BLOCK, MAX_STEPS, integrate_exact, integrate_rk4
 from vortexlens.packet import LGPacket
 from vortexlens.perturbation import (
     APPROXIMATIONS,
@@ -48,11 +48,24 @@ def period_of(inputs):
     return 2.0 * math.pi / inputs.omega0
 
 
-def integrated(inputs, kappa, t_end, step):
-    """_integrate_linear's blocks joined into one grid: each block after the first starts at the
+def joined(blocks):
+    """Blocks of (times, states) joined into one grid: each block after the first starts at the
     last point of the one before, which it does not repeat here."""
-    columns = zip(*perturbation._integrate_linear(inputs, kappa, t_end, step))
-    return tuple(np.concatenate([blocks[0][:1], *(b[1:] for b in blocks)]) for blocks in columns)
+    return tuple(np.concatenate([column[0][:1], *(b[1:] for b in column)]) for column in zip(*blocks))
+
+
+def integrated(inputs, kappa, t_end, step):
+    """The RK4 route's (ts, states), states (u1, r1, dr1)."""
+    return joined(perturbation._integrate_linear(inputs, kappa, t_end, step))
+
+
+def exact_blocks(inputs, kappa, n_periods):
+    """The blocks of verify_closed_form's reference, the exact propagator on its grid of step period / 2048,
+    as (ts, states, cos, sin): cos and sin are the propagated cos tau and sin tau."""
+    period = period_of(inputs)
+    matrix, y0 = perturbation._exact_system(inputs, kappa)
+    for ts, states in integrate_exact(matrix, y0, 0.0, n_periods * period, period / 2048.0):
+        yield ts, states, states[:, 6] / y0[3], states[:, 9] / y0[3]
 
 
 def test_zero_kappa_gives_zero_correction():
@@ -208,21 +221,90 @@ def test_linear_step_map_matches_generic_rk4(e0, kappa):
     assert np.all(np.max(np.abs(states - ref), axis=0) <= 1e-12 * peak)
 
 
-@pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0, 5.0])
-def test_integrated_drive_is_the_forcing_at_the_grid_points(monkeypatch, n_periods):
-    # verify_closed_form reads each block's drive and phase (from the block's start on) off the forcing
-    # the step map evaluates for that block: a view of the drive it computed, not a copy
-    inputs = entry_inputs(e0=25e6)
+@st.composite
+def gradient_lens_entries(draw):
+    """A gradient lens orbit and its kappa: a packet drifted a random time to a lens whose field is within
+    3x of matched, as in tests/test_moments.py, with l, E0 and kappa drawn.  kappa, p0 and E0 stay off
+    the range below about 1e-290, where every drive is so small that the closed form underflows."""
+    packet = LGPacket(draw(st.integers(0, 2)), draw(st.integers(-6, 6)), draw(st.floats(0.3, 1.0)) * 1e-6)
+    p0 = draw(st.just(0.0) | st.floats(1e-6, 1.0))
+    entry = MomentState.from_packet(packet, ELECTRON, p0, t_s=draw(st.floats(-3e-9, 3e-9)))
+    lens = LensConfig(
+        h0_gauss=solve_matching(packet, 0, ELECTRON) * draw(st.floats(0.3, 3.0)),
+        duration_s=1e-9,
+        length_m=0.1,
+        e0_v_per_m=draw(st.just(0.0) | st.floats(1.0, 25e6)),
+    )
+    kappa = draw(st.just(0.0) | st.floats(1e-6, 0.2) | st.floats(-0.2, -1e-6))
+    return ZerothOrderInputs.from_entry_state(entry, lens, ELECTRON), kappa
+
+
+def forcing_basis(inputs, t):
+    """The nine functions g(tau) tau^k of _forcing_coefficients at the times t, tau = omega0 t."""
+    tau = inputs.omega0 * t
+    return np.einsum("gt,kt->gkt", [np.ones_like(tau), np.cos(tau), np.sin(tau)], [np.ones_like(tau), tau, tau * tau])
+
+
+@settings(max_examples=100, deadline=None)
+@given(gradient_lens_entries(), st.lists(st.just(0.0) | st.floats(1e-100, 488.0), min_size=1, max_size=16))
+def test_forcing_coefficients_are_the_gradient_forcing(case, periods):
+    # the second transcription of the forcing against the first, at random times of the whole step budget
+    # (below about 1e-154 periods tau^2 and t^2 are subnormal, and their products round apart); measured at
+    # most 1.4e-15 of the sum of the terms' sizes over 3000 draws
+    inputs, kappa = case
+    t = np.array(periods) * period_of(inputs)
+    terms = perturbation._forcing_coefficients(inputs, kappa).reshape(2, 3, 3, 1) * forcing_basis(inputs, t)
+    forcing = perturbation._gradient_forcing(inputs, kappa, t, inputs.phase(t))
+    for row, want in zip(terms, forcing):
+        assert np.all(np.abs(row.sum(axis=(0, 1)) - want) <= 1e-14 * np.abs(row).sum(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("e0", [0.0, 25e6])
+@pytest.mark.parametrize("kappa", [0.081, -0.081])
+def test_exact_propagator_matches_generic_rk4(e0, kappa):
+    # the exact propagator of the 12x12 system against the generic RK4 integrator of the 3-component
+    # system at the same step, period / 2048: the gap is RK4's truncation, measured 3.2e-12 to 8.2e-12
+    # of the peak of r1 over 4 periods on 80 random lenses
+    inputs = entry_inputs(e0=e0)
     period = period_of(inputs)
+    ts, states, *phase = joined(exact_blocks(inputs, kappa, 4.0))
+    ts_ref, ref = integrate_rk4(system_rhs(inputs, kappa), (0.0, 0.0, 0.0), 0.0, 4.0 * period, period / 2048.0)
+    assert np.array_equal(ts, ts_ref)
+    w = inputs.omega0
+    exact = np.column_stack([0.5 * w * w * states[:, 0], states[:, 1], w * states[:, 2]])  # (u1, r1, dr1)
+    peak = np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(exact - ref), axis=0) <= 2e-11 * peak)
+    # the propagated phase drifts off omega0 t by the rounding of the one-step matrix: 3.6e-13 here
+    assert np.max(np.abs(np.array(phase) - inputs.phase(ts))) <= 2e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(gradient_lens_entries())
+def test_closed_form_agrees_with_the_exact_propagator_on_any_lens(case):
+    # mismatch / peak measured at most 4.1e-15 over 3000 draws at 4 periods, and the residual at most
+    # 5.0e-15 of the drive
+    inputs, kappa = case
+    check = verify_closed_form(inputs, kappa, n_periods=4.0, tolerance=0.0)
+    assert check.max_mismatch_over_peak <= 2e-14
+    assert check.max_ode_residual_over_drive <= 2e-14
+
+
+@pytest.mark.parametrize("n_periods", [4.0, 0.3, 0.0, 5.0])
+def test_closed_form_check_reads_the_forcing_at_the_grid_points(monkeypatch, n_periods):
+    # the residual's drive is _gradient_forcing once per block, at the block's grid points past its start,
+    # with the propagated phase pair of those points bit for bit
+    inputs = entry_inputs(e0=25e6)
     gradient_forcing = perturbation._gradient_forcing
     seen = []
-    monkeypatch.setattr(perturbation, "_gradient_forcing", lambda *args: seen.append(gradient_forcing(*args)) or seen[-1])
-    blocks = list(perturbation._integrate_linear(inputs, 0.081, n_periods * period, period / 2048.0))
+    monkeypatch.setattr(
+        perturbation, "_gradient_forcing", lambda *args: seen.append(args[2:]) or gradient_forcing(*args)
+    )
+    verify_closed_form(inputs, 0.081, n_periods=n_periods)
+    blocks = list(exact_blocks(inputs, 0.081, n_periods))
     assert len(blocks) == len(seen) == max(1, math.ceil(n_periods * 2048 / LINEAR_BLOCK))
-    for (ts, _, drive, *phase), (_, forced) in zip(blocks, seen):
-        assert drive.base is forced
-        assert np.array_equal(drive, gradient_forcing(inputs, 0.081, ts, inputs.phase(ts))[1])
-        assert np.array_equal(phase, inputs.phase(ts))
+    for (ts, _, *propagated), (t, phase) in zip(blocks, seen):
+        assert np.array_equal(t, ts[1:])
+        assert np.array_equal(phase, [p[1:] for p in propagated])
 
 
 @pytest.mark.parametrize("n_periods", [5.0, 50.0])
@@ -261,19 +343,18 @@ def test_forcing_phase_is_one_cos_sin_per_grid_point(monkeypatch, n_periods):
     "e0, kappa, n_periods",
     [(0.0, 0.081, 4.0), (0.0, -0.081, 4.0), (25e6, 0.081, 4.0), (25e6, -0.081, 4.0), (25e6, 0.081, 5.0)],
 )
-def test_closed_form_reads_the_phase_of_the_forcing_bit_for_bit(monkeypatch, e0, kappa, n_periods):
-    # verify_closed_form evaluates the closed form once per block, at its grid points only, with cos
-    # and sin off the forcing's even half-steps; 5 periods span two blocks of the step map
+def test_closed_form_is_evaluated_at_the_grid_points_with_their_phase(monkeypatch, e0, kappa, n_periods):
+    # verify_closed_form evaluates the closed form once per block, at the propagator's grid points only,
+    # with the propagated phase pair of those points bit for bit; 5 periods span two blocks
     inputs = entry_inputs(e0=e0)
-    period = period_of(inputs)
-    blocks = list(perturbation._integrate_linear(inputs, kappa, n_periods * period, period / 2048.0))
     closed_form = perturbation._closed_form
     seen = []
     monkeypatch.setattr(perturbation, "_closed_form", lambda *args: seen.append(closed_form(*args)) or seen[-1])
     verify_closed_form(inputs, kappa, n_periods=n_periods)
+    blocks = list(exact_blocks(inputs, kappa, n_periods))
     assert len(seen) == len(blocks) == math.ceil(n_periods * 2048 / LINEAR_BLOCK)
-    for (ts, *_), closed in zip(blocks, seen):
-        assert np.array_equal(closed, closed_form(inputs, kappa, ts, inputs.phase(ts)))
+    for (ts, _, *phase), closed in zip(blocks, seen):
+        assert np.array_equal(closed, closed_form(inputs, kappa, ts, phase))
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, math.nan])
@@ -537,14 +618,15 @@ def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_f
     if nan_from is not None:
         monkeypatch.setattr(perturbation, "closed_form_groups", nan_group_from(nan_from * n_periods))
     check = verify_closed_form(inputs, kappa, n_periods=n_periods)
-    period = period_of(inputs)
-    ts, states, forced, *phase = integrated(inputs, kappa, n_periods * period, period / 2048.0)
+    ts, states, *phase = joined(exact_blocks(inputs, kappa, n_periods))
     r1 = states[:, 1]
-    gap = np.abs(perturbation._closed_form(inputs, kappa, ts, inputs.phase(ts)) - r1)
+    gap = np.abs(perturbation._closed_form(inputs, kappa, ts, phase) - r1)
     assert np.array_equal(check.max_mismatch_over_peak, np.max(gap) / np.max(np.abs(r1)), equal_nan=True)
     assert check.worst_time == ts[np.argmax(gap)]
-    drive = forced[1:] + 2.0 * states[1:, 0]
-    residual = perturbation._oscillator_operator(inputs, kappa, ts[1:], inputs.phase(ts[1:])) - drive
+    later = [p[1:] for p in phase]
+    _, forced = perturbation._gradient_forcing(inputs, kappa, ts[1:], later)
+    drive = forced + inputs.omega0 * inputs.omega0 * states[1:, 0]  # 2 u1 = omega0^2 U
+    residual = perturbation._oscillator_operator(inputs, kappa, ts[1:], later) - drive
     assert check.max_ode_residual_over_drive == np.max(np.abs(residual)) / np.max(np.abs(drive))
     assert check.consistent == (nan_from is None)
 
@@ -552,7 +634,7 @@ def test_closed_form_check_compares_the_whole_grid(monkeypatch, e0, kappa, nan_f
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator hint is a glibc mallopt")
 def test_verify_closed_form_does_not_fault_the_heap_in_again():
     # a fresh interpreter: the package's import keeps 2 MiB of freed heap top, so
-    # each call's 16,385-point temporaries of one block land on pages the last
+    # each call's temporaries of one block (its 12 x 8,193 states) land on pages the last
     # block or call mapped (hundreds of faults a call without it), whatever the span
     script = textwrap.dedent(
         """
